@@ -250,8 +250,9 @@ def _cmd_chain(cfg: RunConfig, out: Path, quiet: bool) -> int:
         knots = cE.knots
         probes = 0.5 * (np.asarray(knots[:-1]) + np.asarray(knots[1:]))
         probes = probes[:: max(1, probes.size // 16)]
-        defect = max(abs(float(cE.eval(tp)) - exit_concentration(hp, tp))
-                     for tp in probes) if probes.size else 0.0
+        defect = (float(np.max(np.abs(cE.eval(probes)
+                                      - exit_concentration(hp, probes))))
+                  if probes.size else 0.0)
         reports.append((i, float(L), sol.n_used, defect))
         _say(quiet, f"segment {i}: ell = {L:g}, modes through n = {sol.n_used}, "
                     f"exit-curve interpolation defect {defect:.3g}")

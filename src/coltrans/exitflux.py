@@ -21,6 +21,30 @@ th = (D/R)(t - t0), K the Gauss-Weierstrass kernel.  Everything here works
 with u e^{-s t} so no intermediate ever exceeds the data scale; the sign
 convention keeps the Duhamel term positive for positive boundary data.
 
+Quadrature.  The two parts are evaluated for a whole array of instants at
+once (`exit_concentration` takes an array of t; `exit_curve` passes its
+grid in one call).  Each instant is one row of panel cuts:
+
+- the initial part, in eta = (z - x)/(2 sqrt(th)) and cut off at
+  |eta| = 9, is split at the kernel peak eta = 0 and wherever
+  x +- 2 sqrt(th) eta meets a kink of the extended initial state (every
+  `zeta_knots` entry, clipped to the range);
+- the Duhamel part, in sigma = sqrt(t - tau), is split at 0, at the
+  kernel peak x / (2 sqrt(D/R)) and at rungs 16, 256, ... times it, at
+  sqrt(t - k) for every inlet knot k in (t0, t), and at sqrt(t - t0).
+
+Every gap between neighbouring cuts holds four panels with a 10-point
+Gauss-Legendre rule each.  Past the kernel peak the sigma-integrand decays
+like 1/sigma^2, so there the panels are graded geometrically toward the
+peak (each panel's ends at most a factor 2 apart); elsewhere they are
+uniform.  All nodes of a chunk of rows are evaluated in one numpy call,
+chunks being sized to 256 KB per temporary.  The value returned is
+the same rule on the panels halved, and its distance from the rule on the
+whole panels is the row's error estimate.  A row whose estimate exceeds
+the tolerance (1e-11, absolute and relative) is redone by adaptive
+QUADPACK (`quad`) on the same integrand with the row's cuts as break
+points, which raises `QuadratureError` if it too fails.
+
 mu = 0 with gamma != 0 admits no equilibrium shift and is rejected.
 """
 
@@ -46,6 +70,9 @@ __all__ = [
 ]
 
 _ETA_CUT = 9.0  # exp(-81) ~ 6e-36: nothing beyond survives double precision
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
+_PANELS = 4                 # panels per gap between cuts in the coarse rule
+_CHUNK_NODES = 1 << 15      # integrand nodes per pass: 256 KB a temporary
 
 
 def heat_kernel(xi, theta):
@@ -140,20 +167,6 @@ class HalfLineProblem:
         return (self.g.eval(tau) - self.gm) * np.exp(self.params.s * (tau - t))
 
 
-def _thin_points(points, cap: int = 31):
-    """At most `cap` split hints, evenly strided across the sorted set.
-
-    Dense tables contribute one knot per sample; the integrands here are
-    C^1 across them, so beyond a few dozen hints the adaptive estimator is
-    better left to place its own subdivisions.
-    """
-    pts = sorted(float(c) for c in points)
-    if len(pts) <= cap:
-        return pts
-    idx = np.unique(np.linspace(0, len(pts) - 1, cap).round().astype(int))
-    return [pts[i] for i in idx]
-
-
 def _quad(fn, a, b, points, *, tol):
     inner = [float(c) for c in points if a < c < b]
     out = quad(fn, a, b, points=inner or None,
@@ -170,48 +183,124 @@ def _quad(fn, a, b, points, *, tol):
     return val
 
 
-def _initial_part(hp: HalfLineProblem, x: float, t: float, tol: float) -> float:
+def _panel_rule(integrand, cuts, tol, *, graded_from=None):
+    """Integral of integrand over [cuts[i, 0], cuts[i, -1]] for every row i.
+
+    integrand(z, row) evaluates the rows `row` at the nodes z (the two
+    broadcast).  Each gap between neighbouring cuts of a row is split into
+    _PANELS panels, uniform, or geometric (edges lo (hi/lo)^(k/P)) where
+    the gap lies at or beyond graded_from.  The result is the rule on those
+    panels halved; its distance from the rule on the whole panels is the
+    row's error estimate.  Rows whose estimate exceeds tol max(1, |value|)
+    are redone by `_quad` with the row's cuts as break points.  Rows are
+    taken in chunks of about _CHUNK_NODES integrand nodes.
+    """
+    rows, ncut = cuts.shape
+    out = np.empty(rows)
+    per_row = 3 * _PANELS * _GL_X.size * (ncut - 1)
+    step = max(1, _CHUNK_NODES // per_row)
+    frac = np.linspace(0.0, 1.0, _PANELS + 1)
+    for r0 in range(0, rows, step):
+        chunk = cuts[r0:r0 + step]
+        lo, hi = chunk[:, :-1], chunk[:, 1:]
+        row, col = np.nonzero(hi > lo)
+        lo, hi = lo[row, col], hi[row, col]
+        edges = lo[:, None] + (hi - lo)[:, None] * frac
+        if graded_from is not None:
+            geo = lo >= graded_from
+            edges[geo] = lo[geo, None] * (hi[geo] / lo[geo])[:, None] ** frac
+        edges[:, -1] = hi
+        mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        # whole panels first, then their two halves
+        a = np.hstack([edges[:, :-1], edges[:, :-1], mid])
+        b = np.hstack([edges[:, 1:], mid, edges[:, 1:]])
+        half = 0.5 * (b - a)
+        z = (a + half)[..., None] + half[..., None] * _GL_X
+        sums = (integrand(z, (row + r0)[:, None, None]) @ _GL_W) * half
+        coarse = np.bincount(row, sums[:, :_PANELS].sum(axis=1),
+                             minlength=chunk.shape[0])
+        fine = np.bincount(row, sums[:, _PANELS:].sum(axis=1),
+                           minlength=chunk.shape[0])
+        miss = ~(np.abs(fine - coarse) <= tol * np.maximum(1.0, np.abs(fine)))
+        for i in np.flatnonzero(miss):
+            c = chunk[i]
+            fine[i] = _quad(lambda z, r=r0 + i: integrand(z, r), c[0], c[-1],
+                            c[1:-1], tol=tol)
+        out[r0:r0 + step] = fine
+    return out
+
+
+def _initial_part(hp: HalfLineProblem, x: float, ts, tol: float):
     """Odd-reflection integral, scaled by e^{-s t}, via eta = (z - x)/(2 sqrt(th))."""
     p = hp.params
-    theta = (p.D / p.R) * (t - hp.t0)
-    width = 2.0 * np.sqrt(theta)
+    width = 2.0 * np.sqrt((p.D / p.R) * (ts - hp.t0))
+    knots = np.asarray(hp.zeta_knots, dtype=float)
     root_pi = np.sqrt(np.pi)
 
-    def direct(eta):
-        return np.exp(-eta * eta) / root_pi * hp.initial_scaled(x + width * eta)
+    def side(lo, shift):
+        # z = width eta + shift crosses the knot k at eta = (k - shift) / width
+        def integrand(eta, row):
+            return (np.exp(-eta * eta) / root_pi
+                    * hp.initial_scaled(width[row] * eta + shift))
 
-    def image(eta):
-        return np.exp(-eta * eta) / root_pi * hp.initial_scaled(width * eta - x)
+        cuts = np.hstack([lo[:, None], np.zeros((ts.size, 1)),
+                          (knots - shift) / width[:, None],
+                          np.full((ts.size, 1), _ETA_CUT)])
+        cuts = np.sort(np.clip(cuts, lo[:, None], _ETA_CUT), axis=1)
+        return _panel_rule(integrand, cuts, tol)
 
-    lo = max(-x / width, -_ETA_CUT)
-    pts_d = _thin_points((k - x) / width for k in hp.zeta_knots)
-    pts_i = _thin_points((k + x) / width for k in hp.zeta_knots)
-    val = _quad(direct, lo, _ETA_CUT, pts_d, tol=tol)
-    lo_im = x / width
-    if lo_im < _ETA_CUT:
-        val -= _quad(image, lo_im, _ETA_CUT, pts_i, tol=tol)
-    return val * np.exp(-p.s * (t - hp.t0))
+    direct = side(np.maximum(-x / width, -_ETA_CUT), x)
+    image = side(np.minimum(x / width, _ETA_CUT), -x)
+    return (direct - image) * np.exp(-p.s * (ts - hp.t0))
 
 
-def _boundary_part(hp: HalfLineProblem, x: float, t: float, tol: float) -> float:
+def _boundary_part(params: TransportParams, g: SmoothFn, gm: float, x: float,
+                   t0: float, ts, tol: float):
     """Duhamel integral, scaled by e^{-s t}, via sigma = sqrt(t - tau).
 
     The substitution regularizes the kernel: the integrand is a smooth bump
-    peaking at sigma = x / (2 sqrt(D/R)), which is handed to the quadrature
-    as a split point.
+    peaking at sigma = x / (2 sqrt(D/R)) and decaying like 1/sigma^2 past
+    it, so the panels beyond the peak are graded geometrically.
     """
-    p = hp.params
+    p = params
     kap = p.D / p.R
-    smax = np.sqrt(t - hp.t0)
+    a = x * x / (4.0 * kap)
+    peak = np.sqrt(a)
+    smax = np.sqrt(ts - t0)
+    knots = np.asarray(g.knots, dtype=float)
+    knots = knots[(knots > t0) & (knots < ts.max())]
+    lags = np.sqrt(np.maximum(ts[:, None] - knots, 0.0))
+    # rungs at peak 16^j keep each graded panel's ends within a factor 2
+    top = max(0, int(np.ceil(np.log(smax.max() / peak) / np.log(16.0))))
+    rungs = peak * 16.0 ** np.arange(top + 1)
+    cuts = np.hstack([np.zeros((ts.size, 1)),
+                      np.broadcast_to(rungs, (ts.size, rungs.size)),
+                      lags, smax[:, None]])
+    cuts = np.sort(np.minimum(cuts, smax[:, None]), axis=1)
 
-    def integrand(sigma):
-        arg = -(x * x) / (4.0 * kap * sigma * sigma)
-        return np.exp(arg) / (sigma * sigma) * hp.boundary_scaled(t - sigma * sigma, t)
+    def integrand(sigma, row):
+        s2 = sigma * sigma
+        return np.exp(-a / s2 - p.s * s2) / s2 * (g.eval(ts[row] - s2) - gm)
 
-    pts = [x / (2.0 * np.sqrt(kap))]
-    pts += _thin_points(np.sqrt(t - k) for k in hp.g.knots if hp.t0 < k < t)
-    val = _quad(integrand, 0.0, smax, pts, tol=tol)
+    val = _panel_rule(integrand, cuts, tol, graded_from=peak)
     return (x / np.sqrt(np.pi * kap)) * val
+
+
+def _u_scaled(hp: HalfLineProblem, x: float, ts, tol: float):
+    """u(x, t) e^{-s t} at each instant of the 1-D array ts."""
+    if not np.all(ts >= hp.t0):
+        raise ParameterError("t precedes t0")
+    out = np.empty(ts.shape)
+    start = ts == hp.t0
+    out[start] = hp.initial_scaled(x)
+    later = ts[~start]
+    if x == 0.0:
+        out[~start] = hp.boundary_scaled(later, later)
+    elif later.size:
+        out[~start] = (_initial_part(hp, x, later, tol)
+                       + _boundary_part(hp.params, hp.g, hp.gm, x, hp.t0,
+                                        later, tol))
+    return out
 
 
 def eval_u(hp: HalfLineProblem, x: float, t: float, *, scaled: bool = True,
@@ -223,14 +312,7 @@ def eval_u(hp: HalfLineProblem, x: float, t: float, *, scaled: bool = True,
     x, t = float(x), float(t)
     if x < 0.0:
         raise ParameterError("the companion problem lives on x >= 0")
-    if t < hp.t0:
-        raise ParameterError("t precedes t0")
-    if t == hp.t0:
-        out = float(hp.initial_scaled(x))
-    elif x == 0.0:
-        out = float(hp.boundary_scaled(t, t))
-    else:
-        out = _initial_part(hp, x, t, tol) + _boundary_part(hp, x, t, tol)
+    out = float(_u_scaled(hp, x, np.array([t]), tol)[0])
     if not scaled:
         out = out * np.exp(hp.params.s * t)
         if not np.isfinite(out):
@@ -240,10 +322,12 @@ def eval_u(hp: HalfLineProblem, x: float, t: float, *, scaled: bool = True,
     return out
 
 
-def exit_concentration(hp: HalfLineProblem, t: float) -> float:
-    """C_E(t) = u(ell, t) e^{r ell - s t} + gamma/mu."""
+def exit_concentration(hp: HalfLineProblem, t):
+    """C_E(t) = u(ell, t) e^{r ell - s t} + gamma/mu, at one t or an array."""
     p = hp.params
-    return eval_u(hp, p.ell, t) * np.exp(p.r * p.ell) + hp.gm
+    ts = np.asarray(t, dtype=float)
+    u = _u_scaled(hp, p.ell, ts.ravel(), 1e-11).reshape(ts.shape)
+    return (u * np.exp(p.r * p.ell) + hp.gm)[()]
 
 
 def exit_curve(data: ProblemData, t_end: float, *, n_grid: int = 512) -> SmoothFn:
@@ -260,7 +344,7 @@ def exit_curve(data: ProblemData, t_end: float, *, n_grid: int = 512) -> SmoothF
         raise ParameterError("n_grid must be at least 8")
     hp = HalfLineProblem.from_data(data)
     ts = np.linspace(data.t0, float(t_end), int(n_grid))
-    vals = np.array([exit_concentration(hp, t) for t in ts])
+    vals = exit_concentration(hp, ts)
     return SmoothFn.from_table(ts, vals)
 
 
@@ -283,17 +367,8 @@ def exit_concentration_large_t(params: TransportParams, g: SmoothFn, t: float,
     p = params
     gm = _equilibrium_level(p)
     kap = p.D / p.R
-    x = p.ell
-    horizon = max(np.log(1.0 / tol) / p.s, 9.0 * x * x / (4.0 * kap))
-    smax = np.sqrt(horizon)
-
-    def integrand(sigma):
-        arg = -(x * x) / (4.0 * kap * sigma * sigma)
-        gs = (g.eval(t - sigma * sigma) - gm) * np.exp(-p.s * sigma * sigma)
-        return np.exp(arg) / (sigma * sigma) * gs
-
-    pts = [x / (2.0 * np.sqrt(kap))]
-    pts += _thin_points(np.sqrt(t - k) for k in g.knots if k < t)
-    val = _quad(integrand, 0.0, smax, pts, tol=1e-11)
-    u_scaled = (x / np.sqrt(np.pi * kap)) * val
+    horizon = max(np.log(1.0 / tol) / p.s, 9.0 * p.ell * p.ell / (4.0 * kap))
+    t = float(t)
+    u_scaled = _boundary_part(p, g, gm, p.ell, t - horizon, np.array([t]),
+                              1e-11)[0]
     return float(u_scaled * np.exp(p.r * p.ell) + gm)
