@@ -27,7 +27,6 @@ from .model import (
     ProblemData,
     SmoothFn,
     TransportParams,
-    derive_params,
     forcing_F,
     initial_w,
     invert,

@@ -116,15 +116,15 @@ def _cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
     ts = np.linspace(data.t0, cfg.t_end, cfg.nt)
     xs = np.linspace(0.0, data.params.ell, cfg.nx)
 
+    cE = data.require_exit()
     rows = []
+    bt = []
     for t in ts:
         c = eval_C(sol, xs, t)
         rows.extend((t, x, ci) for x, ci in zip(xs, c))
+        # same instant, so the coefficients come from the solution's memo
+        bt.append((t, eval_C(sol, data.params.ell, t), float(cE.eval(t))))
     _write_csv(out / "profile.csv", "t,x,C", rows)
-
-    cE = data.require_exit()
-    bt = [(t, float(eval_C(sol, np.array([data.params.ell]), t)[0]),
-           float(cE.eval(t))) for t in ts]
     _write_csv(out / "breakthrough.csv", "t,C_exit,C_flux_exit", bt)
 
     _write_json(out / "manifest.json", {

@@ -16,9 +16,11 @@ r = v/(2D) and s = (v^2/(4D) + mu)/R turns this into a heat problem for w
 with homogeneous boundaries; H is the lifting function that absorbs the
 boundary data and F collects the forcing that the substitution produces.
 This module owns the parameter set, the smooth-function wrapper used for
-phi, g and C_E, and the lift/forcing/initial-condition algebra.  The
-eigenfunction machinery that consumes these lives in `eigensystem` and
-`series`.
+phi, g and C_E, and the lift/forcing/initial-condition algebra: it is the
+only place that reads the boundary data (`_boundary_data`), and H, its
+partials, the forcing weights and the inversion back to C are each written
+once here.  The eigenfunction machinery that consumes these lives in
+`eigensystem` and `series`.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ __all__ = [
     "TransportParams",
     "SmoothFn",
     "ProblemData",
-    "derive_params",
     "lift_H",
+    "lift_H_x",
+    "forcing_weights",
     "forcing_F",
     "initial_w",
     "invert",
@@ -91,11 +94,6 @@ class TransportParams:
     def s(self) -> float:
         """Temporal rate of the substitution, (v^2/(4 D) + mu) / R."""
         return (self.v * self.v / (4.0 * self.D) + self.mu) / self.R
-
-
-def derive_params(params: TransportParams) -> tuple[float, float]:
-    """Return the derived substitution rates (r, s)."""
-    return params.r, params.s
 
 
 def _as_callable_pair(fn, dfn):
@@ -283,6 +281,18 @@ class ProblemData:
         return replace(self, exit=exit_fn, exit_computed=computed)
 
 
+def _boundary_data(data: ProblemData, t):
+    """(g, g', e^{-r ell} C_E, e^{-r ell} C_E') at t, broadcasting over t.
+
+    The one read of the boundary data behind the lift and the forcing.
+    """
+    p = data.params
+    cE = data.require_exit()
+    t = np.asarray(t, dtype=float)
+    scale = np.exp(-p.r * p.ell)
+    return data.g.eval(t), data.g.deriv(t), scale * cE.eval(t), scale * cE.deriv(t)
+
+
 def lift_H(data: ProblemData, x, t):
     """Lifting function and the partials the forcing needs.
 
@@ -294,17 +304,39 @@ def lift_H(data: ProblemData, x, t):
         H_x = 0 at both faces.
     """
     p = data.params
-    cE = data.require_exit()
     x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
     cosx = np.cos(np.pi * x / p.ell)
-    scale = np.exp(-p.r * p.ell)
-    ge, gd = data.g.eval(t), data.g.deriv(t)
-    ce, cd = scale * cE.eval(t), scale * cE.deriv(t)
+    ge, gd, ce, cd = _boundary_data(data, t)
     H = (1.0 + cosx) * ge + (1.0 - cosx) * ce
     H_t = (1.0 + cosx) * gd + (1.0 - cosx) * cd
     H_xx = (np.pi / p.ell) ** 2 * (ce - ge) * cosx
     return H[()], H_t[()], H_xx[()]
+
+
+def lift_H_x(data: ProblemData, x, t):
+    """Spatial slope H_x of the lifting function at (x, t)."""
+    p = data.params
+    x = np.asarray(x, dtype=float)
+    ge, _, ce, _ = _boundary_data(data, t)
+    return (np.pi / p.ell) * (ce - ge) * np.sin(np.pi * x / p.ell)
+
+
+def _cos_and_const_weights(p: TransportParams, ge, gd, ce, cd):
+    """(b, c) of the forcing for the given (g, g', e^{-r ell} C_E, its t-slope)."""
+    pref = np.pi * np.pi * p.D / (p.ell * p.ell * p.R) + p.s
+    return pref * (ce - ge) - gd + cd, -p.s * (ge + ce) - (gd + cd)
+
+
+def forcing_weights(data: ProblemData, t):
+    """Weights (a, b, c) of F = a e^{-r x} + b cos(pi x/ell) + c at t.
+
+    a = gamma/R is constant; b and c carry the boundary data.  The series
+    projects F through these weights and three x-moments per mode.
+    """
+    p = data.params
+    t = np.asarray(t, dtype=float)
+    b, c = _cos_and_const_weights(p, *_boundary_data(data, t))
+    return np.full_like(t, p.gamma / p.R), b, c
 
 
 def forcing_F(data: ProblemData, x, t):
@@ -315,16 +347,13 @@ def forcing_F(data: ProblemData, x, t):
     (gamma/R) e^{-r x} - (s H + H_t) + (D/R) H_xx.
     """
     p = data.params
-    cE = data.require_exit()
     x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
     cosx = np.cos(np.pi * x / p.ell)
-    pref = np.pi * np.pi * p.D / (p.ell * p.ell * p.R) + p.s
-    scale = np.exp(-p.r * p.ell)
-    ge, gd = data.g.eval(t), data.g.deriv(t)
-    ce, cd = scale * cE.eval(t), scale * cE.deriv(t)
-    F1 = (p.gamma / p.R) * np.exp(-p.r * x) - (pref * cosx + p.s) * ge - (1.0 + cosx) * gd
-    F2 = (pref * cosx - p.s) * ce - (1.0 - cosx) * cd
+    ge, gd, ce, cd = _boundary_data(data, t)
+    b1, c1 = _cos_and_const_weights(p, ge, gd, 0.0, 0.0)
+    b2, c2 = _cos_and_const_weights(p, 0.0, 0.0, ce, cd)
+    F1 = (p.gamma / p.R) * np.exp(-p.r * x) + b1 * cosx + c1
+    F2 = b2 * cosx + c2
     return (F1 + F2)[()], F1[()], F2[()]
 
 

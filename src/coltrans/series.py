@@ -16,10 +16,12 @@ exp(s tau - (D/R) lambda_n (t - tau)), which for the negative mode reduces
 to exp(s t - (mu/R)(t - tau)) and never exceeds exp(s t).
 
 The forcing is a combination of e^{-r x}, cos(pi x / ell) and 1 with
-time-dependent weights, so every mode projection reduces to three
-precomputed x-integrals; the time integration then marches over panels
-with Gauss-Legendre nodes, cutting panels at the knots of tabulated data
-and dyadically toward the right endpoint where the decay factor is stiff.
+time-dependent weights (`model.forcing_weights`), so every mode projection
+reduces to three precomputed x-integrals; the time integration then
+marches over panels with Gauss-Legendre nodes, cutting panels at the knots
+of tabulated data and dyadically toward the right endpoint where the decay
+factor is stiff.  Every evaluator maps back to C through one helper,
+`_evaluate`, which calls `model.invert`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,15 @@ from dataclasses import dataclass
 from scipy.interpolate import PchipInterpolator
 
 from .errors import NumericOverflowError, ParameterError
-from .model import ProblemData, SmoothFn, initial_w, lift_H
+from .model import (
+    ProblemData,
+    SmoothFn,
+    _boundary_data,
+    forcing_weights,
+    invert,
+    lift_H,
+    lift_H_x,
+)
 from .eigensystem import (
     DANCKWERTS,
     ROBIN,
@@ -85,7 +95,7 @@ class SeriesSolution:
     n = 0: the negative mode for Robin, the slow tangent-equation root
     below pi/ell for Danckwerts.
     Instances are safe to share across threads once built: evaluation only
-    appends to an internal coefficient cache keyed by time.
+    replaces a one-entry memo, the latest (t, T) pair, in one assignment.
     """
 
     def __init__(self, data, lift_data, kind, policy, t_end, pairs,
@@ -108,7 +118,7 @@ class SeriesSolution:
         self.notes = tuple(notes)
         self._dense_times = dense_times
         self._dense_T = dense_T
-        self._cache = {}
+        self._memo = None           # (t, T) of the latest coefficients call
 
     @property
     def n_used(self) -> int:
@@ -129,14 +139,14 @@ class SeriesSolution:
         if t < self.t0 - 1e-12 * max(1.0, abs(self.t0)):
             raise ParameterError("t precedes t0")
         t = max(t, self.t0)
-        hit = self._cache.get(t)
-        if hit is not None:
-            return hit
+        memo = self._memo
+        if memo is not None and memo[0] == t:
+            return memo[1]
         k = int(np.searchsorted(self._dense_times, t, side="right")) - 1
         k = max(k, 0)
         t_from = self._dense_times[k]
         T = _march(self, self._dense_T[:, k], t_from, t)
-        self._cache[t] = T
+        self._memo = (t, T)
         return T
 
 
@@ -164,22 +174,6 @@ def _panel_cuts(lo: float, hi: float, beta_max: float, knots):
     return np.array(sorted(cuts))
 
 
-def _forcing_weights(sol: SeriesSolution, tau):
-    """Weights (a, b, c) of F = a e^{-r x} + b cos(pi x/ell) + c at tau."""
-    p = sol.data.params
-    d = sol.lift_data
-    tau = np.asarray(tau, dtype=float)
-    cE = d.require_exit()
-    sc = np.exp(-p.r * p.ell)
-    pref = np.pi * np.pi * p.D / (p.ell * p.ell * p.R) + p.s
-    ge, gd = d.g.eval(tau), d.g.deriv(tau)
-    ce, cd = sc * cE.eval(tau), sc * cE.deriv(tau)
-    a = np.full_like(tau, p.gamma / p.R)
-    b = pref * (ce - ge) - gd + cd
-    c = -p.s * (ge + ce) - (gd + cd)
-    return a, b, c
-
-
 def _march(sol: SeriesSolution, T_from: np.ndarray, t_from: float, t_to: float):
     """Advance all coefficients from t_from to t_to."""
     if t_to == t_from:
@@ -200,7 +194,7 @@ def _march(sol: SeriesSolution, T_from: np.ndarray, t_from: float, t_to: float):
     # nodes: (pieces, 12) -> flat
     tau = (mids[:, None] + half[:, None] * _GL_X[None, :]).ravel()
     wts = (half[:, None] * _GL_W[None, :]).ravel()
-    a, b, c = _forcing_weights(sol, tau)
+    a, b, c = forcing_weights(sol.lift_data, tau)
     fvals = (
         sol.moments[0][:, None] * a[None, :]
         + sol.moments[1][:, None] * b[None, :]
@@ -247,10 +241,7 @@ def _mode_moments(pair: EigenPair, params) -> tuple:
 def _initial_coeff(pair: EigenPair, data: ProblemData, moments_n) -> float:
     """T_n(t0) = <w(., t0), phi_n> / <phi_n, phi_n>."""
     p = data.params
-    cE = data.require_exit()
-    sc = np.exp(-p.r * p.ell)
-    g0 = float(data.g.eval(data.t0))
-    c0 = sc * float(cE.eval(data.t0))
+    g0, _, c0, _ = _boundary_data(data, data.t0)
     Ie, Ic, I1 = moments_n
     if data.phi.const_value is not None:
         phi_part = data.phi.const_value * Ie
@@ -283,10 +274,7 @@ def _forcing_sq_cum(lift_data: ProblemData, t0: float, t_end: float):
     ks = _data_knots(lift_data, t0, t_end)
     if ks:
         taus = np.unique(np.concatenate([taus, np.asarray(ks)]))
-    dummy = SeriesSolution.__new__(SeriesSolution)
-    dummy.data = lift_data
-    dummy.lift_data = lift_data
-    a, b, c = _forcing_weights(dummy, taus)
+    a, b, c = forcing_weights(lift_data, taus)
     fx2 = (
         a * a * E2
         + b * b * (0.5 * ell)
@@ -296,8 +284,6 @@ def _forcing_sq_cum(lift_data: ProblemData, t0: float, t_end: float):
         # int cos(pi x/ell) dx vanishes, no b*c cross term
     )
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (fx2[1:] + fx2[:-1]) * np.diff(taus))])
-    if taus.size < 2:
-        raise ParameterError("horizon too short for the forcing integral")
     return PchipInterpolator(taus, cum, extrapolate=True)
 
 
@@ -311,23 +297,6 @@ def _base_sq_integral(data: ProblemData) -> float:
 
     pts = tuple(k for k in data.phi.knots if 0.0 < k < p.ell)
     return inner_product(fn, fn, 0.0, p.ell, points=pts, abs_tol=1e-12)
-
-
-def _bound_terms(sol_or_parts, n_index_lam_norm, t):
-    """Both terms of the printed coefficient bound for one mode."""
-    sol, lam, norm = sol_or_parts, *n_index_lam_norm
-    p = sol.data.params
-    t0 = sol.t0
-    s = p.s
-    beta = (p.D / p.R) * lam
-    ff = float(sol._ff_cum(min(t, sol.t_end)))
-    rate = 2.0 * (s + beta)
-    num = np.exp(2.0 * s * t) - np.exp(2.0 * beta * (t0 - t) + 2.0 * s * t0)
-    term2 = np.exp(2.0 * beta * (t0 - t) + 2.0 * s * t0) * sol._base_sq / norm
-    if rate <= 0.0:
-        return None, term2  # caller applies the direct fallback
-    term1 = num / (rate * norm) * ff
-    return term1, term2
 
 
 def _direct_zero_mode_bound(sol: SeriesSolution, t: float) -> float:
@@ -349,42 +318,55 @@ def coefficient_bound(sol: SeriesSolution, n: int, t: float) -> float:
     the first term (noted on the solution at build time).
     """
     pos = sol._pos(n)
-    term1, term2 = _bound_terms(sol, (sol.lam[pos], sol.norms[pos]), float(t))
-    if term1 is None:
-        term1 = _direct_zero_mode_bound(sol, float(t))
+    t = float(t)
+    p = sol.data.params
+    s, norm = p.s, sol.norms[pos]
+    beta = (p.D / p.R) * sol.lam[pos]
+    initial = np.exp(2.0 * beta * (sol.t0 - t) + 2.0 * s * sol.t0)
+    term2 = initial * sol._base_sq / norm
+    rate = 2.0 * (s + beta)
+    if rate <= 0.0:
+        term1 = _direct_zero_mode_bound(sol, t)
+    else:
+        ff = float(sol._ff_cum(min(t, sol.t_end)))
+        term1 = (np.exp(2.0 * s * t) - initial) / (rate * norm) * ff
     return float(term1 + term2)
 
 
-def tail_bound(sol_parts, N: int, t: float) -> float:
+def tail_bound(sol: SeriesSolution, N: int, t: float) -> float:
     """Upper bound on sum_{n > N} |T_n|(1 + r / sqrt(lambda_n)).
 
     Uses the explicit Robin eigenvalues (a valid lower bound on the
     Danckwerts ones, hence an upper bound on the terms) plus a closed-form
     integral-test remainder beyond an explicit window.
     """
-    sol = sol_parts
-    p = sol.data.params
-    r, ell, s = p.r, p.ell, p.s
-    t0 = sol.t0
-    dr = p.D / p.R
     ff = float(sol._ff_cum(min(t, sol.t_end)))
+    return _tail_bound_core(sol.data.params, sol.kind, sol.t0, ff, sol._base_sq,
+                            sol.policy.tail_tol, N, t)
+
+
+def _tail_bound_core(p, kind: str, t0: float, ff: float, base_sq: float,
+                     tail_tol: float, N: int, t: float) -> float:
+    """`tail_bound` from explicit parts; ff is int_{t0}^{t} int_0^ell F^2."""
+    r, ell, s = p.r, p.ell, p.s
+    dr = p.D / p.R
     e2st = np.exp(2.0 * s * t)
-    norm_floor = 0.25 * ell if sol.kind == DANCKWERTS else 0.5 * ell
+    norm_floor = 0.25 * ell if kind == DANCKWERTS else 0.5 * ell
     total = 0.0
     M = N
     window_end = N + 2000
     for n in range(N + 1, window_end + 1):
         lam = (n * np.pi / ell) ** 2
         beta = dr * lam
-        if sol.kind == ROBIN:
+        if kind == ROBIN:
             norm = (r * r + lam) * ell / (2.0 * lam)
         else:
             norm = norm_floor
         term1 = e2st * ff / (2.0 * (s + beta) * norm)
-        term2 = np.exp(2.0 * beta * (t0 - t) + 2.0 * s * t0) * sol._base_sq / norm
+        term2 = np.exp(2.0 * beta * (t0 - t) + 2.0 * s * t0) * base_sq / norm
         total += (term1 + term2) * (1.0 + r / np.sqrt(lam))
         M = n
-        if term1 + term2 < 1e-4 * sol.policy.tail_tol / max(1, n):
+        if term1 + term2 < 1e-4 * tail_tol / max(1, n):
             break
     # integral-test remainder for the first bound term beyond the window;
     # the initial-data term decays doubly exponentially and is negligible
@@ -397,7 +379,7 @@ def tail_bound(sol_parts, N: int, t: float) -> float:
     lamM = ((M + 1) * np.pi / ell) ** 2
     rem2 = (
         np.exp(2.0 * dr * lamM * (t0 - t) + 2.0 * s * t0)
-        * sol._base_sq
+        * base_sq
         / norm_floor
         * (1.0 + r * ell / np.pi)
         * 2.0
@@ -408,7 +390,7 @@ def tail_bound(sol_parts, N: int, t: float) -> float:
 def project_forcing(sol: SeriesSolution, n: int, tau):
     """f_n(tau): the forcing projected on mode n, normalized."""
     pos = sol._pos(n)
-    a, b, c = _forcing_weights(sol, tau)
+    a, b, c = forcing_weights(sol.lift_data, tau)
     out = (
         sol.moments[0][pos] * a + sol.moments[1][pos] * b + sol.moments[2][pos] * c
     ) / sol.norms[pos]
@@ -453,43 +435,30 @@ def eval_w(sol: SeriesSolution, x, t: float):
     return out if np.ndim(x) else float(out[0])
 
 
-def eval_C(sol: SeriesSolution, x, t: float):
-    """Concentration C(x, t) = w e^{r x - s t} + H e^{r x}."""
+def _evaluate(sol: SeriesSolution, x, t: float, T: np.ndarray,
+              slope: bool = False):
+    """C(x, t), or C_x with `slope`, from the coefficients T."""
     p = sol.data.params
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    w = eval_w(sol, xs, t)
+    vals, ders = _phi_matrices(sol, xs)
     H, _, _ = lift_H(sol.lift_data, xs, t)
-    out = w * np.exp(p.r * xs - p.s * t) + H * np.exp(p.r * xs)
+    out = invert(vals @ T, H, xs, t, p.r, p.s)
+    if slope:
+        Hx = lift_H_x(sol.lift_data, xs, t)
+        out = invert(ders @ T, Hx, xs, t, p.r, p.s) + p.r * out
     if not np.all(np.isfinite(out)):
         raise NumericOverflowError(f"series evaluation overflowed at t = {t:.6g}")
     return out if np.ndim(x) else float(out[0])
 
 
-def _lift_H_x(data: ProblemData, x, t):
-    p = data.params
-    cE = data.require_exit()
-    x = np.asarray(x, dtype=float)
-    sc = np.exp(-p.r * p.ell)
-    return (
-        (np.pi / p.ell)
-        * (sc * cE.eval(t) - data.g.eval(t))
-        * np.sin(np.pi * x / p.ell)
-    )
+def eval_C(sol: SeriesSolution, x, t: float):
+    """Concentration C(x, t) = w e^{r x - s t} + H e^{r x}."""
+    return _evaluate(sol, x, t, sol.coefficients(t))
 
 
 def eval_C_x(sol: SeriesSolution, x, t: float):
     """Spatial concentration gradient, from termwise derivatives."""
-    p = sol.data.params
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    T = sol.coefficients(t)
-    vals, ders = _phi_matrices(sol, xs)
-    w = vals @ T
-    wx = ders @ T
-    H, _, _ = lift_H(sol.lift_data, xs, t)
-    Hx = _lift_H_x(sol.lift_data, xs, t)
-    C = w * np.exp(p.r * xs - p.s * t) + H * np.exp(p.r * xs)
-    out = wx * np.exp(p.r * xs - p.s * t) + Hx * np.exp(p.r * xs) + p.r * C
-    return out if np.ndim(x) else float(out[0])
+    return _evaluate(sol, x, t, sol.coefficients(t), slope=True)
 
 
 def eval_large_t(sol: SeriesSolution, x, t: float, *, tol: float = 1e-12,
@@ -518,12 +487,7 @@ def eval_large_t(sol: SeriesSolution, x, t: float, *, tol: float = 1e-12,
     if not float(tau_min) < float(t):
         raise ParameterError("tau_min must lie strictly before t")
     T = _march(sol, np.zeros(len(sol.pairs)), float(tau_min), float(t))
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    vals, _ = _phi_matrices(sol, xs)
-    w = vals @ T
-    H, _, _ = lift_H(sol.lift_data, xs, t)
-    out = w * np.exp(p.r * xs - p.s * t) + H * np.exp(p.r * xs)
-    return out if np.ndim(x) else float(out[0])
+    return _evaluate(sol, x, t, T)
 
 
 def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
@@ -564,20 +528,18 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
 
     # Tail target: smallest N with the a-priori tail under tail_tol,
     # else n_max with the achieved tail reported.
-    probe = SeriesSolution.__new__(SeriesSolution)
-    probe.data = data
-    probe.lift_data = lift_data
-    probe.kind = kind
-    probe.policy = policy
-    probe.t_end = t_end
-    probe._ff_cum = ff_cum
-    probe._base_sq = base_sq
+    ff_end = float(ff_cum(t_end))
+
+    def tail_at(n):
+        return _tail_bound_core(p, kind, data.t0, ff_end, base_sq,
+                                policy.tail_tol, n, t_end)
+
     N = policy.n_max
     for cand in _tail_candidates(policy.n_max):
-        if tail_bound(probe, cand, t_end) <= policy.tail_tol:
+        if tail_at(cand) <= policy.tail_tol:
             N = cand
             break
-    reported = tail_bound(probe, N, t_end)
+    reported = tail_at(N)
     if reported > policy.tail_tol:
         notes.append(
             f"tail target {policy.tail_tol:.3g} unreachable at n_max = "

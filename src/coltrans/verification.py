@@ -312,13 +312,12 @@ def danckwerts_comparison(robin_sol: SeriesSolution, danck_sol: SeriesSolution,
         times = np.linspace(robin_sol.t0, t_end, 41)[1:]
     times = np.asarray(times, dtype=float)
     xs = np.linspace(0.0, p.ell, nx)
-    cE = robin_sol.data.require_exit()
     sup = np.empty(times.size)
     mism = np.empty(times.size)
     for i, t in enumerate(times):
         diff = eval_C(robin_sol, xs, t) - eval_C(danck_sol, xs, t)
         sup[i] = float(np.max(np.abs(diff)))
-        mism[i] = float(cE.eval(t)) - float(eval_C(danck_sol, xs[-1:], t)[0])
+        mism[i] = _exit_gap(danck_sol, t)
     gm = p.gamma / p.mu if p.mu > 0.0 else None
     return DanckwertsReport(times=times, sup_diff=sup, exit_mismatch=mism,
                             gamma_over_mu=gm)
@@ -367,19 +366,20 @@ def danckwerts_error(data: ProblemData, t: float, L_large: float, *,
     return DanckwertsGap(e_d=e_d, lower_bound=lb)
 
 
+def _exit_gap(danck_sol: SeriesSolution, t: float) -> float:
+    """C_E(t) - C_D(ell, t): the problem's exit data minus the series outlet."""
+    cE = danck_sol.data.require_exit()
+    return float(cE.eval(t)) - eval_C(danck_sol, danck_sol.data.params.ell, t)
+
+
 def danckwerts_outlet_mismatch(danck_sol: SeriesSolution, times) -> np.ndarray:
     """v (C_E - C_D(ell, .)): what a mass balance against the true exit sees.
 
     A Danckwerts run closes its own books at truncation level, forced or
     not, so auditing it against the problem's real exit concentration
     turns the balance residual into this comparative diagnostic rather
-    than a pass/fail test.
+    than a pass/fail test.  It is v times `DanckwertsReport.exit_mismatch`.
     """
-    cE = danck_sol.data.require_exit()
-    p = danck_sol.data.params
     times = np.asarray(times, dtype=float)
-    out = np.empty(times.size)
-    for i, t in enumerate(times):
-        out[i] = p.v * (float(cE.eval(t)) -
-                        float(eval_C(danck_sol, np.array([p.ell]), t)[0]))
-    return out
+    gaps = np.array([_exit_gap(danck_sol, t) for t in times])
+    return danck_sol.data.params.v * gaps

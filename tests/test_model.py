@@ -10,7 +10,6 @@ from coltrans import (
     ProblemData,
     SmoothFn,
     TransportParams,
-    derive_params,
     forcing_F,
     initial_w,
     invert,
@@ -28,7 +27,7 @@ from conftest import make_data
 ])
 def test_derive_params_hand_values(v, D, mu, R, r_want, s_want):
     p = TransportParams(R=R, D=D, v=v, mu=mu, gamma=0.0, ell=1.0)
-    r, s = derive_params(p)
+    r, s = p.r, p.s
     assert r == pytest.approx(r_want, rel=1e-15)
     assert s == pytest.approx(s_want, rel=1e-15)
 
@@ -57,7 +56,7 @@ def test_production_without_decay_warns():
 )
 def test_derived_rates_positive_finite(R, D, v, mu, ell):
     p = TransportParams(R=R, D=D, v=v, mu=mu, gamma=0.0, ell=ell)
-    r, s = derive_params(p)
+    r, s = p.r, p.s
     assert np.isfinite(r) and r > 0.0
     assert np.isfinite(s) and s > 0.0
 

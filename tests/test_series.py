@@ -202,6 +202,19 @@ def test_coefficient_dyadic_decay(loaded_solution):
         assert mk1 <= 0.5 * mk + 1e-250
 
 
+def test_coefficient_memo_holds_one_instant(loaded_data):
+    sol = build_solution(loaded_data, TruncationPolicy(n_max=40), 2.5)
+    ts = np.linspace(0.05, 2.45, 200)
+    first = sol.coefficients(ts[7]).copy()
+    for t in ts:
+        T = sol.coefficients(t)
+    assert sol._memo[0] == ts[-1] and sol._memo[1] is T
+    assert sol.coefficients(ts[-1]) is T           # a repeat is a memo hit
+    again = sol.coefficients(ts[7])                # evicted, so recomputed
+    assert again.tobytes() == first.tobytes()
+    assert sol.coefficients(ts[7]) is again
+
+
 # -- a-priori bounds ----------------------------------------------------------
 
 def test_coefficient_bound_contains_coefficient(loaded_solution):

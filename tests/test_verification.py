@@ -238,6 +238,32 @@ def test_danckwerts_series_matches_zero_gradient_oracle(ell, n_max):
     assert 0.0 <= min(outlet) and max(outlet) <= 2.0
 
 
+@pytest.mark.parametrize("case", [
+    dict(g=SmoothFn.smooth_pulse(0.1, 0.6, 1.0)),           # README pulse
+    dict(R=1.2, D=0.6, v=1.1, mu=0.4, gamma=0.3, ell=1.4,   # loaded problem
+         phi=INITIAL_PULSE, g=SmoothFn.smooth_pulse(0.1, 0.9, 1.0, ramp=0.15)),
+    dict(mu=0.5, gamma=1.0),                                # phi = g = 0, gamma/mu = 2
+    dict(phi=SmoothFn.constant(0.5), g=SmoothFn.constant(1.0)),
+], ids=["readme-pulse", "loaded", "production", "step-onto-half"])
+def test_danckwerts_series_obeys_maximum_principle(case):
+    # With C_x(ell) = 0 the outlet adds no data, so C stays between
+    # min(0, inf phi, inf g) and max(sup phi, sup g, gamma/mu); the series
+    # may overshoot by its truncation error (worst -3.1e-5, README pulse).
+    # The flux-data family has no such cap: with measured exit data its
+    # FD oracle reaches 7.35 for g = C_E = 1, phi = 0 and r ell = 5.
+    data = make_data(**case)
+    p = data.params
+    t_end = 3.0
+    sol = danckwerts_solve(data, TruncationPolicy(n_max=120), t_end)
+    xs = np.linspace(0.0, p.ell, 81)
+    C = np.array([eval_C(sol, xs, t) for t in np.linspace(0.05, t_end, 40)])
+    phi = data.phi.eval(xs)
+    g = data.g.eval(np.linspace(data.t0, t_end, 3001))
+    lo = min(0.0, phi.min(), g.min())
+    hi = max(phi.max(), g.max(), p.gamma / p.mu if p.mu > 0.0 else -np.inf)
+    assert lo - 1e-4 <= C.min() and C.max() <= hi + 1e-4
+
+
 def test_danckwerts_gap_without_decay(smoke_data):
     gap = danckwerts_error(smoke_data, 1.0, 1.0,
                            policy=TruncationPolicy(n_max=40, tail_tol=1e-8),
