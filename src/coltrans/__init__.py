@@ -38,7 +38,6 @@ from .eigensystem import (
     EigenPair,
     danckwerts_eigenpair,
     danckwerts_eigenvalue,
-    danckwerts_omitted_root,
     eval_phi,
     inner_product,
     robin_eigenpair,

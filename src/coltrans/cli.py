@@ -134,8 +134,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
         "params": _params_dict(data.params),
         "grid": {"t0": data.t0, "t_end": cfg.t_end, "nx": cfg.nx, "nt": cfg.nt},
         "exit_n_grid": cfg.exit_n_grid,
-        "policy": {"n_max": cfg.policy.n_max, "tail_tol": cfg.policy.tail_tol,
-                   "time_quad_tol": cfg.policy.time_quad_tol},
+        "policy": {"n_max": cfg.policy.n_max, "tail_tol": cfg.policy.tail_tol},
         "series": {"kind": sol.kind, "n_used": sol.n_used,
                    "reported_tail": sol.reported_tail,
                    "exit_computed": data.exit_computed,

@@ -197,19 +197,18 @@ def load_config(path) -> RunConfig:
 
     try:
         policy = TruncationPolicy(
-            n_max=_get(cp, "policy", "n_max", int, 200) if cp.has_section("policy") else 200,
-            tail_tol=_get(cp, "policy", "tail_tol", float, 1e-8) if cp.has_section("policy") else 1e-8,
-            time_quad_tol=_get(cp, "policy", "time_quad_tol", float, 1e-10) if cp.has_section("policy") else 1e-10,
+            n_max=_get(cp, "policy", "n_max", int, 200),
+            tail_tol=_get(cp, "policy", "tail_tol", float, 1e-8),
         )
     except ParameterError as exc:
         raise ConfigError(f"[policy]: {exc}") from exc
 
     verify = VerifyOptions(
-        fd_nx=_get(cp, "verify", "fd_nx", int, 201) if cp.has_section("verify") else 201,
-        fd_nt=_get(cp, "verify", "fd_nt", int, 400) if cp.has_section("verify") else 400,
-        balance_tol=_get(cp, "verify", "balance_tol", float, 1e-4) if cp.has_section("verify") else 1e-4,
-        compare_tol=_get(cp, "verify", "compare_tol", float, 1e-3) if cp.has_section("verify") else 1e-3,
-        n_times=_get(cp, "verify", "n_times", int, 33) if cp.has_section("verify") else 33,
+        fd_nx=_get(cp, "verify", "fd_nx", int, 201),
+        fd_nt=_get(cp, "verify", "fd_nt", int, 400),
+        balance_tol=_get(cp, "verify", "balance_tol", float, 1e-4),
+        compare_tol=_get(cp, "verify", "compare_tol", float, 1e-3),
+        n_times=_get(cp, "verify", "n_times", int, 33),
     )
     if verify.fd_nx % 2 == 0:
         raise ConfigError("[verify] fd_nx must be odd for the balance audit")
@@ -226,7 +225,7 @@ def load_config(path) -> RunConfig:
         if chain.n_grid < 8:
             raise ConfigError("[chain] n_grid must be at least 8")
 
-    out_dir = _get(cp, "output", "dir", str, "out") if cp.has_section("output") else "out"
+    out_dir = _get(cp, "output", "dir", str, "out")
 
     return RunConfig(data=data, policy=policy, t_end=float(t_end), nx=nx, nt=nt,
                      exit_n_grid=exit_n_grid, out_dir=out_dir, verify=verify,

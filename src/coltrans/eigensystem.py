@@ -36,7 +36,6 @@ __all__ = [
     "robin_eigenpair",
     "danckwerts_eigenvalue",
     "danckwerts_eigenpair",
-    "danckwerts_omitted_root",
     "eval_phi",
     "inner_product",
     "half_wave_points",
@@ -144,18 +143,6 @@ def danckwerts_eigenvalue(n: int, params: TransportParams) -> float:
     return _bracketed_root(n * np.pi / ell, (n + 1) * np.pi / ell, r, ell, n)
 
 
-def danckwerts_omitted_root(params: TransportParams) -> float:
-    """The tangent equation's slow root, lambda_D0 = `danckwerts_eigenvalue(0)`.
-
-    kappa ell = 2 atan(r / kappa) has exactly one solution below pi/ell.
-    It is the lowest zero-gradient eigenvalue and carries the
-    slowest-decaying term of the expansion; without it the family is
-    incomplete and a series over n >= 1 does not solve the zero-gradient
-    problem.  The name is kept from when the series left it out.
-    """
-    return danckwerts_eigenvalue(0, params)
-
-
 def danckwerts_eigenpair(n: int, params: TransportParams) -> EigenPair:
     lam = danckwerts_eigenvalue(n, params)
     kappa = np.sqrt(lam)
@@ -184,7 +171,8 @@ def half_wave_points(pair: EigenPair, params: TransportParams) -> tuple:
     """Interior half-period marks of an oscillatory mode on (0, ell).
 
     Used to split quadrature panels once a mode oscillates enough that a
-    single adaptive pass would alias it.
+    single adaptive pass would alias it; the tests fence their per-mode
+    reference quadratures with it.
     """
     if pair.kind == ROBIN and pair.n == 0:
         return ()

@@ -20,8 +20,9 @@ time-dependent weights (`model.forcing_weights`), so every mode projection
 reduces to three precomputed x-integrals; the time integration then
 marches over panels with Gauss-Legendre nodes, cutting panels at the knots
 of tabulated data and dyadically toward the right endpoint where the decay
-factor is stiff.  Every evaluator maps back to C through one helper,
-`_evaluate`, which calls `model.invert`.
+factor is stiff; the same rule projects the initial data on all modes.
+Every evaluator maps back to C through one helper, `_evaluate`, which
+calls `model.invert`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from dataclasses import dataclass
 from scipy.interpolate import PchipInterpolator
 
-from .errors import NumericOverflowError, ParameterError
+from .errors import NumericOverflowError, ParameterError, QuadratureError
 from .model import (
     ProblemData,
     SmoothFn,
@@ -45,8 +46,6 @@ from .eigensystem import (
     ROBIN,
     EigenPair,
     danckwerts_eigenpair,
-    eval_phi,
-    half_wave_points,
     inner_product,
     robin_eigenpair,
 )
@@ -71,21 +70,21 @@ __all__ = [
 # far more accuracy than the 1e-10 time-integration target.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _MAX_EXP = 700.0  # doubles overflow just above e^709
+_CHUNK = 128  # nodes per (nodes x modes) block of the T0 projection: ~200 KB
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """How many modes to keep and how hard to integrate in time."""
+    """How many modes to keep: n_max, or fewer once the tail bound meets tail_tol."""
 
     n_max: int = 200
     tail_tol: float = 1e-8
-    time_quad_tol: float = 1e-10
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ParameterError("n_max must be at least 1")
-        if self.tail_tol <= 0.0 or self.time_quad_tol <= 0.0:
-            raise ParameterError("tolerances must be positive")
+        if self.tail_tol <= 0.0:
+            raise ParameterError("tail_tol must be positive")
 
 
 class SeriesSolution:
@@ -93,14 +92,14 @@ class SeriesSolution:
 
     All arrays are index-aligned with `pairs`.  Both summations start at
     n = 0: the negative mode for Robin, the slow tangent-equation root
-    below pi/ell for Danckwerts.
+    below pi/ell for Danckwerts.  `build_solution` then sets `T0` and the
+    dense march through the evaluator's own `_phi_matrices` and `_march`.
     Instances are safe to share across threads once built: evaluation only
     replaces a one-entry memo, the latest (t, T) pair, in one assignment.
     """
 
     def __init__(self, data, lift_data, kind, policy, t_end, pairs,
-                 moments, T0, ff_cum, base_sq, reported_tail, notes,
-                 dense_times, dense_T):
+                 moments, ff_cum, base_sq, reported_tail, notes):
         self.data = data            # resolved problem (true exit curve)
         self.lift_data = lift_data  # what the lift/forcing use (zero exit for Danckwerts)
         self.kind = kind
@@ -111,13 +110,13 @@ class SeriesSolution:
         self.norms = np.array([p.norm for p in pairs])
         self.beta = (data.params.D / data.params.R) * self.lam
         self.moments = moments      # (3, M): rows e^{-rx}, cos(pi x/ell), 1
-        self.T0 = T0
+        self.T0 = None              # T_n(t0)
         self._ff_cum = ff_cum       # cumulative int_0^ell F^2 dx dtau
         self._base_sq = base_sq     # int_0^ell (e^{-r x} phi - H(., t0))^2 dx
         self.reported_tail = float(reported_tail)
         self.notes = tuple(notes)
-        self._dense_times = dense_times
-        self._dense_T = dense_T
+        self._dense_times = None
+        self._dense_T = None
         self._memo = None           # (t, T) of the latest coefficients call
 
     @property
@@ -174,6 +173,15 @@ def _panel_cuts(lo: float, hi: float, beta_max: float, knots):
     return np.array(sorted(cuts))
 
 
+def _gl_nodes(cuts):
+    """Nodes and weights of the 12-point rule on every panel between cuts."""
+    mids = 0.5 * (cuts[1:] + cuts[:-1])
+    half = 0.5 * (cuts[1:] - cuts[:-1])
+    nodes = (mids[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    wts = (half[:, None] * _GL_W[None, :]).ravel()
+    return nodes, wts
+
+
 def _march(sol: SeriesSolution, T_from: np.ndarray, t_from: float, t_to: float):
     """Advance all coefficients from t_from to t_to."""
     if t_to == t_from:
@@ -189,11 +197,7 @@ def _march(sol: SeriesSolution, T_from: np.ndarray, t_from: float, t_to: float):
     T = T_from * np.exp(-beta * (t_to - t_from))
     cuts = _panel_cuts(t_from, t_to, float(np.max(beta, initial=0.0)),
                        _data_knots(sol.lift_data, t_from, t_to))
-    mids = 0.5 * (cuts[1:] + cuts[:-1])
-    half = 0.5 * (cuts[1:] - cuts[:-1])
-    # nodes: (pieces, 12) -> flat
-    tau = (mids[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    wts = (half[:, None] * _GL_W[None, :]).ravel()
+    tau, wts = _gl_nodes(cuts)
     a, b, c = forcing_weights(sol.lift_data, tau)
     fvals = (
         sol.moments[0][:, None] * a[None, :]
@@ -238,27 +242,38 @@ def _mode_moments(pair: EigenPair, params) -> tuple:
     return float(Ie), float(Ic), float(I1)
 
 
-def _initial_coeff(pair: EigenPair, data: ProblemData, moments_n) -> float:
-    """T_n(t0) = <w(., t0), phi_n> / <phi_n, phi_n>."""
+def _initial_coefficients(sol: SeriesSolution) -> np.ndarray:
+    """All T_n(t0) = <w(., t0), phi_n> / <phi_n, phi_n>, H(., t0) by moments.
+
+    e^{-r x} phi is projected on panels cut at phi's knots, none wider than
+    the fastest mode's half-wave, halved until two passes agree to 1e-10
+    max(1, |value|); QuadratureError after 8 halvings.
+    """
+    data = sol.lift_data
     p = data.params
     g0, _, c0, _ = _boundary_data(data, data.t0)
-    Ie, Ic, I1 = moments_n
+    Ie, Ic, I1 = sol.moments
     if data.phi.const_value is not None:
         phi_part = data.phi.const_value * Ie
     else:
-        def wfn(x):
-            return np.exp(-p.r * x) * data.phi.eval(x)
-
-        def efn(x):
-            return eval_phi(pair, x, p.r)[0]
-
-        pts = half_wave_points(pair, p) + tuple(
-            k for k in data.phi.knots if 0.0 < k < p.ell
-        )
-        phi_part = inner_product(wfn, efn, 0.0, p.ell, points=pts)
+        pieces = int(np.ceil(p.ell * np.sqrt(sol.lam[-1]) / np.pi))
+        inner = [k for k in data.phi.knots if 0.0 < k < p.ell]
+        cuts = np.unique(np.r_[np.linspace(0.0, p.ell, pieces + 1), inner])
+        prev = None
+        for _ in range(9):  # one pass, then at most 8 halvings
+            x, wts = _gl_nodes(cuts)
+            f = wts * np.exp(-p.r * x) * data.phi.eval(x)
+            phi_part = sum(f[i:i + _CHUNK] @ _phi_matrices(sol, x[i:i + _CHUNK])[0]
+                           for i in range(0, x.size, _CHUNK))
+            tol = 1e-10 * np.maximum(1.0, np.abs(phi_part))
+            if prev is not None and np.all(np.abs(phi_part - prev) <= tol):
+                break
+            prev, cuts = phi_part, np.sort(np.r_[cuts, 0.5 * (cuts[1:] + cuts[:-1])])
+        else:
+            raise QuadratureError("initial projection did not settle after 8 halvings")
     # H(x, t0) = (g0 + c0) + (g0 - c0) cos(pi x / ell)
     raw = phi_part - (g0 + c0) * I1 - (g0 - c0) * Ic
-    return float(np.exp(p.s * data.t0) * raw / pair.norm)
+    return np.exp(p.s * data.t0) * raw / sol.norms
 
 
 def _forcing_sq_cum(lift_data: ProblemData, t0: float, t_end: float):
@@ -548,22 +563,20 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
 
     pairs = [pair_of(n) for n in range(N + 1)]
     moments = np.array([_mode_moments(q, p) for q in pairs]).T  # (3, M)
-    T0 = np.array([_initial_coeff(q, lift_data, moments[:, i])
-                   for i, q in enumerate(pairs)])
 
     sol = SeriesSolution(
         data=data, lift_data=lift_data, kind=kind, policy=policy, t_end=t_end,
-        pairs=pairs, moments=moments, T0=T0, ff_cum=ff_cum, base_sq=base_sq,
+        pairs=pairs, moments=moments, ff_cum=ff_cum, base_sq=base_sq,
         reported_tail=reported, notes=notes,
-        dense_times=np.array([data.t0]), dense_T=T0[:, None].copy(),
     )
+    sol.T0 = _initial_coefficients(sol)
     # dense recursion grid for fast arbitrary-time evaluation
     dense = np.linspace(data.t0, t_end, 513)
     ks = _data_knots(lift_data, data.t0, t_end)
     if ks:
         dense = np.unique(np.concatenate([dense, np.asarray(ks)]))
     dense_T = np.empty((len(pairs), dense.size))
-    dense_T[:, 0] = T0
+    dense_T[:, 0] = sol.T0
     for k in range(1, dense.size):
         dense_T[:, k] = _march(sol, dense_T[:, k - 1], dense[k - 1], dense[k])
     sol._dense_times = dense

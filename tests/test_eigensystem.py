@@ -11,7 +11,6 @@ from coltrans import (
     TransportParams,
     danckwerts_eigenpair,
     danckwerts_eigenvalue,
-    danckwerts_omitted_root,
     eval_phi,
     inner_product,
     robin_eigenpair,
@@ -227,7 +226,7 @@ def test_danckwerts_norm_against_quadrature():
 
 def test_omitted_root_location_and_identity():
     p = params_for(1.0, 1.0)
-    lam = danckwerts_omitted_root(p)
+    lam = danckwerts_eigenvalue(0, p)
     assert 0.0 < lam < (np.pi / p.ell) ** 2
     kappa = np.sqrt(lam)
     assert abs(_danckwerts_residual(kappa, p.r, p.ell)) <= 1e-10
@@ -236,8 +235,6 @@ def test_omitted_root_location_and_identity():
                                           rel=1e-12)
     # frozen value for this parameter point
     assert lam == pytest.approx(1.7070529755509227, rel=1e-12)
-    # the slow root is mode n = 0 of the zero-gradient family
-    assert danckwerts_eigenvalue(0, p) == lam
 
 
 def test_omitted_root_is_the_only_slow_root():
@@ -249,13 +246,13 @@ def test_omitted_root_is_the_only_slow_root():
     crossings = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     assert crossings.size == 1
     bracket = (ks[crossings[0]], ks[crossings[0] + 1])
-    kappa = np.sqrt(danckwerts_omitted_root(p))
+    kappa = np.sqrt(danckwerts_eigenvalue(0, p))
     assert bracket[0] <= kappa <= bracket[1]
 
 
 def test_comparison_family_skips_the_slow_mode():
     p = params_for(1.0, 1.0)
-    slow = danckwerts_omitted_root(p)
+    slow = danckwerts_eigenvalue(0, p)
     assert danckwerts_eigenvalue(1, p) > (np.pi / p.ell) ** 2 > slow
 
 

@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 from coltrans import (
     NumericOverflowError,
     ParameterError,
+    QuadratureError,
     SmoothFn,
     TruncationPolicy,
     build_solution,
@@ -21,12 +22,13 @@ from coltrans import (
     initial_w,
     inner_product,
     forcing_F,
+    lift_H,
     project_forcing,
     resolve_exit,
     robin_eigenpair,
     tail_bound,
 )
-from coltrans.eigensystem import DANCKWERTS, half_wave_points
+from coltrans.eigensystem import DANCKWERTS, ROBIN, half_wave_points
 from conftest import l2_grid_norm, make_data
 
 
@@ -158,6 +160,90 @@ def test_initial_profile_recovered_with_more_modes(loaded_data):
         errs.append(l2_grid_norm(eval_C(sol, xs, 0.0) - target, xs))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 1e-6
+
+
+def loaded_variant(phi, t0=0.0):
+    """loaded_data's column and inlet with a measured exit and another phi."""
+    return make_data(R=1.2, D=0.6, v=1.1, mu=0.4, gamma=0.3, ell=1.4, phi=phi,
+                     g=SmoothFn.smooth_pulse(0.1, 0.9, 1.0, ramp=0.15),
+                     exit=SmoothFn.exp_pulse(0.4, 1.6, 0.4), t0=t0)
+
+
+def reference_initial_coefficient(sol, n):
+    """T_n(t0) by one adaptive quad per half-wave of mode n and per phi knot."""
+    data, pair = sol.lift_data, sol.pairs[n]
+    p = data.params
+    # H(., t0) is A + B cos(pi x / ell), fixed by its values at the faces
+    h0, hl = lift_H(data, np.array([0.0, p.ell]), data.t0)[0]
+
+    def w0(x):
+        H = 0.5 * (h0 + hl) + 0.5 * (h0 - hl) * np.cos(np.pi * x / p.ell)
+        return np.exp(-p.r * x) * data.phi.eval(x) - H
+
+    pts = half_wave_points(pair, p) + tuple(
+        k for k in data.phi.knots if 0.0 < k < p.ell)
+    raw = inner_product(w0, lambda x: eval_phi(pair, x, p.r)[0], 0.0, p.ell,
+                        points=pts)
+    return np.exp(p.s * data.t0) * raw / pair.norm
+
+
+_LOADED_PHI = SmoothFn.polynomial([0.0, 0.0, 2.0384, -2.912, 1.04])
+_TABLE_X = np.linspace(0.0, 1.4, 256)
+# name: (phi, n_max, t0, stride of the modes checked against the reference)
+_PROJECTION_CASES = {
+    "loaded": (_LOADED_PHI, 160, 0.0, 8),
+    "table-256-knots": (SmoothFn.from_table(
+        _TABLE_X, np.sin(3.0 * _TABLE_X) ** 2 + 0.3 * _TABLE_X), 40, 0.0, 10),
+    # narrower than the half-wave panels at n_max = 8, so it needs halving
+    "gaussian-width-0.01": (SmoothFn.exp_pulse(1.0, 0.437, 0.01), 8, 0.0, 1),
+    "late-start": (_LOADED_PHI, 60, 0.5, 5),
+}
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DANCKWERTS])
+@pytest.mark.parametrize("case", list(_PROJECTION_CASES))
+def test_initial_projection_matches_per_mode_quadrature(case, kind):
+    phi, n_max, t0, stride = _PROJECTION_CASES[case]
+    sol = build_solution(loaded_variant(phi, t0), TruncationPolicy(n_max=n_max),
+                         2.5, kind=kind)
+    assert sol.n_used == n_max
+    for n in sorted({*range(0, n_max + 1, stride), n_max}):
+        assert abs(initial_coefficient(sol, n)
+                   - reference_initial_coefficient(sol, n)) <= 1e-13
+
+
+def test_initial_projection_makes_no_quadpack_call(loaded_data, monkeypatch):
+    import coltrans.eigensystem as eigensystem
+
+    calls = []
+    quad = eigensystem.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(eigensystem, "quad", counted)
+    build_solution(loaded_data, TruncationPolicy(n_max=160, tail_tol=1e-8), 2.5)
+    # the one left is the base-square integral behind the coefficient bounds
+    assert len(calls) <= 1
+
+
+def test_undeclared_jump_in_phi_is_refused():
+    def step(x):
+        return np.where(np.asarray(x) < 0.3137, 1.0, 0.0)
+
+    def flat(x):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    # outside SmoothFn's C^1 contract: the panels never settle
+    undeclared = loaded_variant(SmoothFn.from_callable(step, flat))
+    with pytest.raises(QuadratureError, match="halvings"):
+        build_solution(undeclared, TruncationPolicy(n_max=20), 1.0)
+    # a panel edge at the jump settles at once
+    declared = loaded_variant(SmoothFn.from_callable(step, flat, knots=(0.3137,)))
+    sol = build_solution(declared, TruncationPolicy(n_max=20), 1.0)
+    assert abs(initial_coefficient(sol, 7)
+               - reference_initial_coefficient(sol, 7)) <= 1e-13
 
 
 # -- coefficient evolution ----------------------------------------------------
@@ -372,8 +458,6 @@ def test_policy_validation():
         TruncationPolicy(n_max=0)
     with pytest.raises(ParameterError):
         TruncationPolicy(tail_tol=0.0)
-    with pytest.raises(ParameterError):
-        TruncationPolicy(time_quad_tol=-1.0)
 
 
 def test_build_validation(smoke_data):
