@@ -18,6 +18,10 @@ the slow root below pi/ell, where kappa ell = 2 atan(r / kappa), and
 mode n >= 1 is the single root bracketed between the Robin eigenvalues
 (n pi/ell)^2 and ((n + 1) pi/ell)^2.  Together they are the complete
 zero-gradient family.
+
+scipy is imported on the first call of `quad` (`inner_product`, the exit
+closure's rescue) or `brentq` (the Danckwerts roots); a `solve` needs
+neither.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import BracketingError, ParameterError, QuadratureError
 from .model import TransportParams
@@ -43,6 +45,18 @@ __all__ = [
 
 ROBIN = "robin"
 DANCKWERTS = "danckwerts"
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first call."""
+    from scipy.integrate import quad
+    return quad(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    """scipy.optimize.brentq, imported on first call."""
+    from scipy.optimize import brentq
+    return brentq(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -184,12 +198,13 @@ def half_wave_points(pair: EigenPair, params: TransportParams) -> tuple:
 
 def inner_product(f, h, a: float, b: float, *, abs_tol: float = 1e-10,
                   rel_tol: float = 1e-10, points=None) -> float:
-    """Adaptive quadrature of int_a^b f(x) h(x) dx.
+    """Adaptive QUADPACK quadrature of int_a^b f(x) h(x) dx.
 
-    `points` lists interior abscissae where the integrand kinks or where an
-    oscillation should be fenced; the integral is accumulated piecewise
-    between them.  Raises QuadratureError when the QUADPACK estimate misses
-    the requested tolerance.
+    The reference the tests hold the series' Gauss-Legendre projections to;
+    no build calls it.  `points` lists interior abscissae where the
+    integrand kinks or where an oscillation should be fenced; the integral
+    is accumulated piecewise between them.  Raises QuadratureError when the
+    QUADPACK estimate misses the requested tolerance.
     """
     if not (np.isfinite(a) and np.isfinite(b) and b > a):
         raise ParameterError("need a finite interval with b > a")

@@ -54,8 +54,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.integrate import quad
-
+from .eigensystem import quad  # lazy scipy wrapper, patched by name in tests
 from .errors import FluxTransformError, ParameterError, QuadratureError
 from .model import ProblemData, SmoothFn, TransportParams
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ParameterError
 
@@ -104,6 +103,58 @@ def _as_callable_pair(fn, dfn):
         return np.asarray(dfn(np.asarray(t, dtype=float)), dtype=float)[()]
 
     return eval_, deriv_
+
+
+def _pchip(x, y):
+    """Piecewise cubic Hermite interpolant through (x, y): (value, slope).
+
+    Interior slopes are the Fritsch-Carlson/Butland weighted harmonic mean
+    of the neighbouring secants, zero where those differ in sign or vanish
+    (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980); two knots give the
+    line.  Each interval x_i <= q < x_{i+1} (the last one closed) holds
+    c0 s^3 + c1 s^2 + c2 s + c3 in s = q - x_i, summed in the same order
+    as scipy's PchipInterpolator, so the two agree bit for bit.  Outside
+    the table the end values are held (slope zero).
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.full_like(y, m[0])
+    # flat runs divide by zero, and tiny secants overflow, on the way to a
+    # harmonic mean that is then not used; keep that quiet
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if x.size > 2:
+            w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+            # one-sided three-point end slopes, limited to keep the ends' shape
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            steep = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+            d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0,
+                                  np.where(steep, 3.0 * m0, e))
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+
+    def locate(q):
+        q = np.asarray(q, dtype=float)
+        qc = np.clip(q, x[0], x[-1])
+        i = np.minimum(np.searchsorted(x, qc, side="right") - 1, x.size - 2)
+        s = qc - x[i]
+        return q, i, s, s * s
+
+    # the sums start from 0.0, as scipy's do, so a -0.0 sum reads 0.0
+    def value(q):
+        q, i, s, s2 = locate(q)
+        out = ((0.0 + c3[i] + c2[i] * s) + c1[i] * s2) + c0[i] * (s2 * s)
+        return np.where(q < x[0], y[0], np.where(q > x[-1], y[-1], out))
+
+    def slope(q):
+        q, i, s, s2 = locate(q)
+        out = (0.0 + c2[i] + 2.0 * c1[i] * s) + 3.0 * c0[i] * s2
+        return np.where((q < x[0]) | (q > x[-1]), 0.0, out)
+
+    return value, slope
 
 
 @dataclass(frozen=True)
@@ -198,8 +249,9 @@ class SmoothFn:
         """Monotone-safe C^1 cubic through tabulated samples.
 
         The interpolant passes through every knot exactly and does not
-        overshoot between monotone samples.  Outside the table the end
-        values are held constant (derivative zero).
+        overshoot between monotone samples: it is `_pchip`, the numpy
+        PCHIP that reproduces scipy's PchipInterpolator bit for bit.
+        Outside the table the end values are held (derivative zero).
         """
         t_knots = np.asarray(t_knots, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -209,26 +261,9 @@ class SmoothFn:
             raise ParameterError("table knots must be strictly increasing")
         if not (np.all(np.isfinite(t_knots)) and np.all(np.isfinite(values))):
             raise ParameterError("table entries must be finite")
-        # flat runs make pchip's harmonic slope mean divide by zero on the
-        # way to its (correct) zero-slope answer; keep that quiet
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            interp = PchipInterpolator(t_knots, values, extrapolate=False)
-            dinterp = interp.derivative()
-        lo, hi = t_knots[0], t_knots[-1]
-        vlo, vhi = values[0], values[-1]
-
-        def f(t):
-            t = np.asarray(t, dtype=float)
-            out = interp(np.clip(t, lo, hi))
-            return np.where(t < lo, vlo, np.where(t > hi, vhi, out))
-
-        def df(t):
-            t = np.asarray(t, dtype=float)
-            out = dinterp(np.clip(t, lo, hi))
-            return np.where((t < lo) | (t > hi), 0.0, out)
-
-        ev, dv = _as_callable_pair(f, df)
-        return cls(eval=ev, deriv=dv, knots=tuple(t_knots), domain=(lo, hi))
+        ev, dv = _as_callable_pair(*_pchip(t_knots, values))
+        return cls(eval=ev, deriv=dv, knots=tuple(t_knots),
+                   domain=(t_knots[0], t_knots[-1]))
 
     @classmethod
     def from_callable(cls, fn, dfn, knots=()) -> "SmoothFn":

@@ -20,22 +20,23 @@ time-dependent weights (`model.forcing_weights`), so every mode projection
 reduces to three precomputed x-integrals; the time integration then
 marches over panels with Gauss-Legendre nodes, cutting panels at the knots
 of tabulated data and dyadically toward the right endpoint where the decay
-factor is stiff; the same rule projects the initial data on all modes.
-Every evaluator maps back to C through one helper, `_evaluate`, which
-calls `model.invert`.
+factor is stiff; the same rule projects the initial data on all modes
+and gives the base-square integral behind the coefficient bounds, so no
+build calls QUADPACK.  Every evaluator maps back to C through one helper,
+`_evaluate`, which calls `model.invert`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.interpolate import PchipInterpolator
 
 from .errors import NumericOverflowError, ParameterError, QuadratureError
 from .model import (
     ProblemData,
     SmoothFn,
     _boundary_data,
+    _pchip,
     forcing_weights,
     invert,
     lift_H,
@@ -46,7 +47,7 @@ from .eigensystem import (
     ROBIN,
     EigenPair,
     danckwerts_eigenpair,
-    inner_product,
+    inner_product,  # unused here; the benchmark traces series.inner_product
     robin_eigenpair,
 )
 
@@ -242,12 +243,30 @@ def _mode_moments(pair: EigenPair, params) -> tuple:
     return float(Ie), float(Ic), float(I1)
 
 
+def _settled(data: ProblemData, pieces: int, integrate, what: str):
+    """integrate(x, wts) on 12-point panels over [0, ell], settled by halving.
+
+    The panels start `pieces` to the column, cut at phi's knots, and are
+    halved until two passes agree to 1e-10 max(1, |value|) in every entry;
+    QuadratureError after 8 halvings.
+    """
+    p = data.params
+    inner = [k for k in data.phi.knots if 0.0 < k < p.ell]
+    cuts = np.unique(np.r_[np.linspace(0.0, p.ell, pieces + 1), inner])
+    prev = None
+    for _ in range(9):  # one pass, then at most 8 halvings
+        val = integrate(*_gl_nodes(cuts))
+        tol = 1e-10 * np.maximum(1.0, np.abs(val))
+        if prev is not None and np.all(np.abs(val - prev) <= tol):
+            return val
+        prev, cuts = val, np.sort(np.r_[cuts, 0.5 * (cuts[1:] + cuts[:-1])])
+    raise QuadratureError(f"{what} did not settle after 8 halvings")
+
+
 def _initial_coefficients(sol: SeriesSolution) -> np.ndarray:
     """All T_n(t0) = <w(., t0), phi_n> / <phi_n, phi_n>, H(., t0) by moments.
 
-    e^{-r x} phi is projected on panels cut at phi's knots, none wider than
-    the fastest mode's half-wave, halved until two passes agree to 1e-10
-    max(1, |value|); QuadratureError after 8 halvings.
+    e^{-r x} phi is projected by `_settled` from the fastest mode's half-waves.
     """
     data = sol.lift_data
     p = data.params
@@ -256,21 +275,13 @@ def _initial_coefficients(sol: SeriesSolution) -> np.ndarray:
     if data.phi.const_value is not None:
         phi_part = data.phi.const_value * Ie
     else:
-        pieces = int(np.ceil(p.ell * np.sqrt(sol.lam[-1]) / np.pi))
-        inner = [k for k in data.phi.knots if 0.0 < k < p.ell]
-        cuts = np.unique(np.r_[np.linspace(0.0, p.ell, pieces + 1), inner])
-        prev = None
-        for _ in range(9):  # one pass, then at most 8 halvings
-            x, wts = _gl_nodes(cuts)
+        def project(x, wts):
             f = wts * np.exp(-p.r * x) * data.phi.eval(x)
-            phi_part = sum(f[i:i + _CHUNK] @ _phi_matrices(sol, x[i:i + _CHUNK])[0]
-                           for i in range(0, x.size, _CHUNK))
-            tol = 1e-10 * np.maximum(1.0, np.abs(phi_part))
-            if prev is not None and np.all(np.abs(phi_part - prev) <= tol):
-                break
-            prev, cuts = phi_part, np.sort(np.r_[cuts, 0.5 * (cuts[1:] + cuts[:-1])])
-        else:
-            raise QuadratureError("initial projection did not settle after 8 halvings")
+            return sum(f[i:i + _CHUNK] @ _phi_matrices(sol, x[i:i + _CHUNK])[0]
+                       for i in range(0, x.size, _CHUNK))
+
+        pieces = int(np.ceil(p.ell * np.sqrt(sol.lam[-1]) / np.pi))
+        phi_part = _settled(data, pieces, project, "initial projection")
     # H(x, t0) = (g0 + c0) + (g0 - c0) cos(pi x / ell)
     raw = phi_part - (g0 + c0) * I1 - (g0 - c0) * Ic
     return np.exp(p.s * data.t0) * raw / sol.norms
@@ -299,19 +310,21 @@ def _forcing_sq_cum(lift_data: ProblemData, t0: float, t_end: float):
         # int cos(pi x/ell) dx vanishes, no b*c cross term
     )
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (fx2[1:] + fx2[:-1]) * np.diff(taus))])
-    return PchipInterpolator(taus, cum, extrapolate=True)
+    return _pchip(taus, cum)[0]
 
 
-def _base_sq_integral(data: ProblemData) -> float:
-    """int_0^ell (e^{-r x} phi - H(., t0))^2 dx for the coefficient bounds."""
+def _base_sq_integral(data: ProblemData, pieces: int) -> float:
+    """int_0^ell (e^{-r x} phi - H(., t0))^2 dx for the coefficient bounds.
+
+    By `_settled`, from the half-waves of the fastest mode the series may keep.
+    """
     p = data.params
 
-    def fn(x):
+    def square(x, wts):
         H0, _, _ = lift_H(data, x, data.t0)
-        return np.exp(-p.r * x) * data.phi.eval(x) - H0
+        return wts @ (np.exp(-p.r * x) * data.phi.eval(x) - H0) ** 2
 
-    pts = tuple(k for k in data.phi.knots if 0.0 < k < p.ell)
-    return inner_product(fn, fn, 0.0, p.ell, points=pts, abs_tol=1e-12)
+    return float(_settled(data, pieces, square, "base-square integral"))
 
 
 def _direct_zero_mode_bound(sol: SeriesSolution, t: float) -> float:
@@ -539,7 +552,7 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
         notes.append("mu = 0: n = 0 coefficient bound uses the direct sup fallback")
 
     ff_cum = _forcing_sq_cum(lift_data, data.t0, t_end)
-    base_sq = _base_sq_integral(lift_data)
+    base_sq = _base_sq_integral(lift_data, policy.n_max)
 
     # Tail target: smallest N with the a-priori tail under tail_tol,
     # else n_max with the achieved tail reported.

@@ -11,8 +11,6 @@ import numpy as np
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
-from scipy.linalg import solve_banded
-
 from .errors import ParameterError
 from .model import ProblemData
 from .eigensystem import DANCKWERTS, ROBIN
@@ -34,6 +32,12 @@ __all__ = [
     "danckwerts_error",
     "danckwerts_outlet_mismatch",
 ]
+
+
+def solve_banded(*args, **kwargs):
+    """scipy.linalg.solve_banded, imported on first call."""
+    from scipy.linalg import solve_banded
+    return solve_banded(*args, **kwargs)
 
 
 @dataclass(frozen=True)

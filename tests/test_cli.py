@@ -1,6 +1,10 @@
 """Command line behavior: outputs, manifests, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,3 +258,65 @@ def test_numeric_failures_exit_three(tmp_path, capsys):
                "--quiet"])
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+README_INI = """\
+[params]
+R = 1.0
+D = 0.1
+v = 1.0
+mu = 0.0
+gamma = 0.0
+ell = 1.0
+
+[grid]
+t0 = 0.0
+t_end = 2.0
+nx = 101
+nt = 81
+
+[phi]
+kind = constant
+value = 0.0
+
+[g]
+kind = pulse
+start = 0.1
+stop = 0.6
+level = 1.0
+
+[exit]
+kind = computed
+n_grid = 512
+"""
+
+_SCIPY_MODULES = """\
+import json, sys
+{body}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules_after(*lines):
+    """The scipy modules a fresh interpreter holds after running `lines`."""
+    src = str(Path(coltrans.__file__).resolve().parents[1])
+    code = _SCIPY_MODULES.format(body="\n".join(lines))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_solve_path_imports_no_scipy(tmp_path):
+    ini = write_ini(tmp_path, README_INI)
+
+    def command(name):
+        argv = [name, "--config", ini, "--out", str(tmp_path / name), "--quiet"]
+        return f"from coltrans import cli\nassert cli.main({argv!r}) == 0"
+
+    assert scipy_modules_after("from coltrans import cli") == []
+    assert scipy_modules_after(command("solve")) == []
+    # verify's FD oracle is the one step that loads scipy, and only its linalg
+    after_verify = scipy_modules_after(command("verify"))
+    assert "scipy.linalg" in after_verify
+    assert set(after_verify) <= set(scipy_modules_after("import scipy.linalg"))

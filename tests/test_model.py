@@ -135,6 +135,47 @@ def test_from_table_derivative_matches_difference_quotient():
         assert f.deriv(t) == pytest.approx(fd, abs=1e-6)
 
 
+def test_from_table_matches_scipy_pchip():
+    """Values and slopes equal scipy's PCHIP bit for bit, end hold included."""
+    import warnings
+
+    from scipy.interpolate import PchipInterpolator
+
+    from coltrans.exitflux import HalfLineProblem, exit_concentration
+
+    readme = make_data(D=0.1, v=1.0, g=SmoothFn.smooth_pulse(0.1, 0.6, 1.0))
+    exit_ts = np.linspace(0.0, 2.0, 512)
+    rng = np.random.default_rng(7)
+    flat_ts = np.sort(rng.uniform(0.0, 3.0, 40))
+    tables = {
+        "two knots": ([0.0, 1.0], [0.3, -0.7]),
+        "flat runs": (flat_ts, np.repeat([0.0, 1.0, 1.0, -0.5, -0.5], 8)),
+        "sign changes": (flat_ts, np.sin(4.0 * flat_ts)),
+        # every term at the -0.0 knot is a negative zero; scipy reads +0.0
+        "signed zero": ([0.0, 1.0, 2.0, 3.0], [0.82, -0.0, -1.0, -2.33]),
+        "computed exit": (exit_ts, exit_concentration(
+            HalfLineProblem.from_data(readme), exit_ts)),
+    }
+    for name, (ts, vals) in tables.items():
+        ts, vals = np.asarray(ts, dtype=float), np.asarray(vals, dtype=float)
+        mids = 0.5 * (ts[1:] + ts[:-1])
+        q = np.r_[ts[0] - 1.0, ts, mids, ts[:-1] + 0.3 * np.diff(ts), ts[-1] + 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = SmoothFn.from_table(ts, vals)
+            got = f.eval(q), f.deriv(q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = PchipInterpolator(ts, vals, extrapolate=False)
+        inside = np.clip(q, ts[0], ts[-1])
+        want = (np.where(q < ts[0], vals[0],
+                         np.where(q > ts[-1], vals[-1], ref(inside))),
+                np.where((q < ts[0]) | (q > ts[-1]), 0.0, ref.derivative()(inside)))
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64)), name
+        assert got[0][0] == vals[0] and got[0][-1] == vals[-1], name
+        assert got[1][0] == 0.0 and got[1][-1] == 0.0, name
+
+
 @pytest.mark.parametrize("ts,vals", [
     ([0.0], [1.0]),
     ([0.0, 0.0, 1.0], [1.0, 2.0, 3.0]),

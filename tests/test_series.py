@@ -212,7 +212,8 @@ def test_initial_projection_matches_per_mode_quadrature(case, kind):
                    - reference_initial_coefficient(sol, n)) <= 1e-13
 
 
-def test_initial_projection_makes_no_quadpack_call(loaded_data, monkeypatch):
+def count_quad_calls(monkeypatch):
+    """Record the (a, b) of every `coltrans.eigensystem.quad` call."""
     import coltrans.eigensystem as eigensystem
 
     calls = []
@@ -223,9 +224,31 @@ def test_initial_projection_makes_no_quadpack_call(loaded_data, monkeypatch):
         return quad(*args, **kwargs)
 
     monkeypatch.setattr(eigensystem, "quad", counted)
+    return calls
+
+
+def test_initial_projection_makes_no_quadpack_call(loaded_data, monkeypatch):
+    calls = count_quad_calls(monkeypatch)
     build_solution(loaded_data, TruncationPolicy(n_max=160, tail_tol=1e-8), 2.5)
-    # the one left is the base-square integral behind the coefficient bounds
-    assert len(calls) <= 1
+    assert len(calls) == 0
+
+
+def test_base_square_integral_on_a_table_phi_makes_no_quadpack_call(monkeypatch):
+    """The 256-knot table once cost one QUADPACK call per knot gap."""
+    phi, n_max = _PROJECTION_CASES["table-256-knots"][:2]
+    data = loaded_variant(phi)
+    calls = count_quad_calls(monkeypatch)
+    sol = build_solution(data, TruncationPolicy(n_max=n_max), 2.5)
+    assert len(calls) == 0
+    monkeypatch.undo()
+    p = data.params
+
+    def base(x):
+        return np.exp(-p.r * x) * phi.eval(x) - lift_H(data, x, data.t0)[0]
+
+    ref = inner_product(base, base, 0.0, p.ell, points=phi.knots[1:-1],
+                        abs_tol=1e-12)
+    assert abs(sol._base_sq - ref) <= 1e-12 * ref
 
 
 def test_undeclared_jump_in_phi_is_refused():
