@@ -52,7 +52,7 @@ def main(argv=None):
     for cap in caps:
         sol = build_solution(data, TruncationPolicy(n_max=cap), args.t_end)
         tb = tail_bound(sol, sol.n_used, args.t_end)
-        grid = np.array([eval_C(sol, xs, t) for t in ts])
+        grid = eval_C(sol, xs, ts)
         drift = np.nan if prev is None else float(np.max(np.abs(grid - prev)))
         prev = grid
         rows.append((cap, sol.n_used, tb, drift))

@@ -8,6 +8,10 @@ prints one line per output file:
 
     <sha256>  <workload>/<command>/<file>
 
+pulse-solve also runs `chain` on its run file with a [chain] section
+appended here, which splits the column into two halves; the segments'
+files are listed as <workload>/chain/segment_<i>/<file>.
+
 A change meant to leave the numbers alone can show it by running this on
 both checkouts and diffing the two listings:
 
@@ -31,6 +35,9 @@ HERE = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(HERE / "perfbench"))
 
 import workloads  # noqa: E402
+
+# workload -> [chain] section appended to its seed-0 run file for `chain`
+CHAIN = {"pulse-solve": "\n[chain]\nlengths = 0.5 0.5\n"}
 
 
 def parse_args(argv):
@@ -59,14 +66,19 @@ def main(argv=None):
         tmp = Path(tmp)
         for name in args.workload or workloads.NAMES:
             cfg = workloads.spec(name, 0)
-            ini = tmp / f"{name}.ini"
-            ini.write_text(workloads.ini_text(cfg))
-            for command in (cfg["command"], "compare-danckwerts"):
+            text = workloads.ini_text(cfg)
+            runs = [(cfg["command"], text), ("compare-danckwerts", text)]
+            if name in CHAIN:
+                runs.append(("chain", text + CHAIN[name]))
+            for command, ini_text in runs:
+                ini = tmp / f"{name}-{command}.ini"
+                ini.write_text(ini_text)
                 out = tmp / name / command
                 run(root, command, ini, out)
-                for path in sorted(out.iterdir()):
+                for path in sorted(p for p in out.rglob("*") if p.is_file()):
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    lines.append(f"{digest}  {name}/{command}/{path.name}")
+                    rel = path.relative_to(out).as_posix()
+                    lines.append(f"{digest}  {name}/{command}/{rel}")
     print("\n".join(lines))
     return 0
 

@@ -49,21 +49,17 @@ def main(argv=None):
     sol = build_solution(data, TruncationPolicy(n_max=args.modes), args.t_end)
 
     ts = np.linspace(0.0, args.t_end, args.samples)
-    exit_face = np.array([params.ell])
     cE = data.require_exit()
     with open(args.out, "w", newline="\n") as fh:
         fh.write("t,C_exit,C_flux_exit\n")
-        for t in ts:
-            ce = float(eval_C(sol, exit_face, t)[0])
-            cf = float(cE.eval(t))
+        for t, ce, cf in zip(ts, eval_C(sol, params.ell, ts), cE.eval(ts)):
             fh.write(f"{t:.17g},{ce:.17g},{cf:.17g}\n")
 
     print(f"kept modes through n = {sol.n_used}, "
           f"reported tail bound {sol.reported_tail:.3g}")
-    for frac in (0.25, 0.5, 0.75, 1.0):
-        t = frac * args.t_end
-        ce = float(eval_C(sol, exit_face, t)[0])
-        print(f"t = {t:.4g}: C(ell) = {ce:.6g}, C_E = {float(cE.eval(t)):.6g}")
+    probes = np.array([0.25, 0.5, 0.75, 1.0]) * args.t_end
+    for t, ce, cf in zip(probes, eval_C(sol, params.ell, probes), cE.eval(probes)):
+        print(f"t = {t:.4g}: C(ell) = {ce:.6g}, C_E = {cf:.6g}")
     print(f"wrote {args.samples} samples to {args.out}")
     return 0
 

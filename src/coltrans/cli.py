@@ -117,13 +117,10 @@ def _cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
     xs = np.linspace(0.0, data.params.ell, cfg.nx)
 
     cE = data.require_exit()
-    rows = []
-    bt = []
-    for t in ts:
-        c = eval_C(sol, xs, t)
-        rows.extend((t, x, ci) for x, ci in zip(xs, c))
-        # same instant, so the coefficients come from the solution's memo
-        bt.append((t, eval_C(sol, data.params.ell, t), float(cE.eval(t))))
+    profile = eval_C(sol, xs, ts)
+    rows = ((t, x, c) for t, row in zip(ts, profile) for x, c in zip(xs, row))
+    # same instants, so the coefficients come from the solution's memo
+    bt = zip(ts, eval_C(sol, data.params.ell, ts), cE.eval(ts))
     _write_csv(out / "profile.csv", "t,x,C", rows)
     _write_csv(out / "breakthrough.csv", "t,C_exit,C_flux_exit", bt)
 
@@ -155,15 +152,12 @@ def _cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
     # pointwise comparison on the FD grid at a spread of time levels
     levels = np.unique(np.linspace(1, fd.t.size - 1, 17).astype(int))
-    sup = 0.0
+    diffs = eval_C(sol, fd.x, fd.t[levels]) - fd.C[levels]
+    sup = float(np.max(np.abs(diffs)))
     sq = 0.0
-    cnt = 0
-    for k in levels:
-        diff = eval_C(sol, fd.x, fd.t[k]) - fd.C[k]
-        sup = max(sup, float(np.max(np.abs(diff))))
+    for diff in diffs:
         sq += float(np.sum(diff * diff))
-        cnt += diff.size
-    rms = np.sqrt(sq / cnt)
+    rms = np.sqrt(sq / diffs.size)
 
     series_bal = mass_balance(lambda xs, t: eval_C(sol, xs, t), data,
                               cfg.t_end, nx=257, n_times=vo.n_times)
@@ -203,11 +197,9 @@ def _cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
     cE = data.require_exit()
     ell = data.params.ell
-    rows = []
-    for t in np.linspace(data.t0, cfg.t_end, cfg.nt):
-        cr = float(eval_C(robin, np.array([ell]), t)[0])
-        cd = float(eval_C(danck, np.array([ell]), t)[0])
-        rows.append((t, cr, cd, float(cE.eval(t)), abs(cr - cd)))
+    ts = np.linspace(data.t0, cfg.t_end, cfg.nt)
+    cr, cd = eval_C(robin, ell, ts), eval_C(danck, ell, ts)
+    rows = zip(ts, cr, cd, cE.eval(ts), np.abs(cr - cd))
     _write_csv(out / "exit_comparison.csv",
                "t,C_exit,C_exit_danckwerts,C_flux_exit,exit_gap", rows)
 
@@ -240,8 +232,7 @@ def _cmd_chain(cfg: RunConfig, out: Path, quiet: bool) -> int:
         seg_dir.mkdir(parents=True, exist_ok=True)
         ts = np.linspace(base.t0, cfg.t_end, cfg.nt)
         cE = resolved.require_exit()
-        bt = [(t, float(eval_C(sol, np.array([params_i.ell]), t)[0]),
-               float(cE.eval(t))) for t in ts]
+        bt = list(zip(ts, eval_C(sol, params_i.ell, ts), cE.eval(ts)))
         _write_csv(seg_dir / "breakthrough.csv", "t,C_exit,C_flux_exit", bt)
 
         # interpolation defect of the memoized inlet-for-next-segment curve

@@ -22,8 +22,15 @@ marches over panels with Gauss-Legendre nodes, cutting panels at the knots
 of tabulated data and dyadically toward the right endpoint where the decay
 factor is stiff; the same rule projects the initial data on all modes
 and gives the base-square integral behind the coefficient bounds, so no
-build calls QUADPACK.  Every evaluator maps back to C through one helper,
-`_evaluate`, which calls `model.invert`.
+build calls QUADPACK.
+
+The time axis is batched: `_march` advances many steps per call, each on
+its own panels, in passes of at most `_PASS` nodes and blocks of whole
+steps of at most `_BLOCK` modes x nodes.  The build marches every
+dense-grid step in one call, and the coefficients and evaluators take an
+array of instants and march them all at once.  Every evaluator maps back
+to C through one helper, `_evaluate`, which calls `model.invert`; C(x, t)
+on a grid is one call, `eval_C(sol, xs, ts)`, with one row per instant.
 """
 
 from __future__ import annotations
@@ -72,6 +79,9 @@ __all__ = [
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _MAX_EXP = 700.0  # doubles overflow just above e^709
 _CHUNK = 128  # nodes per (nodes x modes) block of the T0 projection: ~200 KB
+_BLOCK = 1 << 15  # modes x nodes per block of the batched march: 256 KB
+_PASS = 1 << 11   # nodes per pass of the march's forcing weights: 16 KB
+_POINTS = 1 << 13  # instants x points per block of the evaluator: 64 KB
 
 
 @dataclass(frozen=True)
@@ -116,6 +126,7 @@ class SeriesSolution:
         self._base_sq = base_sq     # int_0^ell (e^{-r x} phi - H(., t0))^2 dx
         self.reported_tail = float(reported_tail)
         self.notes = tuple(notes)
+        self._knots = _knot_array(lift_data)  # sorted knots of g and C_E
         self._dense_times = None
         self._dense_T = None
         self._memo = None           # (t, T) of the latest coefficients call
@@ -133,36 +144,48 @@ class SeriesSolution:
             raise ParameterError(f"mode {n} not kept (have 0..{self.n_used})")
         return n
 
-    def coefficients(self, t: float) -> np.ndarray:
-        """All T_n(t), from the nearest precomputed instant forward."""
-        t = float(t)
-        if t < self.t0 - 1e-12 * max(1.0, abs(self.t0)):
+    def coefficients(self, t) -> np.ndarray:
+        """All T_n at the instants t, shape (modes,) + np.shape(t).
+
+        Each instant is marched from the nearest dense-grid instant at or
+        before it, all in one `_march` call; a scalar t is a batch of one.
+        The latest call's result is kept, so a repeat returns it as is.
+        """
+        t = np.asarray(t, dtype=float)
+        if np.any(t < self.t0 - 1e-12 * max(1.0, abs(self.t0))):
             raise ParameterError("t precedes t0")
-        t = max(t, self.t0)
+        t = np.maximum(t, self.t0)
         memo = self._memo
-        if memo is not None and memo[0] == t:
+        if memo is not None and np.array_equal(memo[0], t):
             return memo[1]
-        k = int(np.searchsorted(self._dense_times, t, side="right")) - 1
-        k = max(k, 0)
-        t_from = self._dense_times[k]
-        T = _march(self, self._dense_T[:, k], t_from, t)
+        ts = t.ravel()
+        k = np.maximum(np.searchsorted(self._dense_times, ts, side="right") - 1, 0)
+        T = _march(self, self._dense_T[:, k], self._dense_times[k], ts)
+        T = T.reshape(T.shape[:1] + t.shape)
         self._memo = (t, T)
         return T
 
 
-def _data_knots(data: ProblemData, lo: float, hi: float):
-    ks = []
-    exit_fn = data.exit
-    for fn in (data.g, exit_fn):
-        if fn is not None:
-            ks.extend(k for k in fn.knots if lo < k < hi)
-    return ks
+def _knot_array(data: ProblemData) -> np.ndarray:
+    """Sorted knots of the inlet and exit curves, where panels are cut."""
+    fns = (data.g, data.exit)
+    return np.unique(np.array([k for fn in fns if fn is not None for k in fn.knots],
+                              dtype=float))
+
+
+def _knots_between(knots: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The knots strictly inside (lo, hi)."""
+    return knots[np.searchsorted(knots, lo, side="right"):
+                 np.searchsorted(knots, hi, side="left")]
 
 
 def _panel_cuts(lo: float, hi: float, beta_max: float, knots):
-    """Panel edges for int_lo^hi exp(-beta (hi - tau)) f(tau) dtau."""
+    """Panel edges for int_lo^hi exp(-beta (hi - tau)) f(tau) dtau.
+
+    `knots` are the data knots strictly inside (lo, hi).
+    """
     cuts = {lo, hi}
-    cuts.update(k for k in knots if lo < k < hi)
+    cuts.update(knots)
     width = hi - lo
     if beta_max > 0.0 and width > 0.0:
         delta = width
@@ -183,33 +206,84 @@ def _gl_nodes(cuts):
     return nodes, wts
 
 
-def _march(sol: SeriesSolution, T_from: np.ndarray, t_from: float, t_to: float):
-    """Advance all coefficients from t_from to t_to."""
-    if t_to == t_from:
-        return T_from.copy()
-    p = sol.data.params
-    s = p.s
-    if s * t_to > _MAX_EXP:
+def _blocks(sizes, limit: int):
+    """(start, stop) runs of consecutive steps holding at most `limit` nodes.
+
+    Each step counts at least one node, for its decay factor; a step
+    larger than `limit` makes a block of its own.
+    """
+    start, total = 0, 0
+    for k, size in enumerate(sizes):
+        size = max(size, 1)
+        if k > start and total + size > limit:
+            yield start, k
+            start, total = k, 0
+        total += size
+    if start < len(sizes):
+        yield start, len(sizes)
+
+
+def _march(sol: SeriesSolution, T_from, t_from, t_to):
+    """Advance all coefficients from t_from[k] to t_to[k], for every step k.
+
+    T_from broadcasts against (modes, steps), the shape returned.  Each
+    step is integrated on its own panels and summed by its own product, as
+    if it were marched alone.  The steps go in passes of at most `_PASS`
+    nodes, so memory does not grow with the number of steps.
+    """
+    t_from = np.asarray(t_from, dtype=float)
+    t_to = np.asarray(t_to, dtype=float)
+    s = sol.data.params.s
+    beta = sol.beta
+    moving = t_to != t_from
+    over = np.flatnonzero(moving & (s * t_to > _MAX_EXP))
+    if over.size:
         raise NumericOverflowError(
-            f"exp(s t) overflows at t = {t_to:.6g} (s = {s:.6g}); "
+            f"exp(s t) overflows at t = {t_to[over[0]]:.6g} (s = {s:.6g}); "
             "rescale time or shorten the horizon"
         )
-    beta = sol.beta
-    T = T_from * np.exp(-beta * (t_to - t_from))
-    cuts = _panel_cuts(t_from, t_to, float(np.max(beta, initial=0.0)),
-                       _data_knots(sol.lift_data, t_from, t_to))
-    tau, wts = _gl_nodes(cuts)
-    a, b, c = forcing_weights(sol.lift_data, tau)
-    fvals = (
-        sol.moments[0][:, None] * a[None, :]
-        + sol.moments[1][:, None] * b[None, :]
-        + sol.moments[2][:, None] * c[None, :]
-    ) / sol.norms[:, None]
-    expo = s * tau[None, :] - beta[:, None] * (t_to - tau)[None, :]
-    T = T + (fvals * np.exp(expo)) @ wts
+    T = np.empty((beta.size, t_to.size))
+    T_from = np.broadcast_to(T_from, T.shape)
+    beta_max = float(np.max(beta, initial=0.0))
+    cuts = [_panel_cuts(lo, hi, beta_max, _knots_between(sol._knots, lo, hi))
+            if move else None for lo, hi, move in zip(t_from, t_to, moving)]
+    sizes = [0 if c is None else _GL_X.size * (c.size - 1) for c in cuts]
+    for i, j in _blocks(sizes, _PASS):
+        T[:, i:j] = T_from[:, i:j] * np.exp(-beta[:, None] * (t_to[i:j] - t_from[i:j]))
+        steps = [k for k in range(i, j) if moving[k]]
+        if steps:
+            _add_forcing(sol, T, steps, [cuts[k] for k in steps], t_to)
     if not np.all(np.isfinite(T)):
         raise NumericOverflowError("series coefficients left the double range")
     return T
+
+
+def _add_forcing(sol: SeriesSolution, T, steps, cuts, t_to):
+    """T[:, k] += int e^{s tau - beta (t_to[k] - tau)} f(tau) dtau per step k.
+
+    The forcing weights come in one pass over all the steps' nodes; the
+    modes x nodes work runs in blocks of whole steps holding at most
+    `_BLOCK` elements.
+    """
+    s, beta = sol.data.params.s, sol.beta
+    nodes = [_gl_nodes(c) for c in cuts]
+    sizes = [wts.size for _, wts in nodes]
+    edges = np.cumsum([0] + sizes)
+    tau = np.concatenate([tau for tau, _ in nodes])
+    end = np.repeat(t_to[steps], sizes)
+    a, b, c = forcing_weights(sol.lift_data, tau)
+    for u, v in _blocks(sizes, max(1, _BLOCK // beta.size)):
+        blk = slice(edges[u], edges[v])
+        # f_n(tau) e^{s tau - beta_n (t_to - tau)}, built in place
+        vals = sol.moments[0][:, None] * a[None, blk]
+        vals += sol.moments[1][:, None] * b[None, blk]
+        vals += sol.moments[2][:, None] * c[None, blk]
+        vals /= sol.norms[:, None]
+        expo = beta[:, None] * (end[blk] - tau[blk])[None, :]
+        np.subtract(s * tau[None, blk], expo, out=expo)
+        vals *= np.exp(expo, out=expo)
+        for k, (_, wts), lo in zip(steps[u:v], nodes[u:v], edges[u:v] - edges[u]):
+            T[:, k] = T[:, k] + vals[:, lo:lo + wts.size] @ wts
 
 
 def _mode_moments(pair: EigenPair, params) -> tuple:
@@ -297,9 +371,9 @@ def _forcing_sq_cum(lift_data: ProblemData, t0: float, t_end: float):
     E1 = (1.0 - np.exp(-r * ell)) / r
     taus = np.linspace(t0, t_end, 1025)
     # pull in data knots so the trapezoid sees every kink
-    ks = _data_knots(lift_data, t0, t_end)
-    if ks:
-        taus = np.unique(np.concatenate([taus, np.asarray(ks)]))
+    ks = _knots_between(_knot_array(lift_data), t0, t_end)
+    if ks.size:
+        taus = np.unique(np.concatenate([taus, ks]))
     a, b, c = forcing_weights(lift_data, taus)
     fx2 = (
         a * a * E2
@@ -380,22 +454,21 @@ def _tail_bound_core(p, kind: str, t0: float, ff: float, base_sq: float,
     dr = p.D / p.R
     e2st = np.exp(2.0 * s * t)
     norm_floor = 0.25 * ell if kind == DANCKWERTS else 0.5 * ell
-    total = 0.0
-    M = N
-    window_end = N + 2000
-    for n in range(N + 1, window_end + 1):
-        lam = (n * np.pi / ell) ** 2
-        beta = dr * lam
-        if kind == ROBIN:
-            norm = (r * r + lam) * ell / (2.0 * lam)
-        else:
-            norm = norm_floor
-        term1 = e2st * ff / (2.0 * (s + beta) * norm)
-        term2 = np.exp(2.0 * beta * (t0 - t) + 2.0 * s * t0) * base_sq / norm
-        total += (term1 + term2) * (1.0 + r / np.sqrt(lam))
-        M = n
-        if term1 + term2 < 1e-4 * tail_tol / max(1, n):
-            break
+    n = np.arange(N + 1, N + 2001)
+    # float_power squares through libm's pow, as Python's float ** does;
+    # numpy's ** 2 multiplies, which differs in the last bit now and then
+    lam = np.float_power(n * np.pi / ell, 2)
+    beta = dr * lam
+    norm = (r * r + lam) * ell / (2.0 * lam) if kind == ROBIN else norm_floor
+    term1 = e2st * ff / (2.0 * (s + beta) * norm)
+    term2 = np.exp(2.0 * beta * (t0 - t) + 2.0 * s * t0) * base_sq / norm
+    # the window ends at the first term under the stop test; cumsum adds
+    # left to right, so the sum is the one a term-by-term loop would make
+    stop = np.flatnonzero(term1 + term2 < 1e-4 * tail_tol / np.maximum(1, n))
+    last = int(stop[0]) if stop.size else n.size - 1
+    terms = (term1 + term2) * (1.0 + r / np.sqrt(lam))
+    total = np.cumsum(terms[:last + 1])[-1]
+    M = int(n[last])
     # integral-test remainder for the first bound term beyond the window;
     # the initial-data term decays doubly exponentially and is negligible
     # once the window ends, but fold in one more copy to stay one-sided.
@@ -449,43 +522,77 @@ def _phi_matrices(sol: SeriesSolution, x):
         start = 1
     kap = np.sqrt(sol.lam[start:])
     arg = x[:, None] * kap[None, :]
-    co, si = np.cos(arg), np.sin(arg)
+    co = np.cos(arg)
+    si = np.sin(arg, out=arg)  # arg is spent: one nodes x modes array less
     vals[:, start:] = co + (p.r / kap)[None, :] * si
     ders[:, start:] = -kap[None, :] * si + p.r * co
     return vals, ders
 
 
-def eval_w(sol: SeriesSolution, x, t: float):
-    """Transformed solution w(x, t) = sum T_n(t) phi_n(x)."""
-    T = sol.coefficients(t)
+def _sums(mat: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """One row mat @ T[:, k] per instant k, from T of shape (modes,) + shape(t).
+
+    One matrix-vector product per instant, on a contiguous copy of its
+    coefficients: a single matrix product, or a strided column, rounds
+    differently from the product that one instant alone would make.
+    """
+    cols = T.reshape(T.shape[0], -1).T.copy()
+    return np.array([mat @ c for c in cols]).reshape(len(cols), mat.shape[0])
+
+
+def _shaped(out: np.ndarray, x, t):
+    """(instants, points) rows as np.shape(t) + np.shape(x); a float for two scalars."""
+    out = out.reshape(np.shape(t) + np.shape(x))
+    return float(out) if out.ndim == 0 else out
+
+
+def eval_w(sol: SeriesSolution, x, t):
+    """Transformed solution w(x, t) = sum T_n(t) phi_n(x), one row per instant."""
     vals, _ = _phi_matrices(sol, x)
-    out = vals @ T
-    return out if np.ndim(x) else float(out[0])
+    return _shaped(_sums(vals, sol.coefficients(t)), x, t)
 
 
-def _evaluate(sol: SeriesSolution, x, t: float, T: np.ndarray,
-              slope: bool = False):
-    """C(x, t), or C_x with `slope`, from the coefficients T."""
+def _evaluate(sol: SeriesSolution, x, t, T: np.ndarray, slope: bool = False):
+    """C(x, t), or C_x with `slope`, from the coefficients T at the instants t.
+
+    T has shape (modes,) + np.shape(t); the result np.shape(t) + np.shape(x).
+    The phi matrices are built once; the sums, the lift and the inversion
+    run over blocks of instants holding at most `_POINTS` points.
+    """
     p = sol.data.params
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    T = T.reshape(T.shape[0], ts.size)
     vals, ders = _phi_matrices(sol, xs)
-    H, _, _ = lift_H(sol.lift_data, xs, t)
-    out = invert(vals @ T, H, xs, t, p.r, p.s)
-    if slope:
-        Hx = lift_H_x(sol.lift_data, xs, t)
-        out = invert(ders @ T, Hx, xs, t, p.r, p.s) + p.r * out
-    if not np.all(np.isfinite(out)):
-        raise NumericOverflowError(f"series evaluation overflowed at t = {t:.6g}")
-    return out if np.ndim(x) else float(out[0])
+    out = np.empty((ts.size, xs.size))
+    step = max(1, _POINTS // xs.size)
+    for i in range(0, ts.size, step):
+        tb, Tb = ts[i:i + step, None], T[:, i:i + step]
+        H, _, _ = lift_H(sol.lift_data, xs, tb)
+        C = invert(_sums(vals, Tb), H, xs, tb, p.r, p.s)
+        if slope:
+            Hx = lift_H_x(sol.lift_data, xs, tb)
+            C = invert(_sums(ders, Tb), Hx, xs, tb, p.r, p.s) + p.r * C
+        bad = ~np.all(np.isfinite(C), axis=1)
+        if bad.any():
+            raise NumericOverflowError(
+                f"series evaluation overflowed at t = {tb[bad, 0][0]:.6g}")
+        out[i:i + step] = C
+    return _shaped(out, x, t)
 
 
-def eval_C(sol: SeriesSolution, x, t: float):
-    """Concentration C(x, t) = w e^{r x - s t} + H e^{r x}."""
+def eval_C(sol: SeriesSolution, x, t):
+    """Concentration C(x, t) = w e^{r x - s t} + H e^{r x}.
+
+    x and t are each a scalar or a 1-D array; the result has shape
+    np.shape(t) + np.shape(x), one row per instant, so a (t, x) grid is
+    one call: `eval_C(sol, xs, ts)` is (len(ts), len(xs)).
+    """
     return _evaluate(sol, x, t, sol.coefficients(t))
 
 
-def eval_C_x(sol: SeriesSolution, x, t: float):
-    """Spatial concentration gradient, from termwise derivatives."""
+def eval_C_x(sol: SeriesSolution, x, t):
+    """Spatial concentration gradient, from termwise derivatives; shaped as `eval_C`."""
     return _evaluate(sol, x, t, sol.coefficients(t), slope=True)
 
 
@@ -514,8 +621,8 @@ def eval_large_t(sol: SeriesSolution, x, t: float, *, tol: float = 1e-12,
         tau_min = t - gap
     if not float(tau_min) < float(t):
         raise ParameterError("tau_min must lie strictly before t")
-    T = _march(sol, np.zeros(len(sol.pairs)), float(tau_min), float(t))
-    return _evaluate(sol, x, t, T)
+    T = _march(sol, 0.0, [float(tau_min)], [float(t)])
+    return _evaluate(sol, x, float(t), T[:, 0])
 
 
 def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
@@ -583,15 +690,20 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
         reported_tail=reported, notes=notes,
     )
     sol.T0 = _initial_coefficients(sol)
-    # dense recursion grid for fast arbitrary-time evaluation
+    # dense recursion grid for fast arbitrary-time evaluation: the steps'
+    # increments from zero in one batched march, then the decay recurrence
     dense = np.linspace(data.t0, t_end, 513)
-    ks = _data_knots(lift_data, data.t0, t_end)
-    if ks:
-        dense = np.unique(np.concatenate([dense, np.asarray(ks)]))
-    dense_T = np.empty((len(pairs), dense.size))
+    ks = _knots_between(sol._knots, data.t0, t_end)
+    if ks.size:
+        dense = np.unique(np.concatenate([dense, ks]))
+    # (column 0 is the empty step t0 -> t0, which holds T0)
+    dense_T = _march(sol, 0.0, np.r_[dense[0], dense[:-1]], dense)
     dense_T[:, 0] = sol.T0
     for k in range(1, dense.size):
-        dense_T[:, k] = _march(sol, dense_T[:, k - 1], dense[k - 1], dense[k])
+        decay = np.exp(-sol.beta * (dense[k] - dense[k - 1]))
+        dense_T[:, k] = dense_T[:, k - 1] * decay + dense_T[:, k]
+    if not np.all(np.isfinite(dense_T)):
+        raise NumericOverflowError("series coefficients left the double range")
     sol._dense_times = dense
     sol._dense_T = dense_T
     return sol

@@ -206,10 +206,13 @@ def _simpson_weights(nx: int, h: float) -> np.ndarray:
 
 def mass_balance(Cfun, data: ProblemData, t_end: float, *, times=None,
                  nx: int = 257, n_times: int = 33) -> BalanceReport:
-    """Audit any evaluator Cfun(x_array, t) -> concentrations.
+    """Audit any evaluator Cfun(x_array, t_array) -> concentrations.
 
-    The storage derivative uses a five-point central stencil, so audited
-    instants keep a two-stencil margin inside [t0, t_end].
+    Cfun is called once, with every audit instant and its stencil
+    instants, and returns one row per instant: shape (len(t), len(x)), as
+    `series.eval_C` does.  The storage derivative uses a five-point
+    central stencil, so audited instants keep a two-stencil margin inside
+    [t0, t_end].
     """
     data.require_exit()
     p = data.params
@@ -224,16 +227,16 @@ def mass_balance(Cfun, data: ProblemData, t_end: float, *, times=None,
     xs = np.linspace(0.0, p.ell, nx)
     w = _simpson_weights(nx, xs[1] - xs[0])
 
-    def storage(t):
-        return float(w @ np.asarray(Cfun(xs, t), dtype=float))
-
+    # per audit instant: t - 2 ht, t - ht, t, t + ht, t + 2 ht
+    instants = times[:, None] + np.array([-2, -1, 0, 1, 2])[None, :] * ht
+    conc = np.asarray(Cfun(xs, instants.ravel()), dtype=float)
+    conc = conc.reshape(times.size, 5, nx)
     res = np.empty(times.size)
     scales = np.empty(times.size)
     for i, t in enumerate(times):
-        m = [storage(t + k * ht) for k in (-2, -1, 1, 2)]
+        m = [float(w @ conc[i, k]) for k in (0, 1, 3, 4)]
         dm = (m[0] - 8.0 * m[1] + 8.0 * m[2] - m[3]) / (12.0 * ht)
-        conc = np.asarray(Cfun(xs, t), dtype=float)
-        source = float(w @ (p.gamma - p.mu * conc))
+        source = float(w @ (p.gamma - p.mu * conc[i, 2]))
         gin = p.v * float(data.g.eval(t))
         gout = p.v * float(data.require_exit().eval(t))
         res[i] = p.R * dm - gin + gout - source
@@ -316,12 +319,9 @@ def danckwerts_comparison(robin_sol: SeriesSolution, danck_sol: SeriesSolution,
         times = np.linspace(robin_sol.t0, t_end, 41)[1:]
     times = np.asarray(times, dtype=float)
     xs = np.linspace(0.0, p.ell, nx)
-    sup = np.empty(times.size)
-    mism = np.empty(times.size)
-    for i, t in enumerate(times):
-        diff = eval_C(robin_sol, xs, t) - eval_C(danck_sol, xs, t)
-        sup[i] = float(np.max(np.abs(diff)))
-        mism[i] = _exit_gap(danck_sol, t)
+    diff = eval_C(robin_sol, xs, times) - eval_C(danck_sol, xs, times)
+    sup = np.max(np.abs(diff), axis=1)
+    mism = _exit_gap(danck_sol, times)
     gm = p.gamma / p.mu if p.mu > 0.0 else None
     return DanckwertsReport(times=times, sup_diff=sup, exit_mismatch=mism,
                             gamma_over_mu=gm)
@@ -370,10 +370,10 @@ def danckwerts_error(data: ProblemData, t: float, L_large: float, *,
     return DanckwertsGap(e_d=e_d, lower_bound=lb)
 
 
-def _exit_gap(danck_sol: SeriesSolution, t: float) -> float:
+def _exit_gap(danck_sol: SeriesSolution, t):
     """C_E(t) - C_D(ell, t): the problem's exit data minus the series outlet."""
     cE = danck_sol.data.require_exit()
-    return float(cE.eval(t)) - eval_C(danck_sol, danck_sol.data.params.ell, t)
+    return cE.eval(t) - eval_C(danck_sol, danck_sol.data.params.ell, t)
 
 
 def danckwerts_outlet_mismatch(danck_sol: SeriesSolution, times) -> np.ndarray:
@@ -385,5 +385,4 @@ def danckwerts_outlet_mismatch(danck_sol: SeriesSolution, times) -> np.ndarray:
     than a pass/fail test.  It is v times `DanckwertsReport.exit_mismatch`.
     """
     times = np.asarray(times, dtype=float)
-    gaps = np.array([_exit_gap(danck_sol, t) for t in times])
-    return danck_sol.data.params.v * gaps
+    return danck_sol.data.params.v * _exit_gap(danck_sol, times)

@@ -324,6 +324,119 @@ def test_coefficient_memo_holds_one_instant(loaded_data):
     assert sol.coefficients(ts[7]) is again
 
 
+# -- batched time axis --------------------------------------------------------
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DANCKWERTS])
+def test_batched_rows_equal_scalar_calls(loaded_data, kind):
+    sol = build_solution(loaded_data, TruncationPolicy(n_max=60), 2.5, kind=kind)
+    dense = sol._dense_times
+    exit_knot = loaded_data.exit.knots[37]
+    # t0, dense-grid points, an inlet knot, an exit-table knot, off-grid
+    # instants, one past t_end; unsorted, with repeats
+    ts = np.array([1.3, sol.t0, dense[5], 0.25, exit_knot, 2.5, 0.8137,
+                   dense[200], 1.3, sol.t0, 2.6, 0.25])
+    xs = np.linspace(0.0, loaded_data.params.ell, 9)
+    rows, slopes = eval_C(sol, xs, ts), eval_C_x(sol, xs, ts)
+    outlet = eval_C(sol, loaded_data.params.ell, ts)
+    assert rows.shape == slopes.shape == (ts.size, xs.size)
+    assert outlet.shape == ts.shape
+    for t, row, slope, c_out in zip(ts, rows, slopes, outlet):
+        assert _bits(row) == _bits(eval_C(sol, xs, t))
+        assert _bits(slope) == _bits(eval_C_x(sol, xs, t))
+        assert _bits(c_out) == _bits(eval_C(sol, loaded_data.params.ell, t))
+    T = sol.coefficients(ts)
+    assert T.shape == (len(sol.pairs), ts.size)
+    assert _bits(T[:, 3]) == _bits(sol.coefficients(ts[3]))
+
+
+def test_march_and_evaluation_are_independent_of_the_block_size(loaded_data,
+                                                               monkeypatch):
+    import coltrans.series as series
+
+    policy = TruncationPolicy(n_max=40)
+    ts, xs = np.linspace(0.0, 2.5, 7), np.linspace(0.0, 1.4, 5)
+    ref = build_solution(loaded_data, policy, 2.5)
+    want = eval_C(ref, xs, ts)
+    monkeypatch.setattr(series, "_BLOCK", 1)  # one step, one instant per block
+    monkeypatch.setattr(series, "_PASS", 1)
+    monkeypatch.setattr(series, "_POINTS", 1)
+    tiny = build_solution(loaded_data, policy, 2.5)
+    assert _bits(tiny._dense_times) == _bits(ref._dense_times)
+    assert _bits(tiny._dense_T) == _bits(ref._dense_T)
+    assert _bits(eval_C(tiny, xs, ts)) == _bits(want)
+    # and the recurrence over increments equals marching one step at a time
+    dense, dense_T = ref._dense_times, ref._dense_T
+    for k in range(1, dense.size, 37):
+        one = series._march(ref, dense_T[:, k - 1:k], dense[k - 1:k], dense[k:k + 1])
+        assert _bits(one[:, 0]) == _bits(dense_T[:, k])
+
+
+def test_batched_instant_before_t0_is_refused(smoke_solution):
+    xs = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ParameterError, match="precedes"):
+        eval_C(smoke_solution, xs, np.array([0.5, -0.5, 1.0]))
+    with pytest.raises(ParameterError, match="precedes"):
+        smoke_solution.coefficients(np.array([1.0, -1e-3]))
+
+
+def test_batched_overflow_guard():
+    data = make_data(v=2.0, D=0.1, exit=SmoothFn.constant(0.0))
+    sol = build_solution(data, TruncationPolicy(n_max=20, tail_tol=1e-8), 2.0)
+    with pytest.raises(NumericOverflowError, match="t = 71"):
+        eval_C(sol, np.linspace(0.0, 1.0, 5), np.array([0.5, 71.0, 1.5]))
+
+
+def reference_tail_bound_core(p, kind, t0, ff, base_sq, tail_tol, N, t):
+    """`_tail_bound_core` with its window summed term by term; (bound, window end)."""
+    r, ell, s = p.r, p.ell, p.s
+    dr = p.D / p.R
+    e2st = np.exp(2.0 * s * t)
+    norm_floor = 0.25 * ell if kind == DANCKWERTS else 0.5 * ell
+    total, M = 0.0, N
+    for n in range(N + 1, N + 2001):
+        lam = (n * np.pi / ell) ** 2
+        beta = dr * lam
+        norm = (r * r + lam) * ell / (2.0 * lam) if kind == ROBIN else norm_floor
+        term1 = e2st * ff / (2.0 * (s + beta) * norm)
+        term2 = np.exp(2.0 * beta * (t0 - t) + 2.0 * s * t0) * base_sq / norm
+        total += (term1 + term2) * (1.0 + r / np.sqrt(lam))
+        M = n
+        if term1 + term2 < 1e-4 * tail_tol / max(1, n):
+            break
+    B = dr * (np.pi / ell) ** 2
+    A = e2st * ff / (2.0 * norm_floor)
+    rem1 = A * (1.0 + r * ell / (M * np.pi)) * (
+        np.pi / 2.0 - np.arctan(M * np.sqrt(B / s))) / np.sqrt(s * B)
+    lamM = ((M + 1) * np.pi / ell) ** 2
+    rem2 = (np.exp(2.0 * dr * lamM * (t0 - t) + 2.0 * s * t0) * base_sq
+            / norm_floor * (1.0 + r * ell / np.pi) * 2.0)
+    return float(total + rem1 + rem2), M
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DANCKWERTS])
+def test_tail_window_sums_as_the_term_loop(loaded_data, kind):
+    from coltrans import TransportParams
+    from coltrans.series import _tail_bound_core
+
+    cases = [(loaded_data.params, N, t, ff, tol) for N in (8, 40, 200)
+             for t in (0.3, 2.5) for ff, tol in ((0.7, 1e-8), (0.0, 1e-8), (0.7, 1e3))]
+    # a Robin case whose bound moves in the last bit if lambda_n is squared
+    # as x * x rather than by pow, as Python's float ** does
+    long = TransportParams(R=1.2, D=0.6, v=0.5, mu=1.0, gamma=0.0, ell=4.0)
+    cases.append((long, 128, 1.0, 1.7, 1e-8))
+    windows = set()
+    for p, N, t, ff, tol in cases:
+        want, M = reference_tail_bound_core(p, kind, 0.0, ff, 0.02, tol, N, t)
+        got = _tail_bound_core(p, kind, 0.0, ff, 0.02, tol, N, t)
+        assert _bits(got) == _bits(want)
+        windows.add(M - N)
+    assert 2000 in windows and len(windows) > 1   # full and broken-off windows
+
+
 # -- a-priori bounds ----------------------------------------------------------
 
 def test_coefficient_bound_contains_coefficient(loaded_solution):
