@@ -19,6 +19,15 @@ both checkouts and diffing the two listings:
     python3 scripts/output_digest.py --root ../parent > old.txt
     diff old.txt new.txt
 
+A change that moves values at rounding level shows by how much with
+`--against`, which runs both checkouts and prints, in place of each
+digest, `identical`, or the largest |difference| between the numbers of
+the two files relative to the largest |value| in the `--against` file
+(`text differs` when the text around the numbers differs, `on one side
+only` when only one checkout writes the file):
+
+    python3 scripts/output_digest.py --against ../parent
+
 `--root` names the checkout whose `src/` is run; the run files always come
 from this checkout's `perfbench/workloads.py`, which is only read.
 """
@@ -26,6 +35,7 @@ from this checkout's `perfbench/workloads.py`, which is only read.
 import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -39,11 +49,16 @@ import workloads  # noqa: E402
 # workload -> [chain] section appended to its seed-0 run file for `chain`
 CHAIN = {"pulse-solve": "\n[chain]\nlengths = 0.5 0.5\n"}
 
+# a decimal number, split out of the text around it
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
 
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=str(HERE),
                     help="checkout whose src/ is run (default: this one)")
+    ap.add_argument("--against", default=None,
+                    help="checkout to compare with, value by value")
     ap.add_argument("--workload", action="append", choices=workloads.NAMES,
                     help="limit to these workloads (repeatable)")
     return ap.parse_args(argv)
@@ -58,27 +73,55 @@ def run(root: Path, command: str, ini: Path, out: Path):
     )
 
 
+def outputs(root: Path, names, tmp: Path) -> dict:
+    """{"<workload>/<command>/<file>": bytes} for every file the runs write."""
+    tmp.mkdir()
+    files = {}
+    for name in names:
+        cfg = workloads.spec(name, 0)
+        text = workloads.ini_text(cfg)
+        runs = [(cfg["command"], text), ("compare-danckwerts", text)]
+        if name in CHAIN:
+            runs.append(("chain", text + CHAIN[name]))
+        for command, ini_text in runs:
+            ini = tmp / f"{name}-{command}.ini"
+            ini.write_text(ini_text)
+            out = tmp / name / command
+            run(root, command, ini, out)
+            for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                files[f"{name}/{command}/{path.relative_to(out).as_posix()}"] = \
+                    path.read_bytes()
+    return files
+
+
+def difference(old: bytes, new: bytes) -> str:
+    """`identical`, or the largest |new - old| over the largest |old|."""
+    if old is None or new is None:
+        return "on one side only"
+    if old == new:
+        return "identical"
+    a, b = NUMBER.split(old.decode()), NUMBER.split(new.decode())
+    if len(a) != len(b) or a[::2] != b[::2]:
+        return "text differs"
+    pairs = [(float(x), float(y)) for x, y in zip(a[1::2], b[1::2])]
+    scale = max(abs(x) for x, _ in pairs) or 1.0
+    return f"{max(abs(y - x) for x, y in pairs) / scale:.3e}"
+
+
 def main(argv=None):
     args = parse_args(argv)
-    root = Path(args.root).resolve()
-    lines = []
+    names = args.workload or workloads.NAMES
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name in args.workload or workloads.NAMES:
-            cfg = workloads.spec(name, 0)
-            text = workloads.ini_text(cfg)
-            runs = [(cfg["command"], text), ("compare-danckwerts", text)]
-            if name in CHAIN:
-                runs.append(("chain", text + CHAIN[name]))
-            for command, ini_text in runs:
-                ini = tmp / f"{name}-{command}.ini"
-                ini.write_text(ini_text)
-                out = tmp / name / command
-                run(root, command, ini, out)
-                for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    rel = path.relative_to(out).as_posix()
-                    lines.append(f"{digest}  {name}/{command}/{rel}")
+        files = outputs(Path(args.root).resolve(), names, tmp / "new")
+        if args.against is None:
+            lines = [f"{hashlib.sha256(data).hexdigest()}  {key}"
+                     for key, data in files.items()]
+        else:
+            ref = outputs(Path(args.against).resolve(), names, tmp / "old")
+            keys = list(ref) + [key for key in files if key not in ref]
+            lines = [f"{difference(ref.get(key), files.get(key))}  {key}"
+                     for key in keys]
     print("\n".join(lines))
     return 0
 

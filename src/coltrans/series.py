@@ -11,22 +11,27 @@ so that
     T_n(t) = int_{t0}^{t} e^{-(D/R) lambda_n (t - tau)} e^{s tau} f_n(tau) dtau
              + e^{-(D/R) lambda_n (t - t0)} T_n(t0).
 
-The exponentials are always evaluated as the single fused exponent
-exp(s tau - (D/R) lambda_n (t - tau)), which for the negative mode reduces
-to exp(s t - (mu/R)(t - tau)) and never exceeds exp(s t).
+With d = t - tau and beta_n = (D/R) lambda_n the integrand is evaluated as
+e^{s t} e^{-(s + beta_n) d} f_n(t - d).  s + beta_n >= mu/R >= 0 for every
+mode of both families (the negative mode has s + beta_0 = mu/R), so each
+kernel e^{-(s + beta_n) d} lies in [0, 1] and no term exceeds e^{s t}.  The
+other split, e^{s tau} e^{-beta_n d}, overflows for the negative mode.
 
 The forcing is a combination of e^{-r x}, cos(pi x / ell) and 1 with
 time-dependent weights (`model.forcing_weights`), so every mode projection
-reduces to three precomputed x-integrals; the time integration then
-marches over panels with Gauss-Legendre nodes, cutting panels at the knots
-of tabulated data and dyadically toward the right endpoint where the decay
-factor is stiff; the same rule projects the initial data on all modes
-and gives the base-square integral behind the coefficient bounds, so no
-build calls QUADPACK.
+reduces to three precomputed x-integrals.  The time integration runs over
+12-point Gauss-Legendre panels on one dyadic lattice in d: [0, 2^e0], across
+which the stiffest kernel varies by at most e^4, then [2^e, 2^(e+1)] below
+the step's width, then one coarse panel up to the width; a data knot inside
+a step splits the panel that holds it.  The kernels of the full lattice
+panels are the same for every step, so a march makes them once.  The same
+12-point rule projects the initial data on all modes and gives the
+base-square integral behind the coefficient bounds, so no build calls
+QUADPACK.
 
-The time axis is batched: `_march` advances many steps per call, each on
-its own panels, in passes of at most `_PASS` nodes and blocks of whole
-steps of at most `_BLOCK` modes x nodes.  The build marches every
+The time axis is batched: `_march` advances many steps per call, each
+summed by its own products, in passes of at most `_PASS` nodes and blocks
+of whole steps of at most `_BLOCK` modes x nodes.  The build marches every
 dense-grid step in one call, and the coefficients and evaluators take an
 array of instants and march them all at once.  Every evaluator maps back
 to C through one helper, `_evaluate`, which calls `model.invert`; C(x, t)
@@ -34,6 +39,8 @@ on a grid is one call, `eval_C(sol, xs, ts)`, with one row per instant.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from dataclasses import dataclass
@@ -166,11 +173,20 @@ class SeriesSolution:
         return T
 
 
+def _sorted_unique(values) -> np.ndarray:
+    """The distinct values of a float array, sorted, as np.unique gives them.
+
+    By sort and mask: np.unique imports numpy.ma on its first call, about
+    20 ms that a `solve` would otherwise spend.
+    """
+    v = np.sort(np.ravel(np.asarray(values, dtype=float)))
+    return v[np.concatenate(([True], v[1:] != v[:-1]))] if v.size else v
+
+
 def _knot_array(data: ProblemData) -> np.ndarray:
     """Sorted knots of the inlet and exit curves, where panels are cut."""
     fns = (data.g, data.exit)
-    return np.unique(np.array([k for fn in fns if fn is not None for k in fn.knots],
-                              dtype=float))
+    return _sorted_unique([k for fn in fns if fn is not None for k in fn.knots])
 
 
 def _knots_between(knots: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -179,31 +195,62 @@ def _knots_between(knots: np.ndarray, lo: float, hi: float) -> np.ndarray:
                  np.searchsorted(knots, hi, side="left")]
 
 
-def _panel_cuts(lo: float, hi: float, beta_max: float, knots):
-    """Panel edges for int_lo^hi exp(-beta (hi - tau)) f(tau) dtau.
-
-    `knots` are the data knots strictly inside (lo, hi).
-    """
-    cuts = {lo, hi}
-    cuts.update(knots)
-    width = hi - lo
-    if beta_max > 0.0 and width > 0.0:
-        delta = width
-        levels = 0
-        while beta_max * delta > 4.0 and levels < 80:
-            delta *= 0.5
-            cuts.add(hi - delta)
-            levels += 1
-    return np.array(sorted(cuts))
-
-
-def _gl_nodes(cuts):
-    """Nodes and weights of the 12-point rule on every panel between cuts."""
-    mids = 0.5 * (cuts[1:] + cuts[:-1])
-    half = 0.5 * (cuts[1:] - cuts[:-1])
+def _gl_nodes(lo, hi):
+    """Nodes and weights of the 12-point rule on the panels [lo[i], hi[i]]."""
+    mids = 0.5 * (hi + lo)
+    half = 0.5 * (hi - lo)
     nodes = (mids[:, None] + half[:, None] * _GL_X[None, :]).ravel()
     wts = (half[:, None] * _GL_W[None, :]).ravel()
     return nodes, wts
+
+
+def _lattice(kappa_max: float, width: float) -> np.ndarray:
+    """Edges 0, 2^e0, 2^(e0 + 1), ..., 2^top <= width of the lattice in d = t - tau.
+
+    e0 is the largest exponent with kappa_max 2^e0 <= 4, so the stiffest
+    kernel e^{-kappa d} varies by at most e^4 across [0, 2^e0]; every later
+    panel [2^e, 2^(e + 1)] is as wide as its distance from d = 0.
+    """
+    if not (kappa_max > 0.0 and width > 0.0):
+        return np.zeros(1)
+    e0 = math.frexp(4.0 / kappa_max)[1] - 1
+    if kappa_max * math.ldexp(1.0, e0) > 4.0:
+        e0 -= 1
+    top = math.frexp(width)[1] - 1  # 2^top <= width < 2^(top + 1)
+    return np.concatenate(([0.0], np.ldexp(1.0, np.arange(e0, top + 1))))
+
+
+def _panels(knots, edges, t_from, t_to):
+    """Each step's panels in d = t_to - tau: (shared, lo, hi, count).
+
+    A step of width w takes the first shared[k] panels of the lattice
+    `edges`, then count[k] panels of its own, listed step by step in lo
+    and hi: the coarse panel [2^top, w], never wider than its distance
+    from d = 0, and where data knots fall inside the step every panel from
+    the one holding the lowest knot upward, cut at the knots.
+    """
+    width = t_to - t_from
+    full = np.searchsorted(edges, width, side="right") - 1
+    first = np.searchsorted(knots, t_from, side="right")
+    last = np.searchsorted(knots, t_to, side="left")
+    shared = full.copy()
+    lo, hi, count = [], [], []
+    coarse = edges[full].tolist()
+    for k, (e, w, a, b) in enumerate(zip(coarse, width.tolist(), first, last)):
+        if a < b:
+            kd = t_to[k] - knots[a:b]  # descending
+            shared[k] = min(full[k], np.searchsorted(edges, kd[-1], side="right") - 1)
+            cuts = _sorted_unique(np.concatenate((edges[shared[k]:full[k] + 1], kd, [w])))
+            lo.extend(cuts[:-1].tolist())
+            hi.extend(cuts[1:].tolist())
+            count.append(cuts.size - 1)
+        elif e < w:
+            lo.append(e)
+            hi.append(w)
+            count.append(1)
+        else:
+            count.append(0)
+    return shared, np.array(lo), np.array(hi), np.array(count, dtype=int)
 
 
 def _blocks(sizes, limit: int):
@@ -226,10 +273,16 @@ def _blocks(sizes, limit: int):
 def _march(sol: SeriesSolution, T_from, t_from, t_to):
     """Advance all coefficients from t_from[k] to t_to[k], for every step k.
 
-    T_from broadcasts against (modes, steps), the shape returned.  Each
-    step is integrated on its own panels and summed by its own product, as
-    if it were marched alone.  The steps go in passes of at most `_PASS`
-    nodes, so memory does not grow with the number of steps.
+    T_from broadcasts against (modes, steps), the shape returned; None
+    means no initial term, so nothing is decayed.  The forcing integral is
+    e^{s t_k} int_0^w e^{-(s + beta) d} f(t_k - d) dd, with w = t_k - t_from[k].
+    s + beta >= mu/R >= 0 for every mode, so each kernel lies in [0, 1]
+    and no term exceeds e^{s t_k}.  The panels lie on one dyadic lattice
+    in d (`_lattice`, `_panels`), so the kernels of its full panels are
+    made once per call and shared by every step.  Each step is summed by
+    its own products, as if it were marched alone, in passes of at most
+    `_PASS` nodes, so the nodes and kernels held at once do not grow with
+    the number of steps.
     """
     t_from = np.asarray(t_from, dtype=float)
     t_to = np.asarray(t_to, dtype=float)
@@ -242,48 +295,74 @@ def _march(sol: SeriesSolution, T_from, t_from, t_to):
             f"exp(s t) overflows at t = {t_to[over[0]]:.6g} (s = {s:.6g}); "
             "rescale time or shorten the horizon"
         )
-    T = np.empty((beta.size, t_to.size))
-    T_from = np.broadcast_to(T_from, T.shape)
-    beta_max = float(np.max(beta, initial=0.0))
-    cuts = [_panel_cuts(lo, hi, beta_max, _knots_between(sol._knots, lo, hi))
-            if move else None for lo, hi, move in zip(t_from, t_to, moving)]
-    sizes = [0 if c is None else _GL_X.size * (c.size - 1) for c in cuts]
-    for i, j in _blocks(sizes, _PASS):
-        T[:, i:j] = T_from[:, i:j] * np.exp(-beta[:, None] * (t_to[i:j] - t_from[i:j]))
-        steps = [k for k in range(i, j) if moving[k]]
-        if steps:
-            _add_forcing(sol, T, steps, [cuts[k] for k in steps], t_to)
+    T = np.zeros((beta.size, t_to.size))
+    if T_from is not None:
+        T_from = np.broadcast_to(T_from, T.shape)
+    width = t_to - t_from
+    kappa = s + beta
+    edges = _lattice(float(np.max(kappa)), float(np.max(width, initial=0.0)))
+    d, wts = _gl_nodes(edges[:-1], edges[1:])
+    kernel = wts[:, None] * np.exp(np.multiply.outer(-d, kappa))
+    steps = np.flatnonzero(moving)
+    shared, lo, hi, count = _panels(sol._knots, edges, t_from[steps], t_to[steps])
+    n_sh, n_own = _GL_X.size * shared, _GL_X.size * count
+    sizes = np.zeros(t_to.size, dtype=int)
+    sizes[steps] = n_sh + n_own
+    panel = np.concatenate(([0], np.cumsum(count)))
+    for i, j in _blocks(sizes.tolist(), _PASS):
+        if T_from is not None:
+            T[:, i:j] = T_from[:, i:j] * np.exp(-beta[:, None] * width[i:j])
+        u, v = np.searchsorted(steps, (i, j))
+        if u < v:
+            own = slice(panel[u], panel[v])
+            _add_forcing(sol, T, steps[u:v], t_to, kernel, d, n_sh[u:v],
+                         _gl_nodes(lo[own], hi[own]), n_own[u:v])
     if not np.all(np.isfinite(T)):
         raise NumericOverflowError("series coefficients left the double range")
     return T
 
 
-def _add_forcing(sol: SeriesSolution, T, steps, cuts, t_to):
-    """T[:, k] += int e^{s tau - beta (t_to[k] - tau)} f(tau) dtau per step k.
+def _add_forcing(sol: SeriesSolution, T, steps, t_to, kernel, d, n_sh, own, n_own):
+    """T[:, k] += e^{s t_k} sum_i (moment_i / norm) (K_k @ q_i) for each step k.
 
-    The forcing weights come in one pass over all the steps' nodes; the
-    modes x nodes work runs in blocks of whole steps holding at most
-    `_BLOCK` elements.
+    K_k is step k's kernels w_j e^{-(s + beta) d_j}: the first n_sh[k] rows
+    of the shared lattice `kernel`, then the n_own[k] nodes of its own
+    panels, whose kernels are made in blocks of whole steps of at most
+    `_BLOCK` modes x nodes.  q = (a, b, c) are the forcing weights at
+    tau = t_k - d, made in one call for all the steps.
     """
-    s, beta = sol.data.params.s, sol.beta
-    nodes = [_gl_nodes(c) for c in cuts]
-    sizes = [wts.size for _, wts in nodes]
-    edges = np.cumsum([0] + sizes)
-    tau = np.concatenate([tau for tau, _ in nodes])
-    end = np.repeat(t_to[steps], sizes)
-    a, b, c = forcing_weights(sol.lift_data, tau)
-    for u, v in _blocks(sizes, max(1, _BLOCK // beta.size)):
-        blk = slice(edges[u], edges[v])
-        # f_n(tau) e^{s tau - beta_n (t_to - tau)}, built in place
-        vals = sol.moments[0][:, None] * a[None, blk]
-        vals += sol.moments[1][:, None] * b[None, blk]
-        vals += sol.moments[2][:, None] * c[None, blk]
-        vals /= sol.norms[:, None]
-        expo = beta[:, None] * (end[blk] - tau[blk])[None, :]
-        np.subtract(s * tau[None, blk], expo, out=expo)
-        vals *= np.exp(expo, out=expo)
-        for k, (_, wts), lo in zip(steps[u:v], nodes[u:v], edges[u:v] - edges[u]):
-            T[:, k] = T[:, k] + vals[:, lo:lo + wts.size] @ wts
+    s = sol.data.params.s
+    kappa = s + sol.beta
+    od, ow = own
+    sh_at = np.concatenate(([0], np.cumsum(n_sh)))
+    own_at = np.concatenate(([0], np.cumsum(n_own)))
+    # lattice node j of each step sits at d[j]: a ragged arange per step
+    ragged = np.arange(sh_at[-1]) - np.repeat(sh_at[:-1], n_sh)
+    tau = np.concatenate((np.repeat(t_to[steps], n_sh) - d[ragged],
+                          np.repeat(t_to[steps], n_own) - od))
+    q = np.stack(forcing_weights(sol.lift_data, tau), axis=1)
+    q_sh, q_own = q[:sh_at[-1]], q[sh_at[-1]:]
+    mn = sol.moments / sol.norms
+    growth = np.exp(s * t_to[steps])
+    blocks = list(_blocks(n_own.tolist(), max(1, _BLOCK // kappa.size)))
+    # one work array for every block: a fresh one per block costs page faults
+    rows = max(own_at[v] - own_at[u] for u, v in blocks)
+    work = np.empty((rows, kappa.size))
+    y = np.empty((max(v - u for u, v in blocks), 3, kappa.size))
+    for u, v in blocks:
+        blk = slice(own_at[u], own_at[v])
+        K = work[:blk.stop - blk.start]
+        np.multiply.outer(-od[blk], kappa, out=K)
+        np.exp(K, out=K)
+        K *= ow[blk, None]
+        qb, at = q_own[blk], own_at - blk.start
+        for m in range(u, v):
+            np.matmul(q_sh[sh_at[m]:sh_at[m + 1]].T, kernel[:n_sh[m]], out=y[m - u])
+            y[m - u] += qb[at[m]:at[m + 1]].T @ K[at[m]:at[m + 1]]
+        z = y[:v - u]
+        inc = growth[u:v, None] * (mn[0] * z[:, 0] + mn[1] * z[:, 1] + mn[2] * z[:, 2])
+        cols = steps[u:v]
+        T[:, cols] = T[:, cols] + inc.T
 
 
 def _mode_moments(pair: EigenPair, params) -> tuple:
@@ -326,10 +405,10 @@ def _settled(data: ProblemData, pieces: int, integrate, what: str):
     """
     p = data.params
     inner = [k for k in data.phi.knots if 0.0 < k < p.ell]
-    cuts = np.unique(np.r_[np.linspace(0.0, p.ell, pieces + 1), inner])
+    cuts = _sorted_unique(np.r_[np.linspace(0.0, p.ell, pieces + 1), inner])
     prev = None
     for _ in range(9):  # one pass, then at most 8 halvings
-        val = integrate(*_gl_nodes(cuts))
+        val = integrate(*_gl_nodes(cuts[:-1], cuts[1:]))
         tol = 1e-10 * np.maximum(1.0, np.abs(val))
         if prev is not None and np.all(np.abs(val - prev) <= tol):
             return val
@@ -373,7 +452,7 @@ def _forcing_sq_cum(lift_data: ProblemData, t0: float, t_end: float):
     # pull in data knots so the trapezoid sees every kink
     ks = _knots_between(_knot_array(lift_data), t0, t_end)
     if ks.size:
-        taus = np.unique(np.concatenate([taus, ks]))
+        taus = _sorted_unique(np.concatenate([taus, ks]))
     a, b, c = forcing_weights(lift_data, taus)
     fx2 = (
         a * a * E2
@@ -504,7 +583,7 @@ def initial_coefficient(sol: SeriesSolution, n: int) -> float:
 
 
 def coefficient(sol: SeriesSolution, n: int, t: float) -> float:
-    """T_n(t) by the fused-exponent panel integration."""
+    """T_n(t), marched from the dense grid on the shared dyadic lattice."""
     return float(sol.coefficients(t)[sol._pos(n)])
 
 
@@ -621,7 +700,7 @@ def eval_large_t(sol: SeriesSolution, x, t: float, *, tol: float = 1e-12,
         tau_min = t - gap
     if not float(tau_min) < float(t):
         raise ParameterError("tau_min must lie strictly before t")
-    T = _march(sol, 0.0, [float(tau_min)], [float(t)])
+    T = _march(sol, None, [float(tau_min)], [float(t)])
     return _evaluate(sol, x, float(t), T[:, 0])
 
 
@@ -695,9 +774,9 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
     dense = np.linspace(data.t0, t_end, 513)
     ks = _knots_between(sol._knots, data.t0, t_end)
     if ks.size:
-        dense = np.unique(np.concatenate([dense, ks]))
+        dense = _sorted_unique(np.concatenate([dense, ks]))
     # (column 0 is the empty step t0 -> t0, which holds T0)
-    dense_T = _march(sol, 0.0, np.r_[dense[0], dense[:-1]], dense)
+    dense_T = _march(sol, None, np.r_[dense[0], dense[:-1]], dense)
     dense_T[:, 0] = sol.T0
     for k in range(1, dense.size):
         decay = np.exp(-sol.beta * (dense[k] - dense[k - 1]))

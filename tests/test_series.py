@@ -29,6 +29,7 @@ from coltrans import (
     tail_bound,
 )
 from coltrans.eigensystem import DANCKWERTS, ROBIN, half_wave_points
+from coltrans.model import forcing_weights
 from conftest import l2_grid_norm, make_data
 
 
@@ -375,6 +376,21 @@ def test_march_and_evaluation_are_independent_of_the_block_size(loaded_data,
         assert _bits(one[:, 0]) == _bits(dense_T[:, k])
 
 
+def test_march_rows_are_independent_of_large_blocks(loaded_data, monkeypatch):
+    """At 201 modes and hundreds of steps per block, a product shared by
+    steps would round differently from each step's own product."""
+    import coltrans.series as series
+
+    sol = build_solution(loaded_data, TruncationPolicy(n_max=200), 2.5)
+    dense = sol._dense_times
+    monkeypatch.setattr(series, "_BLOCK", 1 << 20)
+    monkeypatch.setattr(series, "_PASS", 1 << 16)
+    big = series._march(sol, None, dense[:-1], dense[1:])
+    monkeypatch.setattr(series, "_BLOCK", 1)
+    monkeypatch.setattr(series, "_PASS", 1)
+    assert _bits(series._march(sol, None, dense[:-1], dense[1:])) == _bits(big)
+
+
 def test_batched_instant_before_t0_is_refused(smoke_solution):
     xs = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ParameterError, match="precedes"):
@@ -388,6 +404,94 @@ def test_batched_overflow_guard():
     sol = build_solution(data, TruncationPolicy(n_max=20, tail_tol=1e-8), 2.0)
     with pytest.raises(NumericOverflowError, match="t = 71"):
         eval_C(sol, np.linspace(0.0, 1.0, 5), np.array([0.5, 71.0, 1.5]))
+
+
+_GL12 = np.polynomial.legendre.leggauss(12)
+
+
+def reference_increments(sol, t_from, t_to):
+    """Forcing integrals of each step by one fused exponent per mode and node.
+
+    Each step is cut at the data knots inside it and dyadically toward
+    t_to, halving until beta_max times the panel width is at most 4, and
+    integrates exp(s tau - beta_n (t_to - tau)) f_n(tau) on 12-point panels.
+    """
+    s, beta = sol.data.params.s, sol.beta
+    beta_max = float(np.max(beta, initial=0.0))
+    cols = []
+    for lo, hi in zip(t_from, t_to):
+        cuts = {lo, hi}
+        cuts.update(k for k in sol._knots if lo < k < hi)
+        delta, levels = hi - lo, 0
+        while beta_max * delta > 4.0 and levels < 80:
+            delta *= 0.5
+            cuts.add(hi - delta)
+            levels += 1
+        cuts = np.array(sorted(cuts))
+        mids, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])
+        tau = (mids[:, None] + half[:, None] * _GL12[0]).ravel()
+        wts = (half[:, None] * _GL12[1]).ravel()
+        a, b, c = forcing_weights(sol.lift_data, tau)
+        f = (np.outer(sol.moments[0], a) + np.outer(sol.moments[1], b)
+             + np.outer(sol.moments[2], c)) / sol.norms[:, None]
+        cols.append((f * np.exp(s * tau - beta[:, None] * (hi - tau))) @ wts)
+    return np.array(cols).T
+
+
+def assert_close_per_instant(got, want, rel=1e-13):
+    """Each column within rel of that column's largest |value|."""
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.max(np.abs(got - want), axis=0) <= rel * scale)
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DANCKWERTS])
+def test_march_matches_the_fused_per_node_rule(loaded_data, kind, monkeypatch):
+    import coltrans.series as series
+
+    sol = build_solution(loaded_data, TruncationPolicy(n_max=60), 2.5, kind=kind)
+    dense, beta = sol._dense_times, sol.beta
+    # the dense grid: T0, then the decay recurrence over reference increments
+    want = reference_increments(sol, np.r_[dense[0], dense[:-1]], dense)
+    want[:, 0] = sol.T0
+    for k in range(1, dense.size):
+        want[:, k] += want[:, k - 1] * np.exp(-beta * (dense[k] - dense[k - 1]))
+    assert_close_per_instant(sol._dense_T, want)
+    # off-grid instants and instants past t_end, marched from the grid
+    ts = np.array([1e-4, 0.8137, 1.3, 2.6, 4.0])
+    k = np.searchsorted(dense, ts, side="right") - 1
+    T = want[:, k] * np.exp(-beta[:, None] * (ts - dense[k]))
+    assert_close_per_instant(sol.coefficients(ts),
+                             T + reference_increments(sol, dense[k], ts))
+    # eval_large_t's single step across the inlet knots; over 2,100 time
+    # units the Robin negative mode's e^{-beta_0 d} alone would overflow
+    steps = []
+    march = series._march
+
+    def recorded(sol, T_from, t_from, t_to):
+        T = march(sol, T_from, t_from, t_to)
+        steps.append((t_from, t_to, T))
+        return T
+
+    monkeypatch.setattr(series, "_march", recorded)
+    xs = np.linspace(0.0, loaded_data.params.ell, 5)
+    eval_large_t(sol, xs, 2.0)
+    eval_large_t(sol, xs, 2.0, tau_min=-2098.0)
+    assert len(steps) == 2
+    for t_from, t_to, T in steps:
+        assert np.sum((sol._knots > t_from[0]) & (sol._knots < t_to[0])) >= 4
+        assert_close_per_instant(T, reference_increments(sol, t_from, t_to))
+
+
+def test_large_t_with_a_fast_negative_mode_is_finite():
+    """|beta_0| gap = 2,763: decaying a zero initial state once gave 0 inf."""
+    data = make_data(v=2.0, D=0.1, mu=0.1, g=SmoothFn.constant(1.0),
+                     exit=SmoothFn.constant(0.3))
+    sol = build_solution(data, TruncationPolicy(n_max=40), 2.0)
+    xs = np.linspace(0.0, 1.0, 9)
+    now = eval_large_t(sol, xs, 2.0)
+    assert np.all(np.isfinite(now))
+    # constant data: the long-time limit is steady
+    assert np.max(np.abs(eval_large_t(sol, xs, 3.0) - now)) <= 1e-9
 
 
 def reference_tail_bound_core(p, kind, t0, ff, base_sq, tail_tol, N, t):
