@@ -8,6 +8,8 @@
 Exit codes: 0 on success (verify FAILURE lines still exit 0; they are
 reported, not fatal), 1 for usage mistakes, 2 for config defects, 3 when
 the numerics refuse (bracketing, quadrature, overflow, bad parameters).
+An out-of-range run option or flag is a config defect, found before the
+output directory is made: exit 2 writes nothing.
 
 All outputs are deterministic: no timestamps, sorted JSON keys, floats
 printed with %.17g, LF line endings.  Running the same config twice gives
@@ -34,7 +36,7 @@ from .errors import (
     ParameterError,
     QuadratureError,
 )
-from .eigensystem import danckwerts_eigenpair, robin_eigenpair
+from .eigensystem import robin_eigenpair  # unused; the benchmark traces it
 from .exitflux import HalfLineProblem, exit_concentration, resolve_exit
 from .model import ProblemData
 from .series import build_solution, eval_C
@@ -99,10 +101,10 @@ def _say(quiet: bool, msg: str):
         print(msg)
 
 
-def _resolved(cfg: RunConfig, *, n_grid=None) -> ProblemData:
+def _resolved(cfg: RunConfig) -> ProblemData:
     if cfg.data.exit is not None:
         return cfg.data
-    return resolve_exit(cfg.data, cfg.t_end, n_grid=n_grid or cfg.exit_n_grid)
+    return resolve_exit(cfg.data, cfg.t_end, n_grid=cfg.exit_n_grid)
 
 
 def _params_dict(p):
@@ -203,11 +205,9 @@ def _cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
     _write_csv(out / "exit_comparison.csv",
                "t,C_exit,C_exit_danckwerts,C_flux_exit,exit_gap", rows)
 
-    n_pairs = min(robin.n_used, danck.n_used)
-    eig_rows = [(n, robin_eigenpair(n, data.params).lam,
-                 danckwerts_eigenpair(n, data.params).lam)
-                for n in range(n_pairs + 1)]
-    _write_csv(out / "eigenvalues.csv", "n,lambda,lambda_danckwerts", eig_rows)
+    n = min(robin.n_used, danck.n_used) + 1
+    _write_csv(out / "eigenvalues.csv", "n,lambda,lambda_danckwerts",
+               zip(range(n), robin.lam[:n], danck.lam[:n]))
 
     gm = f"{report.gamma_over_mu:.6g}" if report.gamma_over_mu is not None else "n/a"
     _say(quiet, f"max sup-norm gap {report.max_sup:.6g}, "
@@ -285,26 +285,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _set(options, **values):
+    """options with each value that is not None replaced, through its checks."""
+    return dataclasses.replace(
+        options, **{k: v for k, v in values.items() if v is not None})
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.nx is not None or args.nt is not None:
-            cfg = dataclasses.replace(cfg, nx=args.nx or cfg.nx,
-                                      nt=args.nt or cfg.nt)
-        if args.modes is not None or args.tail_tol is not None:
-            pol = dataclasses.replace(
-                cfg.policy,
-                n_max=args.modes or cfg.policy.n_max,
-                tail_tol=args.tail_tol or cfg.policy.tail_tol,
-            )
-            cfg = dataclasses.replace(cfg, policy=pol)
-        if cfg.nx < 2 or cfg.nt < 2:
-            raise ConfigError("nx and nt must be at least 2")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ParameterError as exc:
+        policy = _set(cfg.policy, n_max=args.modes, tail_tol=args.tail_tol)
+        cfg = _set(cfg, nx=args.nx, nt=args.nt, policy=policy)
+    except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

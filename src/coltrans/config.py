@@ -13,8 +13,6 @@ A run file has the shape
     [grid]
     t0 = 0.0
     t_end = 2.0
-    nx = 101
-    nt = 81
 
     [phi]
     kind = constant
@@ -26,23 +24,27 @@ A run file has the shape
     stop = 0.6
     level = 1.0
 
-plus optional [exit], [policy], [verify] and [chain] sections.  Function
-sections ([phi], [g], measured [exit]) accept kinds constant, polynomial,
-pulse, gaussian and table; omitted sections default to zero.  Without a
-measured [exit] the exit concentration is computed from the half-line
-closure on a grid of exit.n_grid points.
+plus optional [grid] nx and nt, and optional [exit], [policy], [verify],
+[chain] and [output] sections.  Function sections ([phi], [g], measured
+[exit]) accept kinds constant, polynomial, pulse, gaussian and table;
+omitted sections default to zero.  Without a measured [exit] the exit
+concentration is computed from the half-line closure on a grid of
+exit.n_grid points.  Each option's default and range check live in the
+dataclass that holds it; the loader passes on only the keys a run file
+sets, and the CLI flags go through the same checks.
 """
 
 from __future__ import annotations
 
 import configparser
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
 from .model import ProblemData, SmoothFn, TransportParams
 from .series import TruncationPolicy
+from .verification import FdGrid
 
 __all__ = ["RunConfig", "VerifyOptions", "ChainOptions", "load_config"]
 
@@ -55,11 +57,27 @@ class VerifyOptions:
     compare_tol: float = 1e-3
     n_times: int = 33
 
+    def __post_init__(self):
+        FdGrid(nx=self.fd_nx, nt=self.fd_nt)  # the oracle's own checks
+        if self.fd_nx % 2 == 0:
+            raise ParameterError("fd_nx must be odd for the balance audit")
+        for tol in ("balance_tol", "compare_tol"):
+            if not 0.0 < getattr(self, tol) < np.inf:
+                raise ParameterError(f"{tol} must be positive and finite")
+        if self.n_times < 1:
+            raise ParameterError("n_times must be at least 1")
+
 
 @dataclass(frozen=True)
 class ChainOptions:
     lengths: tuple
     n_grid: int = 512
+
+    def __post_init__(self):
+        if not self.lengths or not all(0.0 < L < np.inf for L in self.lengths):
+            raise ParameterError("lengths must be positive numbers")
+        if self.n_grid < 8:
+            raise ParameterError("n_grid must be at least 8")
 
 
 @dataclass(frozen=True)
@@ -75,6 +93,15 @@ class RunConfig:
     chain: ChainOptions | None = None
     source: str = ""             # raw run-file text, echoed into manifests
 
+    def __post_init__(self):
+        # its fields come from three sections, so each message names its key
+        if not np.isfinite(self.t_end) or self.t_end <= self.data.t0:
+            raise ParameterError("[grid] t_end must be finite and exceed t0")
+        if self.nx < 2 or self.nt < 2:
+            raise ParameterError("[grid] nx and nt must be at least 2")
+        if self.exit_n_grid < 8:
+            raise ParameterError("[exit] n_grid must be at least 8")
+
 
 def _floats(raw: str) -> list:
     try:
@@ -84,6 +111,10 @@ def _floats(raw: str) -> list:
 
 
 _REQUIRED = object()
+
+# run-file text -> value, by the annotation of the field it sets
+_PARSE = {"int": int, "float": float, "str": str,
+          "tuple": lambda raw: tuple(_floats(raw))}
 
 
 def _get(cp, section, key, conv=float, default=_REQUIRED):
@@ -100,6 +131,29 @@ def _get(cp, section, key, conv=float, default=_REQUIRED):
     return default
 
 
+def _set_in(cp, section: str, cls, **keys) -> dict:
+    """{field: value} for the fields of cls that [section] sets, or requires.
+
+    `keys` maps the fields to read to their run-file keys; by default every
+    field is read under its own name.
+    """
+    out = {}
+    for f in fields(cls):
+        key = keys.get(f.name) if keys else f.name
+        required = f.default is MISSING and f.default_factory is MISSING
+        if key is not None and (required or cp.has_option(section, key)):
+            out[f.name] = _get(cp, section, key, _PARSE[f.type])
+    return out
+
+
+def _checked(make, where: str, *args, **kwargs):
+    """make(*args, **kwargs), with a ParameterError as a ConfigError led by `where`."""
+    try:
+        return make(*args, **kwargs)
+    except ParameterError as exc:
+        raise ConfigError(f"{where}{exc}") from exc
+
+
 def _parse_fn(cp, section: str) -> SmoothFn:
     kind = _get(cp, section, "kind", str, "constant").strip().lower()
     if kind == "constant":
@@ -114,10 +168,8 @@ def _parse_fn(cp, section: str) -> SmoothFn:
         stop = _get(cp, section, "stop")
         level = _get(cp, section, "level", float, 1.0)
         ramp = _get(cp, section, "ramp", float, None)
-        try:
-            return SmoothFn.smooth_pulse(start, stop, level, ramp=ramp)
-        except ParameterError as exc:
-            raise ConfigError(f"[{section}]: {exc}") from exc
+        return _checked(SmoothFn.smooth_pulse, f"[{section}]: ", start, stop,
+                        level, ramp=ramp)
     if kind == "gaussian":
         return SmoothFn.exp_pulse(
             level=_get(cp, section, "level", float, 1.0),
@@ -127,10 +179,7 @@ def _parse_fn(cp, section: str) -> SmoothFn:
     if kind == "table":
         knots = _floats(_get(cp, section, "knots", str))
         values = _floats(_get(cp, section, "values", str))
-        try:
-            return SmoothFn.from_table(knots, values)
-        except ParameterError as exc:
-            raise ConfigError(f"[{section}]: {exc}") from exc
+        return _checked(SmoothFn.from_table, f"[{section}]: ", knots, values)
     raise ConfigError(f"[{section}] unknown kind {kind!r}")
 
 
@@ -156,77 +205,32 @@ def load_config(path) -> RunConfig:
     if not cp.has_section("grid"):
         raise ConfigError("missing [grid] section")
 
-    try:
-        params = TransportParams(
-            R=_get(cp, "params", "R", float, 1.0),
-            D=_get(cp, "params", "D"),
-            v=_get(cp, "params", "v"),
-            mu=_get(cp, "params", "mu", float, 0.0),
-            gamma=_get(cp, "params", "gamma", float, 0.0),
-            ell=_get(cp, "params", "ell"),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"[params]: {exc}") from exc
-
-    t0 = _get(cp, "grid", "t0", float, 0.0)
-    t_end = _get(cp, "grid", "t_end")
-    if not np.isfinite(t_end) or t_end <= t0:
-        raise ConfigError("[grid] t_end must be finite and exceed t0")
-    nx = _get(cp, "grid", "nx", int, 101)
-    nt = _get(cp, "grid", "nt", int, 81)
-    if nx < 2 or nt < 2:
-        raise ConfigError("[grid] nx and nt must be at least 2")
-
+    params = _checked(
+        TransportParams, "[params]: ",
+        R=_get(cp, "params", "R", float, 1.0),
+        D=_get(cp, "params", "D"),
+        v=_get(cp, "params", "v"),
+        mu=_get(cp, "params", "mu", float, 0.0),
+        gamma=_get(cp, "params", "gamma", float, 0.0),
+        ell=_get(cp, "params", "ell"),
+    )
     phi = _parse_fn(cp, "phi") if cp.has_section("phi") else SmoothFn.constant(0.0)
     g = _parse_fn(cp, "g") if cp.has_section("g") else SmoothFn.constant(0.0)
+    computed = _get(cp, "exit", "kind", str, "computed").strip().lower() == "computed"
+    exit_fn = None if computed else _parse_fn(cp, "exit")
+    data = _checked(ProblemData, "", params=params, phi=phi, g=g, exit=exit_fn,
+                    t0=_get(cp, "grid", "t0", float, 0.0))
 
-    exit_fn = None
-    exit_n_grid = 512
-    if cp.has_section("exit"):
-        ekind = _get(cp, "exit", "kind", str, "computed").strip().lower()
-        exit_n_grid = _get(cp, "exit", "n_grid", int, 512)
-        if exit_n_grid < 8:
-            raise ConfigError("[exit] n_grid must be at least 8")
-        if ekind != "computed":
-            exit_fn = _parse_fn(cp, "exit")
-
-    try:
-        data = ProblemData(params=params, phi=phi, g=g, exit=exit_fn, t0=t0)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    try:
-        policy = TruncationPolicy(
-            n_max=_get(cp, "policy", "n_max", int, 200),
-            tail_tol=_get(cp, "policy", "tail_tol", float, 1e-8),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"[policy]: {exc}") from exc
-
-    verify = VerifyOptions(
-        fd_nx=_get(cp, "verify", "fd_nx", int, 201),
-        fd_nt=_get(cp, "verify", "fd_nt", int, 400),
-        balance_tol=_get(cp, "verify", "balance_tol", float, 1e-4),
-        compare_tol=_get(cp, "verify", "compare_tol", float, 1e-3),
-        n_times=_get(cp, "verify", "n_times", int, 33),
+    chain = (_checked(ChainOptions, "[chain]: ", **_set_in(cp, "chain", ChainOptions))
+             if cp.has_section("chain") else None)
+    return _checked(
+        RunConfig, "", data=data,
+        policy=_checked(TruncationPolicy, "[policy]: ",
+                        **_set_in(cp, "policy", TruncationPolicy)),
+        verify=_checked(VerifyOptions, "[verify]: ",
+                        **_set_in(cp, "verify", VerifyOptions)),
+        chain=chain, source=source,
+        **_set_in(cp, "grid", RunConfig, t_end="t_end", nx="nx", nt="nt"),
+        **_set_in(cp, "exit", RunConfig, exit_n_grid="n_grid"),
+        **_set_in(cp, "output", RunConfig, out_dir="dir"),
     )
-    if verify.fd_nx % 2 == 0:
-        raise ConfigError("[verify] fd_nx must be odd for the balance audit")
-
-    chain = None
-    if cp.has_section("chain"):
-        lengths = tuple(_floats(_get(cp, "chain", "lengths", str)))
-        if not lengths or any(L <= 0 for L in lengths):
-            raise ConfigError("[chain] lengths must be positive numbers")
-        chain = ChainOptions(
-            lengths=lengths,
-            n_grid=_get(cp, "chain", "n_grid", int, 512),
-        )
-        if chain.n_grid < 8:
-            raise ConfigError("[chain] n_grid must be at least 8")
-
-    out_dir = _get(cp, "output", "dir", str, "out")
-
-    return RunConfig(data=data, policy=policy, t_end=float(t_end), nx=nx, nt=nt,
-                     exit_n_grid=exit_n_grid, out_dir=out_dir, verify=verify,
-                     chain=chain, source=source)

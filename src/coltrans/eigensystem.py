@@ -36,6 +36,7 @@ from .model import TransportParams
 __all__ = [
     "EigenPair",
     "robin_eigenpair",
+    "robin_spectrum",
     "danckwerts_eigenvalue",
     "danckwerts_eigenpair",
     "eval_phi",
@@ -89,13 +90,23 @@ def _general_norm(kappa: float, r: float, ell: float) -> float:
     )
 
 
+def robin_spectrum(n, params: TransportParams):
+    """lambda_n = (n pi/ell)^2 and squared norm (r^2 + lambda_n) ell / (2 lambda_n).
+
+    The oscillatory double-flux modes n >= 1, as arrays shaped as n; the
+    one place these formulas are written.
+    """
+    # float_power squares through libm's pow, as Python's float ** does;
+    # numpy's ** 2 multiplies, which differs in the last bit now and then
+    lam = np.float_power(n * np.pi / params.ell, 2)
+    return lam, (params.r * params.r + lam) * params.ell / (2.0 * lam)
+
+
 def robin_eigenpair(n: int, params: TransportParams) -> EigenPair:
     """Eigenpair of the double-flux family.
 
     n = 0 is the negative mode lambda_0 = -r^2 with phi_0 = e^{r x} and
-    squared norm (e^{2 r ell} - 1)/(2 r); n >= 1 gives
-    lambda_n = (n pi/ell)^2 with squared norm (r^2 + lambda_n) ell /
-    (2 lambda_n).
+    squared norm (e^{2 r ell} - 1)/(2 r); n >= 1 is `robin_spectrum`.
     """
     if n < 0:
         raise ParameterError("mode index must be nonnegative")
@@ -104,8 +115,7 @@ def robin_eigenpair(n: int, params: TransportParams) -> EigenPair:
         lam = -r * r
         norm = (np.exp(2.0 * r * ell) - 1.0) / (2.0 * r)
     else:
-        lam = (n * np.pi / ell) ** 2
-        norm = (r * r + lam) * ell / (2.0 * lam)
+        lam, norm = robin_spectrum(n, params)
     return EigenPair(n=n, lam=float(lam), norm=float(norm), kind=ROBIN)
 
 

@@ -59,10 +59,10 @@ from .model import (
 from .eigensystem import (
     DANCKWERTS,
     ROBIN,
-    EigenPair,
     danckwerts_eigenpair,
     inner_product,  # unused here; the benchmark traces series.inner_product
     robin_eigenpair,
+    robin_spectrum,
 )
 
 __all__ = [
@@ -101,8 +101,8 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.n_max < 1:
             raise ParameterError("n_max must be at least 1")
-        if self.tail_tol <= 0.0:
-            raise ParameterError("tail_tol must be positive")
+        if not 0.0 < self.tail_tol < np.inf:
+            raise ParameterError("tail_tol must be positive and finite")
 
 
 class SeriesSolution:
@@ -365,18 +365,21 @@ def _add_forcing(sol: SeriesSolution, T, steps, t_to, kernel, d, n_sh, own, n_ow
         T[:, cols] = T[:, cols] + inc.T
 
 
-def _mode_moments(pair: EigenPair, params) -> tuple:
-    """Closed-form integrals of {e^{-r x}, cos(pi x/ell), 1} against phi_n."""
+def _mode_moments(kind: str, lam: np.ndarray, params) -> np.ndarray:
+    """Closed-form integrals of {e^{-r x}, cos(pi x/ell), 1} against each phi_n.
+
+    Shape (3, modes), one column per eigenvalue in `lam`; for the Robin kind
+    column 0 is the negative mode phi_0 = e^{r x}.
+    """
     r, ell = params.r, params.ell
     p = np.pi / ell
-
-    if pair.kind == ROBIN and pair.n == 0:
-        Ie = ell
-        Ic = -r * (np.exp(r * ell) + 1.0) / (r * r + p * p)
-        I1 = (np.exp(r * ell) - 1.0) / r
-        return Ie, Ic, I1
-
-    kappa = np.sqrt(pair.lam)
+    out = np.empty((3, lam.size))
+    start = 0
+    if kind == ROBIN:
+        out[:, 0] = (ell, -r * (np.exp(r * ell) + 1.0) / (r * r + p * p),
+                     (np.exp(r * ell) - 1.0) / r)
+        start = 1
+    kappa = np.sqrt(lam[start:])
 
     def S(q):  # int_0^ell cos(q x) dx, stable through q = 0
         return ell * np.sinc(q * ell / np.pi)
@@ -385,15 +388,15 @@ def _mode_moments(pair: EigenPair, params) -> tuple:
         return 0.5 * ell * ell * q * np.sinc(q * ell / (2.0 * np.pi)) ** 2
 
     sin_l, cos_l = np.sin(kappa * ell), np.cos(kappa * ell)
-    Ie = (
+    out[0, start:] = (
         np.exp(-r * ell) * ((kappa - r * r / kappa) * sin_l - 2.0 * r * cos_l)
         + 2.0 * r
     ) / (r * r + kappa * kappa)
-    Ic = 0.5 * (S(p - kappa) + S(p + kappa)) + (r / kappa) * 0.5 * (
+    out[1, start:] = 0.5 * (S(p - kappa) + S(p + kappa)) + (r / kappa) * 0.5 * (
         V(kappa + p) + V(kappa - p)
     )
-    I1 = S(kappa) + (r / kappa) * V(kappa)
-    return float(Ie), float(Ic), float(I1)
+    out[2, start:] = S(kappa) + (r / kappa) * V(kappa)
+    return out
 
 
 def _settled(data: ProblemData, pieces: int, integrate, what: str):
@@ -534,11 +537,10 @@ def _tail_bound_core(p, kind: str, t0: float, ff: float, base_sq: float,
     e2st = np.exp(2.0 * s * t)
     norm_floor = 0.25 * ell if kind == DANCKWERTS else 0.5 * ell
     n = np.arange(N + 1, N + 2001)
-    # float_power squares through libm's pow, as Python's float ** does;
-    # numpy's ** 2 multiplies, which differs in the last bit now and then
-    lam = np.float_power(n * np.pi / ell, 2)
+    lam, norm = robin_spectrum(n, p)
     beta = dr * lam
-    norm = (r * r + lam) * ell / (2.0 * lam) if kind == ROBIN else norm_floor
+    if kind != ROBIN:
+        norm = norm_floor
     term1 = e2st * ff / (2.0 * (s + beta) * norm)
     term2 = np.exp(2.0 * beta * (t0 - t) + 2.0 * s * t0) * base_sq / norm
     # the window ends at the first term under the stop test; cumsum adds
@@ -761,7 +763,7 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
         )
 
     pairs = [pair_of(n) for n in range(N + 1)]
-    moments = np.array([_mode_moments(q, p) for q in pairs]).T  # (3, M)
+    moments = _mode_moments(kind, np.array([q.lam for q in pairs]), p)
 
     sol = SeriesSolution(
         data=data, lift_data=lift_data, kind=kind, policy=policy, t_end=t_end,

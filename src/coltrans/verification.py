@@ -49,9 +49,9 @@ class FdGrid:
 
     def __post_init__(self):
         if self.nx < 5:
-            raise ParameterError("nx must be at least 5")
+            raise ParameterError("FD grid nx must be at least 5")
         if self.nt < 1:
-            raise ParameterError("nt must be at least 1")
+            raise ParameterError("FD grid nt must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ def mass_balance(Cfun, data: ProblemData, t_end: float, *, times=None,
     return BalanceReport(times=times, residual=res, relative=rel, scale=scale)
 
 
-def mass_balance_fd(fdres: FdResult, t_end: float | None = None) -> BalanceReport:
+def mass_balance_fd(fdres: FdResult) -> BalanceReport:
     """Audit a finite-difference run on its own grid and time levels."""
     data = fdres.data
     p = data.params

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import coltrans
+from coltrans import TransportParams, danckwerts_eigenpair, robin_eigenpair
 from coltrans.cli import main
 
 BASE_INI = """\
@@ -178,6 +179,19 @@ def test_compare_outputs(tmp_path):
         assert (n * np.pi) ** 2 < lam_d < ((n + 1) * np.pi) ** 2
 
 
+def test_eigenvalues_are_the_solutions_own(tmp_path):
+    ini = write_ini(tmp_path, BASE_INI)
+    out = tmp_path / "res"
+    assert main(["compare-danckwerts", "--config", ini, "--out", str(out),
+                 "--quiet"]) == 0
+    _, eig = read_rows(out / "eigenvalues.csv")
+    p = TransportParams(R=1.0, D=0.1, v=1.0, mu=0.0, gamma=0.0, ell=1.0)
+    assert len(eig) == 41
+    for n, lam, lam_d in eig:
+        assert lam == robin_eigenpair(int(n), p).lam
+        assert lam_d == danckwerts_eigenpair(int(n), p).lam
+
+
 # -- chain --------------------------------------------------------------------
 
 CHAIN_INI = BASE_INI + """
@@ -250,6 +264,35 @@ def test_config_errors_exit_two(tmp_path, capsys):
     bad_flag = write_ini(tmp_path, BASE_INI, "f.ini")
     assert main(["solve", "--config", bad_flag, "--out", str(out),
                  "--nx", "1", "--quiet"]) == 2
+
+
+# each of these used to exit 0 with a PASS or FAIL line, exit 1 with a
+# numpy traceback, or exit 3 as a numeric failure
+@pytest.mark.parametrize("line", ["n_times = 0", "n_times = -1", "fd_nx = 3",
+                                  "fd_nt = 0", "balance_tol = -1",
+                                  "compare_tol = 0"])
+def test_out_of_range_verify_options_exit_two(tmp_path, capsys, line):
+    ini = write_ini(tmp_path, BASE_INI + f"\n[verify]\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["verify", "--config", ini, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [verify]: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# `args.x or cfg.x` used to drop a 0 and run on the file's value; a nan
+# tail tolerance passed the policy's check
+@pytest.mark.parametrize("flags", [["--modes", "0"], ["--nx", "0"], ["--nt", "0"],
+                                   ["--modes", "0", "--nx", "0"],
+                                   ["--tail-tol", "0"], ["--tail-tol", "nan"]])
+def test_out_of_range_flags_exit_two_and_write_nothing(tmp_path, capsys, flags):
+    ini = write_ini(tmp_path, BASE_INI)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", ini, "--out", str(out), "--quiet",
+                 *flags]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 def test_numeric_failures_exit_three(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Run-file loading: defaults for omitted sections, explicit overrides."""
 
-from coltrans import TruncationPolicy
-from coltrans.config import VerifyOptions, load_config
+from dataclasses import fields
+
+import pytest
+
+from coltrans import ConfigError, ParameterError, TruncationPolicy
+from coltrans.config import ChainOptions, RunConfig, VerifyOptions, load_config
 
 MINIMAL_INI = """\
 [params]
@@ -47,3 +51,39 @@ def test_explicit_sections_override_the_defaults(tmp_path):
     assert cfg.verify == VerifyOptions(fd_nx=101, fd_nt=200, balance_tol=1e-3,
                                        compare_tol=1e-2, n_times=9)
     assert cfg.out_dir == "results"
+
+
+def test_unset_sizes_take_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(MINIMAL_INI + "\n[exit]\nkind = computed\n"
+                    "\n[chain]\nlengths = 0.5 0.5\n")
+    cfg = load_config(path)
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    assert (cfg.nx, cfg.nt) == (defaults["nx"], defaults["nt"])
+    assert cfg.exit_n_grid == defaults["exit_n_grid"]
+    assert cfg.chain == ChainOptions(lengths=(0.5, 0.5))
+
+
+# (run-file line, what the message names): each of these used to load, and
+# then passed, failed or crashed at run time
+VERIFY_DEFECTS = [("n_times = 0", "n_times"), ("n_times = -1", "n_times"),
+                  ("fd_nx = 3", "nx"), ("fd_nt = 0", "nt"),
+                  ("balance_tol = -1", "balance_tol"),
+                  ("compare_tol = 0", "compare_tol")]
+
+
+@pytest.mark.parametrize("line, names", VERIFY_DEFECTS)
+def test_out_of_range_verify_options_are_config_errors(tmp_path, line, names):
+    path = tmp_path / "run.ini"
+    path.write_text(MINIMAL_INI + f"\n[verify]\n{line}\n")
+    with pytest.raises(ConfigError, match=r"^\[verify\]: .*" + names):
+        load_config(path)
+
+
+def test_verify_options_check_their_own_ranges():
+    VerifyOptions(fd_nx=5, fd_nt=1, n_times=1)
+    for bad in ({"fd_nx": 4}, {"fd_nx": 202}, {"fd_nt": 0}, {"n_times": 0},
+                {"balance_tol": 0.0}, {"compare_tol": float("nan")},
+                {"balance_tol": float("inf")}):
+        with pytest.raises(ParameterError):
+            VerifyOptions(**bad)

@@ -541,6 +541,60 @@ def test_tail_window_sums_as_the_term_loop(loaded_data, kind):
     assert 2000 in windows and len(windows) > 1   # full and broken-off windows
 
 
+def reference_mode_moments(pair, params):
+    """The per-mode scalar form of series._mode_moments, kept as its reference."""
+    r, ell = params.r, params.ell
+    p = np.pi / ell
+
+    if pair.kind == ROBIN and pair.n == 0:
+        Ie = ell
+        Ic = -r * (np.exp(r * ell) + 1.0) / (r * r + p * p)
+        I1 = (np.exp(r * ell) - 1.0) / r
+        return Ie, Ic, I1
+
+    kappa = np.sqrt(pair.lam)
+
+    def S(q):
+        return ell * np.sinc(q * ell / np.pi)
+
+    def V(q):
+        return 0.5 * ell * ell * q * np.sinc(q * ell / (2.0 * np.pi)) ** 2
+
+    sin_l, cos_l = np.sin(kappa * ell), np.cos(kappa * ell)
+    Ie = (
+        np.exp(-r * ell) * ((kappa - r * r / kappa) * sin_l - 2.0 * r * cos_l)
+        + 2.0 * r
+    ) / (r * r + kappa * kappa)
+    Ic = 0.5 * (S(p - kappa) + S(p + kappa)) + (r / kappa) * 0.5 * (
+        V(kappa + p) + V(kappa - p)
+    )
+    I1 = S(kappa) + (r / kappa) * V(kappa)
+    return float(Ie), float(Ic), float(I1)
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DANCKWERTS])
+def test_mode_moments_in_one_pass_match_the_per_mode_form(kind):
+    from coltrans import TransportParams
+    from coltrans.eigensystem import danckwerts_eigenpair
+    from coltrans.series import _mode_moments
+
+    pair_of = robin_eigenpair if kind == ROBIN else danckwerts_eigenpair
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        p = TransportParams(R=rng.uniform(0.5, 2.0), D=rng.uniform(0.05, 1.0),
+                            v=rng.uniform(0.1, 3.0), mu=rng.uniform(0.0, 1.0),
+                            gamma=0.0, ell=rng.uniform(0.2, 8.0))
+        pairs = [pair_of(n, p) for n in range(61)]
+        want = np.array([reference_mode_moments(q, p) for q in pairs]).T
+        got = _mode_moments(kind, np.array([q.lam for q in pairs]), p)
+        assert got.shape == want.shape == (3, 61)
+        if kind == ROBIN:
+            assert [_bits(v) for v in got.ravel()] == [_bits(v) for v in want.ravel()]
+        else:
+            scale = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
 # -- a-priori bounds ----------------------------------------------------------
 
 def test_coefficient_bound_contains_coefficient(loaded_solution):
@@ -698,6 +752,13 @@ def test_policy_validation():
         TruncationPolicy(n_max=0)
     with pytest.raises(ParameterError):
         TruncationPolicy(tail_tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_policy_refuses_a_tail_tolerance_that_is_not_a_number(tol):
+    # nan used to pass and reach the manifest as NaN; inf stopped at n = 8
+    with pytest.raises(ParameterError, match="tail_tol"):
+        TruncationPolicy(tail_tol=tol)
 
 
 def test_build_validation(smoke_data):
