@@ -39,7 +39,7 @@ from .errors import (
 from .eigensystem import robin_eigenpair  # unused; the benchmark traces it
 from .exitflux import HalfLineProblem, exit_concentration, resolve_exit
 from .model import ProblemData
-from .series import build_solution, eval_C
+from .series import _sorted_unique, build_solution, eval_C
 from .verification import (
     FdGrid,
     danckwerts_comparison,
@@ -153,7 +153,7 @@ def _cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
     fd = fd_solve(data, cfg.t_end, FdGrid(nx=vo.fd_nx, nt=vo.fd_nt))
 
     # pointwise comparison on the FD grid at a spread of time levels
-    levels = np.unique(np.linspace(1, fd.t.size - 1, 17).astype(int))
+    levels = _sorted_unique(np.floor(np.linspace(1, fd.t.size - 1, 17))).astype(int)
     diffs = eval_C(sol, fd.x, fd.t[levels]) - fd.C[levels]
     sup = float(np.max(np.abs(diffs)))
     sq = 0.0

@@ -34,12 +34,6 @@ __all__ = [
 ]
 
 
-def solve_banded(*args, **kwargs):
-    """scipy.linalg.solve_banded, imported on first call."""
-    from scipy.linalg import solve_banded
-    return solve_banded(*args, **kwargs)
-
-
 @dataclass(frozen=True)
 class FdGrid:
     """Space-time resolution of the Crank-Nicolson oracle."""
@@ -67,14 +61,16 @@ class FdResult:
         return self.C[k]
 
 
-def _operator_diagonals(data: ProblemData, h: float, nx: int, kind: str):
+def _operator_diagonals(data: ProblemData, h: float, nx: int, t: np.ndarray,
+                        kind: str):
     """Tridiagonal transport operator with ghost-node closures.
 
     The boundary rows eliminate the ghost values implied by second-order
     central differencing of v C - D C_x = v g (inlet) and, at the outlet,
     of v C - D C_x = v C_E for the Robin kind or of C_x = 0 for the
-    Danckwerts kind; the data enter through the affine pieces returned
-    separately.
+    Danckwerts kind.  The data enter through the affine loads, returned
+    for every instant of `t` at the inlet and outlet rows; every interior
+    row's load is gamma / R.
     """
     p = data.params
     dR = p.D / p.R
@@ -87,20 +83,90 @@ def _operator_diagonals(data: ProblemData, h: float, nx: int, kind: str):
     v2DR = p.v * p.v / (p.D * p.R)
     main[0] = -2.0 * dR / h**2 - p.mu / p.R - two_vRh - v2DR
     upper[0] = 2.0 * dR / h**2
+    gR = p.gamma / p.R
+    q_in = gR + np.asarray(data.g.eval(t), dtype=float) * (two_vRh + v2DR)
     if kind == ROBIN:
         main[-1] = -2.0 * dR / h**2 - p.mu / p.R + two_vRh - v2DR
+        cE = np.asarray(data.require_exit().eval(t), dtype=float)
+        q_out = gR + cE * (v2DR - two_vRh)
     else:
         main[-1] = -2.0 * dR / h**2 - p.mu / p.R
+        q_out = np.full(t.size, gR)
     lower[-1] = 2.0 * dR / h**2
+    return lower, main, upper, q_in, q_out
 
-    def load(t):
-        q = np.full(nx, p.gamma / p.R)
-        q[0] += float(data.g.eval(t)) * (two_vRh + v2DR)
-        if kind == ROBIN:
-            q[-1] += float(data.require_exit().eval(t)) * (v2DR - two_vRh)
-        return q
 
-    return lower, main, upper, load
+class _GtsvFactors(NamedTuple):
+    """LU factors of a tridiagonal matrix, rows interchanged as dgtsv does."""
+
+    fact: list   # multiplier of elimination step i, rows 0 .. n-2
+    swap: list   # whether step i interchanged rows i and i+1
+    d: list      # diagonal of U
+    du: list     # first superdiagonal of U
+    du2: list    # second superdiagonal of U: the fill of an interchange, else 0.0
+
+
+def _gtsv_factor(dl, d, du) -> _GtsvFactors:
+    """Factor the n x n tridiagonal matrix (dl, d, du), n >= 2, in dgtsv's order.
+
+    Gaussian elimination with partial pivoting: step i keeps its rows when
+    |d_i| >= |dl_i| and interchanges rows i and i+1 otherwise, which puts
+    a fill entry on the second superdiagonal.  The factors are lists of
+    Python floats, whose arithmetic is several times faster than numpy
+    scalars' in `_gtsv_solve`'s loops.
+    """
+    dl, d, du = (np.asarray(a, dtype=float).tolist() for a in (dl, d, du))
+    n = len(d)
+    fact, swap = [0.0] * (n - 1), [False] * (n - 1)
+    du2 = [0.0] * (n - 2)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise ParameterError(f"tridiagonal matrix is singular at row {i}")
+            fact[i] = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact[i] * du[i]
+        else:
+            fact[i] = d[i] / dl[i]
+            swap[i] = True
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact[i] * temp
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact[i] * du2[i]
+            du[i] = temp
+    if d[-1] == 0.0:
+        raise ParameterError(f"tridiagonal matrix is singular at row {n - 1}")
+    return _GtsvFactors(fact, swap, d, du, du2)
+
+
+def _gtsv_solve(lu: _GtsvFactors, b: list) -> list:
+    """Solve with the factors of `_gtsv_factor`, in dgtsv's operation order.
+
+    The forward sweep repeats the factorization's interchanges and
+    eliminations on b; the back substitution computes
+    x_i = (y_i - du_i x_{i+1} - du2_i x_{i+2}) / d_i from the last row up.
+    """
+    y = []
+    push = y.append
+    c = b[0]   # the row that the next elimination step pivots on
+    for m, s, bn in zip(lu.fact, lu.swap, b[1:]):
+        if s:
+            push(bn)
+            c = c - m * bn
+        else:
+            push(c)
+            c = bn - m * c
+    d, du, du2 = lu.d, lu.du, lu.du2
+    x2 = c / d[-1]
+    x1 = (y[-1] - du[-1] * x2) / d[-2]
+    x = [x2, x1]
+    for yi, di, ui, wi in zip(reversed(y[:-1]), reversed(d[:-2]),
+                              reversed(du[:-1]), reversed(du2)):
+        x1, x2 = (yi - ui * x1 - wi * x2) / di, x1
+        x.append(x1)
+    x.reverse()
+    return x
 
 
 def fd_solve(data: ProblemData, t_end: float, grid: FdGrid = FdGrid(),
@@ -110,6 +176,12 @@ def fd_solve(data: ProblemData, t_end: float, grid: FdGrid = FdGrid(),
     `kind` picks the outlet closure as in `build_solution`: the flux
     condition with the resolved exit curve (ROBIN), or the zero gradient
     C_x(ell, t) = 0 (DANCKWERTS), which needs no exit curve.
+
+    The constant matrix I - (dt/2) A is factored once and each step's
+    system is solved with those factors, in the operation order of LAPACK
+    dgtsv (row interchanges included).  That order keeps every value bit
+    for bit what a banded LAPACK solve of the same systems gives, so the
+    oracle needs no scipy and its outputs do not move.
     """
     if kind not in (ROBIN, DANCKWERTS):
         raise ParameterError(f"unknown outlet closure {kind!r}")
@@ -125,27 +197,27 @@ def fd_solve(data: ProblemData, t_end: float, grid: FdGrid = FdGrid(),
     t = np.linspace(data.t0, t_end, nt + 1)
     dt = t[1] - t[0]
 
-    lower, main, upper, load = _operator_diagonals(data, h, nx, kind)
+    lower, main, upper, q_in, q_out = _operator_diagonals(data, h, nx, t, kind)
+    lu = _gtsv_factor(-0.5 * dt * lower, 1.0 - 0.5 * dt * main,
+                      -0.5 * dt * upper)
 
-    # banded forms of I -/+ (dt/2) A for solve_banded
-    ab = np.zeros((3, nx))
-    ab[0, 1:] = -0.5 * dt * upper
-    ab[1, :] = 1.0 - 0.5 * dt * main
-    ab[2, :-1] = -0.5 * dt * lower
+    # q_k + q_{k+1} of each step; the interior rows' sum never changes
+    gR = p.gamma / p.R
+    q = np.full(nx, gR + gR)
+    q_in = q_in[:-1] + q_in[1:]
+    q_out = q_out[:-1] + q_out[1:]
 
     C = np.empty((nt + 1, nx))
     C[0] = np.asarray(data.phi.eval(x), dtype=float)
-    q_prev = load(t[0])
     for k in range(nt):
         ck = C[k]
         rhs = ck.copy()
         rhs += 0.5 * dt * (main * ck)
         rhs[:-1] += 0.5 * dt * upper * ck[1:]
         rhs[1:] += 0.5 * dt * lower * ck[:-1]
-        q_next = load(t[k + 1])
-        rhs += 0.5 * dt * (q_prev + q_next)
-        C[k + 1] = solve_banded((1, 1), ab, rhs)
-        q_prev = q_next
+        q[0], q[-1] = q_in[k], q_out[k]
+        rhs += 0.5 * dt * q
+        C[k + 1] = _gtsv_solve(lu, rhs.tolist())
     return FdResult(x=x, t=t, C=C, data=data)
 
 
@@ -231,14 +303,14 @@ def mass_balance(Cfun, data: ProblemData, t_end: float, *, times=None,
     instants = times[:, None] + np.array([-2, -1, 0, 1, 2])[None, :] * ht
     conc = np.asarray(Cfun(xs, instants.ravel()), dtype=float)
     conc = conc.reshape(times.size, 5, nx)
+    g_in = p.v * np.asarray(data.g.eval(times), dtype=float)
+    g_out = p.v * np.asarray(data.require_exit().eval(times), dtype=float)
     res = np.empty(times.size)
     scales = np.empty(times.size)
-    for i, t in enumerate(times):
+    for i, (gin, gout) in enumerate(zip(g_in.tolist(), g_out.tolist())):
         m = [float(w @ conc[i, k]) for k in (0, 1, 3, 4)]
         dm = (m[0] - 8.0 * m[1] + 8.0 * m[2] - m[3]) / (12.0 * ht)
         source = float(w @ (p.gamma - p.mu * conc[i, 2]))
-        gin = p.v * float(data.g.eval(t))
-        gout = p.v * float(data.require_exit().eval(t))
         res[i] = p.R * dm - gin + gout - source
         scales[i] = max(abs(p.R * dm), abs(gin), abs(gout), abs(source))
     scale = float(np.max(scales, initial=0.0))

@@ -7,6 +7,7 @@ import pytest
 
 from coltrans import (
     DANCKWERTS,
+    ROBIN,
     FdGrid,
     ParameterError,
     ProblemData,
@@ -80,6 +81,117 @@ def test_fd_convergence_order():
     order, e1, e2 = fd_convergence_order(data, 2.0)
     assert e1 > e2 > 0.0
     assert 1.8 < order < 2.2
+
+
+def reference_fd_solve(data, t_end, grid, kind):
+    """fd_solve as a per-step scipy.linalg.solve_banded loop with scalar loads."""
+    from scipy.linalg import solve_banded
+    from coltrans.verification import _operator_diagonals
+
+    p = data.params
+    nx, nt = grid.nx, grid.nt
+    x = np.linspace(0.0, p.ell, nx)
+    h = x[1] - x[0]
+    t = np.linspace(data.t0, float(t_end), nt + 1)
+    dt = t[1] - t[0]
+    lower, main, upper, _, _ = _operator_diagonals(data, h, nx, t, kind)
+    two_vRh = 2.0 * p.v / (p.R * h)
+    v2DR = p.v * p.v / (p.D * p.R)
+
+    def load(t):
+        q = np.full(nx, p.gamma / p.R)
+        q[0] += float(data.g.eval(t)) * (two_vRh + v2DR)
+        if kind == ROBIN:
+            q[-1] += float(data.require_exit().eval(t)) * (v2DR - two_vRh)
+        return q
+
+    ab = np.zeros((3, nx))
+    ab[0, 1:] = -0.5 * dt * upper
+    ab[1, :] = 1.0 - 0.5 * dt * main
+    ab[2, :-1] = -0.5 * dt * lower
+    C = np.empty((nt + 1, nx))
+    C[0] = np.asarray(data.phi.eval(x), dtype=float)
+    q_prev = load(t[0])
+    for k in range(nt):
+        ck = C[k]
+        rhs = ck.copy()
+        rhs += 0.5 * dt * (main * ck)
+        rhs[:-1] += 0.5 * dt * upper * ck[1:]
+        rhs[1:] += 0.5 * dt * lower * ck[:-1]
+        q_next = load(t[k + 1])
+        rhs += 0.5 * dt * (q_prev + q_next)
+        C[k + 1] = solve_banded((1, 1), ab, rhs)
+        q_prev = q_next
+    return C
+
+
+def coarse_peclet_data(D, mu=0.0, gamma=0.0):
+    """A column whose coarse grids make dgtsv interchange interior rows."""
+    return make_data(D=D, mu=mu, gamma=gamma, phi=INITIAL_PULSE,
+                     g=SmoothFn.smooth_pulse(0.1, 0.9, 1.0, ramp=0.15),
+                     exit=SmoothFn.exp_pulse(level=0.8, center=1.2, width=0.5))
+
+
+def readme_data():
+    """The README column: pulse inlet, exit computed on a 512-point grid."""
+    data = make_data(g=SmoothFn.smooth_pulse(0.1, 0.6, 1.0))
+    return resolve_exit(data, 2.0, n_grid=512)
+
+
+@pytest.mark.parametrize("case", [
+    "loaded-robin", "loaded-danckwerts", "readme", "d0.01-nx5", "d0.01-nx9",
+    "d0.02-nx11",
+])
+def test_fd_solve_matches_lapack_gtsv(case, request):
+    """Bit for bit the values of a banded LAPACK solve of every step."""
+    data, t_end, grid, kind = {
+        "loaded-robin": lambda: (request.getfixturevalue("loaded_data"), 2.5,
+                                 FdGrid(nx=201, nt=400), ROBIN),
+        "loaded-danckwerts": lambda: (request.getfixturevalue("loaded_data"), 2.5,
+                                      FdGrid(nx=201, nt=400), DANCKWERTS),
+        "readme": lambda: (readme_data(), 2.0, FdGrid(nx=65, nt=64), ROBIN),
+        # dgtsv interchanges rows 1-2 and rows 1-3 on these two grids
+        "d0.01-nx5": lambda: (coarse_peclet_data(0.01), 10.0,
+                              FdGrid(nx=5, nt=1), ROBIN),
+        "d0.01-nx9": lambda: (coarse_peclet_data(0.01), 4.0,
+                              FdGrid(nx=9, nt=2), ROBIN),
+        # gamma / R = 0.7 is no power of two, so the loads' sum order shows
+        "d0.02-nx11": lambda: (coarse_peclet_data(0.02, mu=0.2, gamma=0.7), 2.0,
+                               FdGrid(nx=11, nt=4), ROBIN),
+    }[case]()
+    got = fd_solve(data, t_end, grid, kind=kind).C
+    assert np.array_equal(got, reference_fd_solve(data, t_end, grid, kind))
+
+
+@pytest.mark.parametrize("dominant", [True, False])
+def test_gtsv_factors_match_solve_banded(dominant):
+    from scipy.linalg import solve_banded
+    from coltrans.verification import _gtsv_factor, _gtsv_solve
+
+    rng = np.random.default_rng(7)
+    swapped = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        dl, du = rng.uniform(-1.0, 1.0, size=(2, n - 1))
+        if dominant:
+            d = rng.choice([-1.0, 1.0], size=n) * rng.uniform(2.0, 3.0, size=n)
+        else:
+            d = rng.normal(size=n)
+        b = rng.normal(size=n)
+        ab = np.zeros((3, n))
+        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+        lu = _gtsv_factor(dl, d, du)
+        swapped += any(lu.swap)
+        got = np.array(_gtsv_solve(lu, b.tolist()))
+        assert got.tobytes() == solve_banded((1, 1), ab, b).tobytes()
+    assert (swapped == 0) == dominant
+
+
+def test_singular_tridiagonal_is_refused():
+    from coltrans.verification import _gtsv_factor
+
+    with pytest.raises(ParameterError, match="singular"):
+        _gtsv_factor([0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0])
 
 
 # -- balance audits -----------------------------------------------------------
