@@ -25,9 +25,11 @@ which the stiffest kernel varies by at most e^4, then [2^e, 2^(e+1)] below
 the step's width, then one coarse panel up to the width; a data knot inside
 a step splits the panel that holds it.  The kernels of the full lattice
 panels are the same for every step, so a march makes them once.  The same
-12-point rule projects the initial data on all modes and gives the
-base-square integral behind the coefficient bounds, so no build calls
-QUADPACK.
+12-point rule, on panels of equal width between the knots of phi, gives
+the base-square integral behind the coefficient bounds and projects the
+initial data on all modes, so no build calls QUADPACK.  The projection
+takes cos and sin of kappa_n x by angle addition, from one value per panel
+and twelve per run of equal panels, in place of one per node.
 
 The time axis is batched: `_march` advances many steps per call, each
 summed by its own products, in passes of at most `_PASS` nodes and blocks
@@ -85,7 +87,7 @@ __all__ = [
 # far more accuracy than the 1e-10 time-integration target.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _MAX_EXP = 700.0  # doubles overflow just above e^709
-_CHUNK = 128  # nodes per (nodes x modes) block of the T0 projection: ~200 KB
+_PANELS = 1 << 13  # panels x modes per block of the T0 projection: 64 KB
 _BLOCK = 1 << 15  # modes x nodes per block of the batched march: 256 KB
 _PASS = 1 << 11   # nodes per pass of the march's forcing weights: 16 KB
 _POINTS = 1 << 13  # instants x points per block of the evaluator: 64 KB
@@ -110,8 +112,9 @@ class SeriesSolution:
 
     All arrays are index-aligned with `pairs`.  Both summations start at
     n = 0: the negative mode for Robin, the slow tangent-equation root
-    below pi/ell for Danckwerts.  `build_solution` then sets `T0` and the
-    dense march through the evaluator's own `_phi_matrices` and `_march`.
+    below pi/ell for Danckwerts.  `build_solution` then sets `T0`, with
+    the evaluator's own form of phi_n (`_phi_combine`), and the dense march
+    through the evaluator's own `_march`.
     Instances are safe to share across threads once built: evaluation only
     replaces a one-entry memo, the latest (t, T) pair, in one assignment.
     """
@@ -400,29 +403,87 @@ def _mode_moments(kind: str, lam: np.ndarray, params) -> np.ndarray:
 
 
 def _settled(data: ProblemData, pieces: int, integrate, what: str):
-    """integrate(x, wts) on 12-point panels over [0, ell], settled by halving.
+    """integrate(lo, hi, half) on 12-point panels over [0, ell], settled by halving.
 
-    The panels start `pieces` to the column, cut at phi's knots, and are
-    halved until two passes agree to 1e-10 max(1, |value|) in every entry;
-    QuadratureError after 8 halvings.
+    Each gap between phi's interior knots is cut into equal panels, as many
+    as `pieces` times its share of ell (at least one), so a knot-free phi is
+    cut at np.linspace(0, ell, pieces + 1).  lo and hi are the panel edges,
+    `half` each panel's nominal half-width, one value across a gap.  The
+    panels are halved until two passes agree to 1e-10 max(1, |value|) in
+    every entry; QuadratureError after 8 halvings.
     """
     p = data.params
     inner = [k for k in data.phi.knots if 0.0 < k < p.ell]
-    cuts = _sorted_unique(np.r_[np.linspace(0.0, p.ell, pieces + 1), inner])
+    ends = _sorted_unique(np.r_[0.0, inner, p.ell])
+    gaps = np.diff(ends)
+    counts = np.maximum(np.ceil(gaps / p.ell * pieces), 1.0).astype(int)
+    cuts = np.concatenate([np.linspace(a, b, k + 1)[:-1] for a, b, k
+                           in zip(ends[:-1], ends[1:], counts)] + [[p.ell]])
+    half = np.repeat(0.5 * gaps / counts, counts)
     prev = None
     for _ in range(9):  # one pass, then at most 8 halvings
-        val = integrate(*_gl_nodes(cuts[:-1], cuts[1:]))
+        val = integrate(cuts[:-1], cuts[1:], half)
         tol = 1e-10 * np.maximum(1.0, np.abs(val))
         if prev is not None and np.all(np.abs(val - prev) <= tol):
             return val
         prev, cuts = val, np.sort(np.r_[cuts, 0.5 * (cuts[1:] + cuts[:-1])])
+        half = np.repeat(0.5 * half, 2)
     raise QuadratureError(f"{what} did not settle after 8 halvings")
+
+
+def _split(a):
+    """Dekker's split a = hi + lo into halves of 26 bits: products of halves are exact."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _projected(sol: SeriesSolution, lo, hi, half) -> np.ndarray:
+    """The 12-point sums of e^{-r x} phi(x) phi_n(x) on the panels, every mode.
+
+    A node is x = m + half xi_j, m the panel's midpoint, so by angle addition
+    cos and sin of kappa_n x come from those of kappa_n m, one per panel, and
+    of kappa_n half xi_j, one per node of a run of equal half-widths: each
+    panel's node sums are the products f @ cos and f @ sin of its run's
+    node phases, taken in blocks of at most `_PANELS` panels x modes and
+    added up panel by panel, in the same order whatever the block.  The
+    rounding error of kappa_n m is found exactly (Dekker's product) and
+    added to the phase, since it is shared by the panel's 12 nodes.  The
+    Robin n = 0 mode e^{r x} is summed node by node.
+    """
+    data = sol.lift_data
+    r = data.params.r
+    kap = _kappas(sol)
+    kh, kl = _split(kap)
+    mids = 0.5 * (hi + lo)
+    mh, ml = _split(mids[:, None])
+    x = mids[:, None] + half[:, None] * _GL_X
+    f = half[:, None] * _GL_W * np.exp(-r * x) * data.phi.eval(x)
+    sums = np.zeros((1, 2, kap.size))  # running sums of the cos and sin parts
+    step = max(1, _PANELS // kap.size)
+    runs = np.r_[0, np.flatnonzero(np.diff(half)) + 1, half.size]
+    for a, b in zip(runs[:-1], runs[1:]):
+        node = (half[a] * _GL_X)[:, None] * kap
+        c_node, s_node = np.cos(node), np.sin(node)
+        for i in range(a, b, step):
+            j = min(i + step, b)
+            arg = mids[i:j, None] * kap
+            err = ((mh[i:j] * kh - arg) + mh[i:j] * kl + ml[i:j] * kh) + ml[i:j] * kl
+            c_mid, s_mid = np.cos(arg), np.sin(arg, out=arg)
+            c_mid, s_mid = c_mid - err * s_mid, s_mid + err * c_mid
+            C, S = f[i:j] @ c_node, f[i:j] @ s_node
+            part = np.stack((c_mid * C - s_mid * S, s_mid * C + c_mid * S), axis=1)
+            part[0] += sums[-1]
+            sums = np.add.accumulate(part, axis=0, out=part)
+    e = f.ravel() @ np.exp(r * x.ravel()) if sol.kind == ROBIN else None
+    return _phi_combine(sol, e, *sums[-1])
 
 
 def _initial_coefficients(sol: SeriesSolution) -> np.ndarray:
     """All T_n(t0) = <w(., t0), phi_n> / <phi_n, phi_n>, H(., t0) by moments.
 
-    e^{-r x} phi is projected by `_settled` from the fastest mode's half-waves.
+    e^{-r x} phi is projected by `_settled` and `_projected` on panels as
+    fine as the fastest mode's half-waves; a constant phi by its moments.
     """
     data = sol.lift_data
     p = data.params
@@ -431,13 +492,9 @@ def _initial_coefficients(sol: SeriesSolution) -> np.ndarray:
     if data.phi.const_value is not None:
         phi_part = data.phi.const_value * Ie
     else:
-        def project(x, wts):
-            f = wts * np.exp(-p.r * x) * data.phi.eval(x)
-            return sum(f[i:i + _CHUNK] @ _phi_matrices(sol, x[i:i + _CHUNK])[0]
-                       for i in range(0, x.size, _CHUNK))
-
         pieces = int(np.ceil(p.ell * np.sqrt(sol.lam[-1]) / np.pi))
-        phi_part = _settled(data, pieces, project, "initial projection")
+        phi_part = _settled(data, pieces, lambda lo, hi, half:
+                            _projected(sol, lo, hi, half), "initial projection")
     # H(x, t0) = (g0 + c0) + (g0 - c0) cos(pi x / ell)
     raw = phi_part - (g0 + c0) * I1 - (g0 - c0) * Ic
     return np.exp(p.s * data.t0) * raw / sol.norms
@@ -476,7 +533,8 @@ def _base_sq_integral(data: ProblemData, pieces: int) -> float:
     """
     p = data.params
 
-    def square(x, wts):
+    def square(lo, hi, _half):
+        x, wts = _gl_nodes(lo, hi)
         H0, _, _ = lift_H(data, x, data.t0)
         return wts @ (np.exp(-p.r * x) * data.phi.eval(x) - H0) ** 2
 
@@ -589,23 +647,41 @@ def coefficient(sol: SeriesSolution, n: int, t: float) -> float:
     return float(sol.coefficients(t)[sol._pos(n)])
 
 
+def _kappas(sol: SeriesSolution) -> np.ndarray:
+    """kappa_n = sqrt(lambda_n) of the cos-sin modes: all but the Robin n = 0."""
+    return np.sqrt(sol.lam[1:] if sol.kind == ROBIN else sol.lam)
+
+
+def _phi_combine(sol: SeriesSolution, e, co, si) -> np.ndarray:
+    """phi_n from its parts, modes on the last axis.
+
+    e stands for e^{r x}, the Robin n = 0 mode (None for Danckwerts); co and
+    si for cos(kappa_n x) and sin(kappa_n x), which make cos + (r / kappa_n) sin.
+    Linear in the parts, so sums of them give sums of phi_n.
+    """
+    r = sol.data.params.r
+    kap = _kappas(sol)
+    out = np.empty(np.shape(co)[:-1] + (len(sol.pairs),))
+    start = out.shape[-1] - kap.size
+    if start:
+        out[..., 0] = e
+    out[..., start:] = co + (r / kap) * si
+    return out
+
+
 def _phi_matrices(sol: SeriesSolution, x):
     p = sol.data.params
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    M = len(sol.pairs)
-    vals = np.empty((x.size, M))
-    ders = np.empty((x.size, M))
-    start = 0
-    if sol.kind == ROBIN:
-        e = np.exp(p.r * x)
-        vals[:, 0] = e
-        ders[:, 0] = p.r * e
-        start = 1
-    kap = np.sqrt(sol.lam[start:])
+    kap = _kappas(sol)
+    e = np.exp(p.r * x) if sol.kind == ROBIN else None
     arg = x[:, None] * kap[None, :]
     co = np.cos(arg)
     si = np.sin(arg, out=arg)  # arg is spent: one nodes x modes array less
-    vals[:, start:] = co + (p.r / kap)[None, :] * si
+    vals = _phi_combine(sol, e, co, si)
+    ders = np.empty_like(vals)
+    start = vals.shape[1] - kap.size
+    if start:
+        ders[:, 0] = p.r * e
     ders[:, start:] = -kap[None, :] * si + p.r * co
     return vals, ders
 

@@ -270,6 +270,113 @@ def test_undeclared_jump_in_phi_is_refused():
                - reference_initial_coefficient(sol, 7)) <= 1e-13
 
 
+def direct_initial_coefficients(sol, monkeypatch):
+    """T0 with each panel's node sums taken as f @ _phi_matrices(x) directly,
+    on the factored rule's own nodes x = m + half xi_j and settle loop."""
+    import coltrans.series as series
+
+    data = sol.lift_data
+    r = data.params.r
+
+    def direct(sol, lo, hi, half):
+        x = (0.5 * (hi + lo))[:, None] + half[:, None] * series._GL_X
+        f = half[:, None] * series._GL_W * np.exp(-r * x) * data.phi.eval(x)
+        return f.ravel() @ series._phi_matrices(sol, x.ravel())[0]
+
+    with monkeypatch.context() as m:
+        m.setattr(series, "_projected", direct)
+        return series._initial_coefficients(sol)
+
+
+@pytest.mark.parametrize("n_max", [200, 800])
+@pytest.mark.parametrize("kind", [ROBIN, DANCKWERTS])
+@pytest.mark.parametrize("case", ["loaded", "table-256-knots"])
+def test_factored_projection_matches_the_direct_product(case, kind, n_max,
+                                                        monkeypatch):
+    phi = _PROJECTION_CASES[case][0]
+    sol = build_solution(loaded_variant(phi), TruncationPolicy(n_max=n_max),
+                         2.5, kind=kind)
+    want = direct_initial_coefficients(sol, monkeypatch)
+    assert np.max(np.abs(sol.T0 - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def recorded_panels(data, pieces):
+    """The (lo, hi, half) of the first pass of `_settled`."""
+    import coltrans.series as series
+
+    passes = []
+    series._settled(data, pieces,
+                    lambda *panels: passes.append(panels) or np.zeros(1), "test")
+    return passes[0]
+
+
+def test_knot_free_phi_keeps_the_linspace_cuts(loaded_data):
+    import coltrans.series as series
+
+    p, pieces = loaded_data.params, 160
+    lo, hi, half = recorded_panels(loaded_data, pieces)
+    assert _bits(np.r_[lo, hi[-1]]) == _bits(np.linspace(0.0, p.ell, pieces + 1))
+    assert _bits(half) == _bits(np.full(pieces, 0.5 * p.ell / pieces))
+    # the base-square integral equals the flat-node value of the halving loop
+    cuts, prev = np.linspace(0.0, p.ell, pieces + 1), None
+    while True:
+        x, wts = series._gl_nodes(cuts[:-1], cuts[1:])
+        H0 = lift_H(loaded_data, x, loaded_data.t0)[0]
+        val = wts @ (np.exp(-p.r * x) * loaded_data.phi.eval(x) - H0) ** 2
+        if prev is not None and abs(val - prev) <= 1e-10 * max(1.0, abs(val)):
+            break
+        prev, cuts = val, np.sort(np.r_[cuts, 0.5 * (cuts[1:] + cuts[:-1])])
+    sol = build_solution(loaded_data, TruncationPolicy(n_max=pieces), 2.5)
+    assert _bits(sol._base_sq) == _bits(val)
+
+
+def test_knotted_phi_gets_equal_panels_between_its_knots():
+    knots = (0.3137, 0.35, 0.9)
+    data = loaded_variant(SmoothFn.from_callable(_LOADED_PHI.eval,
+                                                 _LOADED_PHI.deriv, knots))
+    ell, pieces = data.params.ell, 40
+    lo, hi, half = recorded_panels(data, pieces)
+    ends = np.r_[0.0, knots, ell]
+    assert _bits(np.r_[lo, hi[-1]][np.isin(np.r_[lo, hi[-1]], ends)]) == _bits(ends)
+    for a, b in zip(ends[:-1], ends[1:]):
+        inside = (lo >= a) & (hi <= b)
+        count = int(np.ceil((b - a) / ell * pieces))
+        assert inside.sum() == count
+        assert np.all(half[inside] == 0.5 * (b - a) / count)
+        assert np.allclose(hi[inside] - lo[inside], (b - a) / count,
+                           rtol=0.0, atol=1e-15)
+    assert np.all(lo[1:] == hi[:-1])
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DANCKWERTS])
+def test_knots_a_hair_apart_give_a_finite_projection(kind):
+    knots = (0.61, 0.61 + 1e-12)
+    data = loaded_variant(SmoothFn.from_callable(_LOADED_PHI.eval,
+                                                 _LOADED_PHI.deriv, knots))
+    sol = build_solution(data, TruncationPolicy(n_max=40), 2.5, kind=kind)
+    lo, hi, _ = recorded_panels(data, 40)
+    assert np.any(hi - lo < 2e-12)  # the hair is a panel of its own
+    assert np.all(np.isfinite(sol.T0))
+    for n in (0, 1, 7, 23, 40):
+        assert abs(initial_coefficient(sol, n)
+                   - reference_initial_coefficient(sol, n)) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["loaded", "table-256-knots"])
+def test_projection_is_independent_of_the_panel_block_size(case, monkeypatch):
+    import coltrans.series as series
+
+    phi, n_max = _PROJECTION_CASES[case][:2]
+    sol = build_solution(loaded_variant(phi), TruncationPolicy(n_max=n_max), 2.5)
+    monkeypatch.setattr(series, "_PANELS", 1)  # one panel per block
+    one = series._initial_coefficients(sol)
+    monkeypatch.setattr(series, "_PANELS", 1 << 40)  # every panel in one block
+    every = series._initial_coefficients(sol)
+    scale = np.max(np.abs(sol.T0))
+    assert np.max(np.abs(one - sol.T0)) <= 1e-15 * scale
+    assert np.max(np.abs(every - sol.T0)) <= 1e-15 * scale
+
+
 # -- coefficient evolution ----------------------------------------------------
 
 def test_coefficient_against_ivp_oracle(loaded_data, loaded_solution):
