@@ -28,6 +28,10 @@ only` when only one checkout writes the file):
 
     python3 scripts/output_digest.py --against ../parent
 
+With `--against` the exit status is 1 when any file reads `text differs`
+or `on one side only`, so the comparison can serve as a gate; it is 0
+when every file is identical or differs in its numbers only.
+
 `--root` names the checkout whose `src/` is run; the run files always come
 from this checkout's `perfbench/workloads.py`, which is only read.
 """
@@ -51,6 +55,9 @@ CHAIN = {"pulse-solve": "\n[chain]\nlengths = 0.5 0.5\n"}
 
 # a decimal number, split out of the text around it
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+# `difference` verdicts that no rounding explains: --against exits 1 on them
+MISMATCH = ("text differs", "on one side only")
 
 
 def parse_args(argv):
@@ -114,16 +121,18 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         files = outputs(Path(args.root).resolve(), names, tmp / "new")
+        status = 0
         if args.against is None:
             lines = [f"{hashlib.sha256(data).hexdigest()}  {key}"
                      for key, data in files.items()]
         else:
             ref = outputs(Path(args.against).resolve(), names, tmp / "old")
             keys = list(ref) + [key for key in files if key not in ref]
-            lines = [f"{difference(ref.get(key), files.get(key))}  {key}"
-                     for key in keys]
+            verdicts = [difference(ref.get(key), files.get(key)) for key in keys]
+            lines = [f"{verdict}  {key}" for verdict, key in zip(verdicts, keys)]
+            status = int(any(verdict in MISMATCH for verdict in verdicts))
     print("\n".join(lines))
-    return 0
+    return status
 
 
 if __name__ == "__main__":

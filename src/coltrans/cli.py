@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -51,6 +52,8 @@ from .verification import (
 )
 
 __all__ = ["main"]
+
+_CSV_ROWS = 1024  # rows per formatted block of a CSV file
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,10 +93,18 @@ def _write_json(path: Path, payload: dict):
 
 
 def _write_csv(path: Path, header: str, rows):
+    """header, then each row's cells as %.17g, comma-separated.
+
+    Rows are taken in blocks of `_CSV_ROWS` and each block is one
+    %-format of its lines, written at once, so memory stays bounded.
+    """
+    rows = iter(rows)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{float(c):.17g}" for c in row) + "\n")
+        while block := list(itertools.islice(rows, _CSV_ROWS)):
+            cells = np.asarray(block, dtype=float)
+            line = ",".join(["%.17g"] * cells.shape[1]) + "\n"
+            fh.write(line * len(block) % tuple(cells.ravel().tolist()))
 
 
 def _say(quiet: bool, msg: str):

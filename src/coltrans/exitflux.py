@@ -147,13 +147,15 @@ class HalfLineProblem:
     gm: float                       # equilibrium level gamma/mu (0 if gamma = 0)
     phi_flux: Callable              # phi - (D/v) phi', extended past the column
     zeta_knots: tuple               # kinks of phi_flux, for quadrature splits
+    at_rest: bool = False           # phi is the constant gm, so Phi is 0
 
     @classmethod
     def from_data(cls, data: ProblemData) -> "HalfLineProblem":
         gm = _equilibrium_level(data.params)
         flux_state, knots = _extended_flux_state(data)
         return cls(params=data.params, t0=data.t0, g=data.g, gm=gm,
-                   phi_flux=flux_state, zeta_knots=knots)
+                   phi_flux=flux_state, zeta_knots=knots,
+                   at_rest=data.phi.const_value == gm)
 
     def initial_scaled(self, x):
         """Phi e^{-s t0}: the initial heat state without the e^{s t0} factor."""
@@ -286,7 +288,13 @@ def _boundary_part(params: TransportParams, g: SmoothFn, gm: float, x: float,
 
 
 def _u_scaled(hp: HalfLineProblem, x: float, ts, tol: float):
-    """u(x, t) e^{-s t} at each instant of the 1-D array ts."""
+    """u(x, t) e^{-s t} at each instant of the 1-D array ts.
+
+    Past t0 and inside the half line this is the initial part plus the
+    Duhamel part.  A problem `at_rest` (phi the constant gamma/mu, as in a
+    clean column without production) has Phi = 0, so its initial part is
+    exactly 0.0 and is not integrated; every other phi is.
+    """
     if not np.all(ts >= hp.t0):
         raise ParameterError("t precedes t0")
     out = np.empty(ts.shape)
@@ -296,9 +304,10 @@ def _u_scaled(hp: HalfLineProblem, x: float, ts, tol: float):
     if x == 0.0:
         out[~start] = hp.boundary_scaled(later, later)
     elif later.size:
-        out[~start] = (_initial_part(hp, x, later, tol)
-                       + _boundary_part(hp.params, hp.g, hp.gm, x, hp.t0,
-                                        later, tol))
+        part = _boundary_part(hp.params, hp.g, hp.gm, x, hp.t0, later, tol)
+        if not hp.at_rest:
+            part = _initial_part(hp, x, later, tol) + part
+        out[~start] = part
     return out
 
 

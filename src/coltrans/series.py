@@ -34,8 +34,12 @@ and twelve per run of equal panels, in place of one per node.
 The time axis is batched: `_march` advances many steps per call, each
 summed by its own products, in passes of at most `_PASS` nodes and blocks
 of whole steps of at most `_BLOCK` modes x nodes.  The build marches every
-dense-grid step in one call, and the coefficients and evaluators take an
-array of instants and march them all at once.  Every evaluator maps back
+step of its dense grid in one call.  That grid (`_dense_grid`) holds every
+knot of the inlet and exit data and cuts each gap between them into equal
+steps of about (t_end - t0)/512, so a computed exit, a table on 512
+instants, is marched one table interval per step.  The coefficients and
+evaluators take an array of instants and march them all at once, each
+from the dense instant at or before it.  Every evaluator maps back
 to C through one helper, `_evaluate`, which calls `model.invert`; C(x, t)
 on a grid is one call, `eval_C(sol, xs, ts)`, with one row per instant.
 """
@@ -91,6 +95,7 @@ _PANELS = 1 << 13  # panels x modes per block of the T0 projection: 64 KB
 _BLOCK = 1 << 15  # modes x nodes per block of the batched march: 256 KB
 _PASS = 1 << 11   # nodes per pass of the march's forcing weights: 16 KB
 _POINTS = 1 << 13  # instants x points per block of the evaluator: 64 KB
+_DENSE_STEPS = 512  # the build marches steps of about (t_end - t0) / 512
 
 
 @dataclass(frozen=True)
@@ -196,6 +201,24 @@ def _knots_between(knots: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """The knots strictly inside (lo, hi)."""
     return knots[np.searchsorted(knots, lo, side="right"):
                  np.searchsorted(knots, hi, side="left")]
+
+
+def _dense_grid(knots: np.ndarray, t0: float, t_end: float) -> np.ndarray:
+    """The build's march instants: every knot, and steps of about (t_end - t0)/512.
+
+    Each gap between consecutive knots in (t0, t_end), t0 and t_end as
+    ends, is cut into max(1, rint(gap / h)) equal steps, h = (t_end -
+    t0)/`_DENSE_STEPS`.  Knot-free, the grid is np.linspace(t0, t_end, 513)
+    bit for bit; a computed exit, tabulated on np.linspace(t0, t_end, 512),
+    gets one step per table interval.
+    """
+    ends = np.r_[t0, _knots_between(knots, t0, t_end), t_end]
+    gaps = np.diff(ends)
+    counts = np.maximum(np.rint(gaps / ((t_end - t0) / _DENSE_STEPS)), 1.0).astype(int)
+    # instant j of a gap sits at j * (gap / count) + its start, as in linspace
+    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.r_[j * np.repeat(gaps / counts, counts) + np.repeat(ends[:-1], counts),
+                 t_end]
 
 
 def _gl_nodes(lo, hi):
@@ -847,13 +870,10 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
         reported_tail=reported, notes=notes,
     )
     sol.T0 = _initial_coefficients(sol)
-    # dense recursion grid for fast arbitrary-time evaluation: the steps'
-    # increments from zero in one batched march, then the decay recurrence
-    dense = np.linspace(data.t0, t_end, 513)
-    ks = _knots_between(sol._knots, data.t0, t_end)
-    if ks.size:
-        dense = _sorted_unique(np.concatenate([dense, ks]))
-    # (column 0 is the empty step t0 -> t0, which holds T0)
+    # dense recursion grid for fast arbitrary-time evaluation (`_dense_grid`):
+    # the steps' increments from zero in one batched march, then the decay
+    # recurrence (column 0 is the empty step t0 -> t0, which holds T0)
+    dense = _dense_grid(sol._knots, data.t0, t_end)
     dense_T = _march(sol, None, np.r_[dense[0], dense[:-1]], dense)
     dense_T[:, 0] = sol.T0
     for k in range(1, dense.size):

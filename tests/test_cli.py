@@ -11,6 +11,7 @@ import pytest
 
 import coltrans
 from coltrans import TransportParams, danckwerts_eigenpair, robin_eigenpair
+from coltrans import cli
 from coltrans.cli import main
 
 BASE_INI = """\
@@ -386,3 +387,45 @@ def test_verify_path_imports_no_numpy_ma(tmp_path):
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+# -- CSV writer ---------------------------------------------------------------
+
+def per_cell_csv(path, header, rows):
+    """The writer the block writer replaced: one f-string per cell."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{float(c):.17g}" for c in row) + "\n")
+
+
+def _csv_cases():
+    rng = np.random.default_rng(7)
+    lam = np.cumsum(rng.uniform(0.5, 9.0, 9))
+    edge = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.2e-308,
+            1e300, 0.1, 1.0 / 3.0, 12345678901234567.0, 2 ** 53 + 1, -7]
+    edge_rows = [tuple(edge[i:i + 3]) for i in range(len(edge) - 2)]
+    edge_rows.append((np.float64(-0.0), np.float32(0.1), np.int64(-3)))
+    # 2,501 rows: two full blocks of the default size and a part
+    ts, xs = np.linspace(0.0, 2.0, 41), np.linspace(0.0, 1.0, 61)
+    scale = 10.0 ** rng.integers(-20, 20, (ts.size, xs.size))
+    grid = rng.standard_normal((ts.size, xs.size)) * scale
+    return {
+        "edge-values": lambda: edge_rows,
+        "eigenvalues": lambda: zip(range(lam.size), lam, lam * 1.01),
+        "no-rows": lambda: [],
+        "profile-rows": lambda: ((t, x, c) for t, row in zip(ts, grid)
+                                 for x, c in zip(xs, row)),
+    }
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+@pytest.mark.parametrize("case", sorted(_csv_cases()))
+def test_csv_writer_matches_the_per_cell_writer(tmp_path, monkeypatch, case, block):
+    """Bytes equal to the per-cell writer's, whatever the block size."""
+    if block is not None:
+        monkeypatch.setattr(cli, "_CSV_ROWS", block)
+    rows = _csv_cases()[case]
+    cli._write_csv(tmp_path / "new.csv", "a,b,c", rows())
+    per_cell_csv(tmp_path / "old.csv", "a,b,c", rows())
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -359,3 +359,68 @@ def test_production_without_decay_is_rejected():
         exit_curve(data, 1.0)
     with pytest.raises(FluxTransformError):
         exit_concentration_large_t(data.params, data.g, 5.0)
+
+
+# -- a column at rest ---------------------------------------------------------
+
+# (phi level, parameters): the pulse-solve column, a column resting at its
+# production equilibrium gamma/mu = 0.5, and one off it (gamma/mu = 0)
+_REST = {"pulse-solve": (0.0, {}),
+         "at-equilibrium": (0.5, dict(mu=0.5, gamma=0.25)),
+         "off-equilibrium": (0.3, dict(mu=0.5, gamma=0.0))}
+
+
+def _rest_problems(case):
+    """The case's column with a constant phi, and with the same phi as a
+    callable, whose constancy the closure cannot see."""
+    level, params = _REST[case]
+    g = SmoothFn.smooth_pulse(0.1, 0.6, 1.0)
+    flat = SmoothFn.from_callable(lambda x: np.full_like(x, level), np.zeros_like)
+    return [HalfLineProblem.from_data(make_data(phi=phi, g=g, **params))
+            for phi in (SmoothFn.constant(level), flat)]
+
+
+def count_initial_parts(monkeypatch):
+    calls = []
+    initial_part = exitflux._initial_part
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return initial_part(*args, **kwargs)
+
+    monkeypatch.setattr(exitflux, "_initial_part", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["pulse-solve", "at-equilibrium"])
+def test_column_at_rest_skips_the_initial_part(case, monkeypatch):
+    """phi = gamma/mu makes Phi = 0: skipping gives the integrated C_E bit for bit."""
+    at_rest, general = _rest_problems(case)
+    assert at_rest.at_rest and not general.at_rest
+    ts = np.linspace(0.0, 2.0, 512)
+    calls = count_initial_parts(monkeypatch)
+    skipped = exit_concentration(at_rest, ts)
+    assert calls == []
+    integrated = exit_concentration(general, ts)
+    assert calls == [1]
+    assert np.array_equal(skipped, integrated)
+
+
+def test_pulse_solve_closure_makes_no_initial_part_call(monkeypatch):
+    data = make_data(g=SmoothFn.smooth_pulse(0.1, 0.6, 1.0))
+    calls = count_initial_parts(monkeypatch)
+    resolved = resolve_exit(data, 2.0, n_grid=512)
+    assert calls == []
+    assert np.max(resolved.exit.eval(np.linspace(0.0, 2.0, 81))) > 0.1
+
+
+def test_constant_phi_off_equilibrium_still_integrates(monkeypatch):
+    const, general = _rest_problems("off-equilibrium")
+    assert not const.at_rest
+    ts = np.linspace(0.0, 2.0, 512)
+    calls = count_initial_parts(monkeypatch)
+    got = exit_concentration(const, ts)
+    assert calls == [1]
+    assert np.array_equal(got, exit_concentration(general, ts))
+    # the exit first reads the resident 0.3, as it decays: the initial part
+    assert got[1] == pytest.approx(0.3 * np.exp(-0.5 * ts[1]), rel=1e-6)

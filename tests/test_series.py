@@ -903,3 +903,56 @@ def test_scalar_and_array_shapes(smoke_solution):
     arr = eval_C(smoke_solution, np.linspace(0.0, 1.0, 7), 1.0)
     assert arr.shape == (7,)
     assert arr[3] == pytest.approx(v, rel=1e-12)
+
+
+# -- the build's dense march grid ---------------------------------------------
+
+def _pulse_solve_data(ell=1.0, g=None):
+    """The pulse-solve column (or a length of it), exit computed on 512 instants."""
+    g = SmoothFn.smooth_pulse(0.1, 0.6, 1.0) if g is None else g
+    return resolve_exit(make_data(ell=ell, g=g), 2.0, n_grid=512)
+
+
+def _dense_times(data, t_end):
+    return build_solution(data, TruncationPolicy(n_max=20), t_end)._dense_times
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.37])
+def test_knot_free_dense_grid_is_the_linspace(t0):
+    data = make_data(g=SmoothFn.constant(1.0), exit=SmoothFn.constant(0.2), t0=t0)
+    t_end = t0 + 2.0
+    assert np.array_equal(_dense_times(data, t_end), np.linspace(t0, t_end, 513))
+
+
+def test_dense_grid_steps_evenly_between_its_knots():
+    """Every knot in (t0, t_end) is an instant; each gap is cut into equal steps."""
+    table = np.array([0.0, 0.0013, 0.3, 0.31, 0.5, 1.234567, 2.9, 3.5])
+    exit_fn = SmoothFn.from_table(table, np.sin(table))
+    data = make_data(g=SmoothFn.smooth_pulse(0.1, 0.6, 1.0), exit=exit_fn, t0=0.0)
+    t_end = 3.0
+    dense = _dense_times(data, t_end)
+    ks = [k for k in data.g.knots + exit_fn.knots if 0.0 < k < t_end]
+    assert np.isin(ks, dense).all()
+    ends = np.r_[0.0, np.unique(ks), t_end]
+    assert dense[0] == 0.0 and dense[-1] == t_end
+    h = t_end / 512
+    for a, b in zip(ends[:-1], ends[1:]):
+        i, j = np.searchsorted(dense, (a, b))
+        steps = np.diff(dense[i:j + 1])
+        assert steps.size == max(1, round((b - a) / h))
+        assert np.allclose(steps, (b - a) / steps.size, rtol=0.0,
+                           atol=4.0 * np.spacing(t_end))
+
+
+def test_computed_exit_gets_one_step_per_table_interval():
+    """A computed exit is a table on 512 instants: pulse-solve marches one
+    step per table interval, plus its inlet's knots, and a chain segment
+    fed and closed by tables on the same instants marches only those."""
+    first = _pulse_solve_data()
+    dense = _dense_times(first, 2.0)
+    assert dense.size <= 520
+    assert np.isin(first.exit.knots, dense).all()
+    half = _pulse_solve_data(ell=0.5)
+    second = _pulse_solve_data(ell=0.5, g=half.exit)
+    assert np.array_equal(_dense_times(second, 2.0), np.asarray(second.exit.knots))
+    assert len(second.exit.knots) == 512
