@@ -92,19 +92,42 @@ def _write_json(path: Path, payload: dict):
         fh.write(text + "\n")
 
 
-def _write_csv(path: Path, header: str, rows):
+def _write_csv(path: Path, header: str, rows=(), *, grid=None):
     """header, then each row's cells as %.17g, comma-separated.
 
     Rows are taken in blocks of `_CSV_ROWS` and each block is one
     %-format of its lines, written at once, so memory stays bounded.
+    `grid` = (ts, xs, values) in place of rows writes the rows (t, x, C) of
+    a (t, x) grid, t slowest, by `_grid_blocks`: the same bytes, with each
+    distinct t and x formatted once per file and only C once per cell.
     """
-    rows = iter(rows)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        while block := list(itertools.islice(rows, _CSV_ROWS)):
-            cells = np.asarray(block, dtype=float)
-            line = ",".join(["%.17g"] * cells.shape[1]) + "\n"
-            fh.write(line * len(block) % tuple(cells.ravel().tolist()))
+        for text in _row_blocks(rows) if grid is None else _grid_blocks(*grid):
+            fh.write(text)
+
+
+def _row_blocks(rows):
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, _CSV_ROWS)):
+        cells = np.asarray(block, dtype=float)
+        line = ",".join(["%.17g"] * cells.shape[1]) + "\n"
+        yield line * len(block) % tuple(cells.ravel().tolist())
+
+
+def _grid_blocks(ts, xs, values):
+    """The lines t,x,C of a (t, x) grid, in blocks of whole instants of about `_CSV_ROWS` rows.
+
+    An instant's lines are one %-format of its C values into a template
+    that holds its t and every x, each formatted once.
+    """
+    ts = ["%.17g" % t for t in np.asarray(ts, dtype=float).tolist()]
+    tails = ["," + "%.17g" % x + ",%.17g\n" for x in np.asarray(xs, dtype=float).tolist()]
+    values = np.asarray(values, dtype=float).reshape(len(ts), len(tails))
+    step = max(1, _CSV_ROWS // max(1, len(tails)))
+    for i in range(0, len(ts) if tails else 0, step):
+        yield "".join((t + t.join(tails)) % tuple(row)
+                      for t, row in zip(ts[i:i + step], values[i:i + step].tolist()))
 
 
 def _say(quiet: bool, msg: str):
@@ -131,10 +154,9 @@ def _cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
     cE = data.require_exit()
     profile = eval_C(sol, xs, ts)
-    rows = ((t, x, c) for t, row in zip(ts, profile) for x, c in zip(xs, row))
     # same instants, so the coefficients come from the solution's memo
     bt = zip(ts, eval_C(sol, data.params.ell, ts), cE.eval(ts))
-    _write_csv(out / "profile.csv", "t,x,C", rows)
+    _write_csv(out / "profile.csv", "t,x,C", grid=(ts, xs, profile))
     _write_csv(out / "breakthrough.csv", "t,C_exit,C_flux_exit", bt)
 
     _write_json(out / "manifest.json", {

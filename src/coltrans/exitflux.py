@@ -23,12 +23,34 @@ convention keeps the Duhamel term positive for positive boundary data.
 
 Quadrature.  The two parts are evaluated for a whole array of instants at
 once (`exit_concentration` takes an array of t; `exit_curve` passes its
-grid in one call).  Each instant is one row of panel cuts:
+grid in one call).
+
+On a uniform grid t0 + h (1, ..., M), which is what `exit_curve` passes,
+and M <= `_LAG_ROWS` (np.convolve's cost grows like M^2, the per-row
+rule's like M), the Duhamel part is one lag convolution (`_lag_part`), by product
+integration (Linz, *Analytical and Numerical Methods for Volterra
+Equations*, SIAM 1985; Atkinson, *The Numerical Solution of Integral
+Equations of the Second Kind*, CUP 1997).  In u = t - tau its kernel
+k(u) = x/(2 sqrt(pi D/R)) e^{-a/u - s u} u^{-3/2}, a = x^2/(4 D/R),
+depends on the lag alone.  g - gamma/mu is sampled at the 10 Gauss-Legendre
+nodes of each grid interval and interpolated there, and the kernel's
+moments against that Lagrange basis are integrated once per lag m, on
+panels halved until two passes agree (`_lag_moments`); row i is then
+sum_q sum_j G[j, q] W[i - j - 1, q], one np.convolve per node.  An interval
+that holds an inlet knot strictly inside is cut there, and each piece is
+added with its own samples and moments.  The path is refused, and the
+per-row rule below takes the grid, when the moments do not settle or when
+the last two Legendre coefficients of some interval's samples exceed the
+tolerance: data that the samples do not resolve.
+
+Any other instants take the per-row rule.  Each instant is one row of
+panel cuts:
 
 - the initial part, in eta = (z - x)/(2 sqrt(th)) and cut off at
   |eta| = 9, is split at the kernel peak eta = 0 and wherever
   x +- 2 sqrt(th) eta meets a kink of the extended initial state (every
-  `zeta_knots` entry, clipped to the range);
+  `zeta_knots` entry, clipped to the range); the initial part always
+  takes this rule;
 - the Duhamel part, in sigma = sqrt(t - tau), is split at 0, at the
   kernel peak x / (2 sqrt(D/R)) and at rungs 16, 256, ... times it, at
   sqrt(t - k) for every inlet knot k in (t0, t), and at sqrt(t - t0).
@@ -56,7 +78,7 @@ from typing import Callable
 
 from .eigensystem import quad  # lazy scipy wrapper, patched by name in tests
 from .errors import FluxTransformError, ParameterError, QuadratureError
-from .model import ProblemData, SmoothFn, TransportParams
+from .model import ProblemData, SmoothFn, TransportParams, _gl_basis, _sorted_unique
 
 __all__ = [
     "HalfLineProblem",
@@ -72,6 +94,12 @@ _ETA_CUT = 9.0  # exp(-81) ~ 6e-36: nothing beyond survives double precision
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _PANELS = 4                 # panels per gap between cuts in the coarse rule
 _CHUNK_NODES = 1 << 15      # integrand nodes per pass: 256 KB a temporary
+_LAG_LEVELS = 6             # halvings of the lag moments' panels before giving up
+_LAG_ROWS = 1 << 13         # longest grid convolved: np.convolve costs M^2 a node
+# the last two Legendre coefficients of the interpolant through samples at
+# the rule's nodes: samples @ _LEG_TAIL
+_LEG_TAIL = (np.polynomial.legendre.legvander(_GL_X, _GL_X.size - 1)[:, -2:]
+             * _GL_W[:, None] * (np.arange(_GL_X.size - 2, _GL_X.size) + 0.5))
 
 
 def heat_kernel(xi, theta):
@@ -287,13 +315,110 @@ def _boundary_part(params: TransportParams, g: SmoothFn, gm: float, x: float,
     return (x / np.sqrt(np.pi * kap)) * val
 
 
+def _grid_step(t0: float, ts):
+    """h when ts is t0 + h (1, ..., M), 2 <= M <= `_LAG_ROWS`, to within rounding; else None."""
+    if not 2 <= ts.size <= _LAG_ROWS:
+        return None
+    h = (ts[-1] - t0) / ts.size
+    grid = t0 + h * np.arange(1, ts.size + 1)
+    slack = 8.0 * np.spacing(max(abs(t0), abs(ts[-1])))
+    return h if h > 0.0 and np.all(np.abs(ts - grid) <= slack) else None
+
+
+def _lag_moments(kern, h: float, lo: float, hi: float, lags: int, tol: float):
+    """W[m, q] = h int_lo^hi k(h (m + 1 - th)) L_q((th - lo)/(hi - lo)) dth, m < lags.
+
+    The moments of the kernel against the Lagrange basis of the samples at
+    the rule's nodes of [lo, hi], a part of one grid interval, for every lag
+    m.  [lo, hi] is cut into 1, 2, 4, ... equal panels of the 10-point
+    rule until two passes agree, sum |difference| <= tol; None if they
+    still do not after `_LAG_LEVELS` halvings.  Lags are taken in chunks
+    of about _CHUNK_NODES kernel nodes.
+    """
+    m = np.arange(lags, dtype=float)[:, None] + 1.0
+    prev = None
+    for level in range(_LAG_LEVELS + 1):
+        edges = np.linspace(lo, hi, (1 << level) + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        th = ((edges[:-1] + half)[:, None] + half[:, None] * _GL_X).ravel()
+        wts = h * (half[:, None] * _GL_W).ravel()
+        basis = _gl_basis((th - lo) / (hi - lo), _GL_X, _GL_W)
+        W = np.empty((lags, _GL_X.size))
+        step = max(1, _CHUNK_NODES // th.size)
+        for i in range(0, lags, step):
+            W[i:i + step] = (kern(h * (m[i:i + step] - th)) * wts) @ basis
+        if prev is not None and np.sum(np.abs(W - prev)) <= tol:
+            return W
+        prev = W
+    return None
+
+
+def _lag_part(params: TransportParams, g: SmoothFn, gm: float, x: float,
+              t0: float, h: float, M: int, tol: float):
+    """Duhamel integral, scaled by e^{-s t}, at t0 + h (1, ..., M): one lag convolution.
+
+    In u = t - tau the integrand is k(u) (g(t - u) - gm), with the kernel
+    k(u) = x/(2 sqrt(pi D/R)) e^{-a/u - s u} u^{-3/2} depending on the lag
+    alone.  g - gm is sampled at the 10-point rule's nodes of each grid
+    interval j and interpolated there, so row i is
+    sum_q sum_j G[j, q] W[i - j - 1, q] (`_lag_moments`), one np.convolve
+    per node.  An interval holding an inlet knot strictly inside is cut at
+    it, and each piece is added with its own samples and moments.  None
+    when a check fails: moments that do not settle, or samples whose last
+    two Legendre coefficients exceed tol max(1, |g - gm|).
+    """
+    p = params
+    kap = p.D / p.R
+    a = x * x / (4.0 * kap)
+    pref = x / (2.0 * np.sqrt(np.pi * kap))
+
+    def kern(u):
+        return pref * np.exp(-a / u - p.s * u) / (u * np.sqrt(u))
+
+    ends = t0 + h * np.arange(M + 1)
+    knots = np.asarray(g.knots, dtype=float)
+    knots = knots[(knots > t0) & (knots < ends[-1])]
+    holder = np.searchsorted(ends, knots, side="right") - 1
+    inside = knots > ends[holder]
+    knots, holder = knots[inside], holder[inside]
+    node = 0.5 * (1.0 + _GL_X)
+    G = g.eval(ends[:-1, None] + h * node) - gm
+    G[holder] = 0.0
+    pieces = []  # (interval, lo, hi, samples) of the cut intervals
+    for j in _sorted_unique(holder).astype(int).tolist():
+        inner = np.clip((knots[holder == j] - ends[j]) / h, 0.0, 1.0)
+        cuts = _sorted_unique(np.r_[0.0, inner, 1.0])
+        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            pieces.append((j, lo, hi, g.eval(ends[j] + h * (lo + (hi - lo) * node)) - gm))
+    samples = [G] + [q for *_, q in pieces]
+    scale = tol * max(1.0, *(float(np.max(np.abs(q), initial=0.0)) for q in samples))
+    if any(np.max(np.abs(q @ _LEG_TAIL).sum(axis=-1), initial=0.0) > scale
+           for q in samples):
+        return None
+    W = _lag_moments(kern, h, 0.0, 1.0, M, tol)
+    if W is None:
+        return None
+    rows = np.zeros(M)
+    for k in range(_GL_X.size):
+        rows += np.convolve(G[:, k], W[:, k])[:M]
+    for j, lo, hi, q in pieces:
+        Wp = _lag_moments(kern, h, lo, hi, M - j, tol)
+        if Wp is None:
+            return None
+        rows[j:] += Wp @ q
+    return rows
+
+
 def _u_scaled(hp: HalfLineProblem, x: float, ts, tol: float):
     """u(x, t) e^{-s t} at each instant of the 1-D array ts.
 
     Past t0 and inside the half line this is the initial part plus the
-    Duhamel part.  A problem `at_rest` (phi the constant gamma/mu, as in a
-    clean column without production) has Phi = 0, so its initial part is
-    exactly 0.0 and is not integrated; every other phi is.
+    Duhamel part.  The Duhamel part at the instants of a uniform grid
+    t0 + h (1, ..., M) is one lag convolution (`_lag_part`); at any other
+    instants, or where that path's checks fail, each row is integrated on
+    its own (`_boundary_part`).  A problem `at_rest` (phi the constant
+    gamma/mu, as in a clean column without production) has Phi = 0, so its
+    initial part is exactly 0.0 and is not integrated; every other phi is.
     """
     if not np.all(ts >= hp.t0):
         raise ParameterError("t precedes t0")
@@ -304,7 +429,11 @@ def _u_scaled(hp: HalfLineProblem, x: float, ts, tol: float):
     if x == 0.0:
         out[~start] = hp.boundary_scaled(later, later)
     elif later.size:
-        part = _boundary_part(hp.params, hp.g, hp.gm, x, hp.t0, later, tol)
+        h = _grid_step(hp.t0, later)
+        part = None if h is None else _lag_part(hp.params, hp.g, hp.gm, x, hp.t0,
+                                                 h, later.size, tol)
+        if part is None:
+            part = _boundary_part(hp.params, hp.g, hp.gm, x, hp.t0, later, tol)
         if not hp.at_rest:
             part = _initial_part(hp, x, later, tol) + part
         out[~start] = part

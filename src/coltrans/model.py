@@ -157,6 +157,44 @@ def _pchip(x, y):
     return value, slope
 
 
+def _sorted_unique(values) -> np.ndarray:
+    """The distinct values of a float array, sorted, as np.unique gives them.
+
+    By sort and mask: np.unique imports numpy.ma on its first call, about
+    20 ms that a `solve` would otherwise spend.
+    """
+    v = np.sort(np.ravel(np.asarray(values, dtype=float)))
+    return v[np.concatenate(([True], v[1:] != v[:-1]))] if v.size else v
+
+
+def _gl_basis(u, x, w):
+    """Lagrange basis through the Gauss-Legendre nodes (1 + x_j)/2 of [0, 1].
+
+    L_j(u) for every u, on a new last axis (a view): the barycentric form
+    with the Legendre weights (-1)^j sqrt((1 - x_j^2) w_j) (Berrut &
+    Trefethen, SIAM Rev. 46, 2004; Wang & Xiang, Math. Comp. 81, 2012).
+    The denominators are summed node by node, so a u's row is the same in
+    any batch.  A u on a node gets that node's unit row.
+    """
+    u = np.asarray(u, dtype=float)
+    shape = (x.size,) + (1,) * u.ndim
+    terms = u - (0.5 * (1.0 + x)).reshape(shape)
+    hit = terms == 0.0
+    on_node = np.count_nonzero(hit)
+    if on_node:
+        terms[hit] = 1.0
+    lam = np.sqrt((1.0 - x * x) * w)
+    lam[1::2] *= -1.0
+    np.divide(lam.reshape(shape), terms, out=terms)
+    terms /= np.add.reduce(terms, axis=0)
+    last = tuple(range(1, terms.ndim)) + (0,)
+    out, hit = terms.transpose(last), hit.transpose(last)
+    if on_node:
+        rows = hit.any(axis=-1)
+        out[rows] = hit[rows]
+    return out
+
+
 @dataclass(frozen=True)
 class SmoothFn:
     """A C^1 scalar function bundled with its derivative.

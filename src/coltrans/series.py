@@ -19,25 +19,32 @@ other split, e^{s tau} e^{-beta_n d}, overflows for the negative mode.
 
 The forcing is a combination of e^{-r x}, cos(pi x / ell) and 1 with
 time-dependent weights (`model.forcing_weights`), so every mode projection
-reduces to three precomputed x-integrals.  The time integration runs over
-12-point Gauss-Legendre panels on one dyadic lattice in d: [0, 2^e0], across
-which the stiffest kernel varies by at most e^4, then [2^e, 2^(e+1)] below
-the step's width, then one coarse panel up to the width; a data knot inside
-a step splits the panel that holds it.  The kernels of the full lattice
-panels are the same for every step, so a march makes them once.  The same
-12-point rule, on panels of equal width between the knots of phi, gives
-the base-square integral behind the coefficient bounds and projects the
-initial data on all modes, so no build calls QUADPACK.  The projection
+reduces to three precomputed x-integrals.  The time integration is product
+integration (Linz, *Analytical and Numerical Methods for Volterra
+Equations*, SIAM 1985): each step is cut into pieces in d at the data knots
+inside it (and, on long steps, at dyadic edges), the three weights are
+sampled at the 12 Gauss-Legendre nodes of a piece, and the kernels are
+integrated exactly against the Lagrange basis of those samples.  A piece at
+offset o of width w adds e^{-(s + beta) o} (q @ W(w)), and W(w) depends on
+the width alone, so a march makes it once per distinct width: the build's
+dense steps share a handful of widths.  W(w) is itself summed on 12-point
+panels of one dyadic lattice in d: [0, 2^e0], across which the stiffest
+kernel varies by at most e^4, then [2^e, 2^(e+1)] below w, then one coarse
+panel up to w; the kernels of the lattice panels are made once per march.
+The same 12-point rule, on panels of equal width between the knots of phi,
+gives the base-square integral behind the coefficient bounds and projects
+the initial data on all modes, so no build calls QUADPACK.  The projection
 takes cos and sin of kappa_n x by angle addition, from one value per panel
 and twelve per run of equal panels, in place of one per node.
 
 The time axis is batched: `_march` advances many steps per call, each
-summed by its own products, in passes of at most `_PASS` nodes and blocks
-of whole steps of at most `_BLOCK` modes x nodes.  The build marches every
-step of its dense grid in one call.  That grid (`_dense_grid`) holds every
-knot of the inlet and exit data and cuts each gap between them into equal
-steps of about (t_end - t0)/512, so a computed exit, a table on 512
-instants, is marched one table interval per step.  The coefficients and
+piece summed by its own product, in passes of at most `_PASS` nodes and
+blocks of at most `_BLOCK` entries.  The build marches every step of its
+dense grid in one call.  That grid (`_dense_grid`) holds every knot of the
+inlet and exit data and cuts each gap between them into equal steps of
+about (t_end - t0)/512, so a computed exit, a table on 512 instants, is
+marched one table interval per step, and the decay recurrence over the
+steps takes its factors once per distinct width.  The coefficients and
 evaluators take an array of instants and march them all at once, each
 from the dense instant at or before it.  Every evaluator maps back
 to C through one helper, `_evaluate`, which calls `model.invert`; C(x, t)
@@ -56,7 +63,9 @@ from .model import (
     ProblemData,
     SmoothFn,
     _boundary_data,
+    _gl_basis,
     _pchip,
+    _sorted_unique,
     forcing_weights,
     invert,
     lift_H,
@@ -86,9 +95,9 @@ __all__ = [
     "eval_large_t",
 ]
 
-# 12-point Gauss-Legendre rule; panels are cut until the stiffest retained
-# decay factor varies by at most ~e^4 across a panel, where this rule holds
-# far more accuracy than the 1e-10 time-integration target.
+# 12-point Gauss-Legendre rule: the nodes of a march piece, and the panels of
+# the lattice, on which the stiffest retained decay factor varies by at most
+# ~e^4, where this rule holds far more accuracy than the 1e-10 target.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _MAX_EXP = 700.0  # doubles overflow just above e^709
 _PANELS = 1 << 13  # panels x modes per block of the T0 projection: 64 KB
@@ -181,16 +190,6 @@ class SeriesSolution:
         return T
 
 
-def _sorted_unique(values) -> np.ndarray:
-    """The distinct values of a float array, sorted, as np.unique gives them.
-
-    By sort and mask: np.unique imports numpy.ma on its first call, about
-    20 ms that a `solve` would otherwise spend.
-    """
-    v = np.sort(np.ravel(np.asarray(values, dtype=float)))
-    return v[np.concatenate(([True], v[1:] != v[:-1]))] if v.size else v
-
-
 def _knot_array(data: ProblemData) -> np.ndarray:
     """Sorted knots of the inlet and exit curves, where panels are cut."""
     fns = (data.g, data.exit)
@@ -246,54 +245,88 @@ def _lattice(kappa_max: float, width: float) -> np.ndarray:
     return np.concatenate(([0.0], np.ldexp(1.0, np.arange(e0, top + 1))))
 
 
-def _panels(knots, edges, t_from, t_to):
-    """Each step's panels in d = t_to - tau: (shared, lo, hi, count).
+def _distinct(values):
+    """A stable sort of `values` and their distinct values, by sort and mask.
 
-    A step of width w takes the first shared[k] panels of the lattice
-    `edges`, then count[k] panels of its own, listed step by step in lo
-    and hi: the coarse panel [2^top, w], never wider than its distance
-    from d = 0, and where data knots fall inside the step every panel from
-    the one holding the lowest knot upward, cut at the knots.
+    (order, distinct, rank): values[order] rises, ties kept in their order;
+    distinct holds each value once, rising, as `_sorted_unique` gives them;
+    values[i] == distinct[rank[i]].
+    """
+    order = np.argsort(values, kind="stable")
+    distinct = _sorted_unique(values)
+    return order, distinct, np.searchsorted(distinct, values)
+
+
+def _pieces(sol: SeriesSolution, t_from, t_to):
+    """Each step's pieces in d = t_to - tau: (step, offset, width), step by step.
+
+    A step is cut at the data knots inside it and at the dyadic edges 2^e
+    below its width that are at least twice the dense grid's spacing
+    (t_end - t0)/`_DENSE_STEPS`.  No dense step is wider than 1.5
+    spacings, so every dense step, and every evaluator step inside the
+    grid, is one piece [0, w]; only long steps (past t_end, or
+    `eval_large_t`) are cut, into pieces over which the data stay smooth.
     """
     width = t_to - t_from
-    full = np.searchsorted(edges, width, side="right") - 1
+    knots = sol._knots
     first = np.searchsorted(knots, t_from, side="right")
     last = np.searchsorted(knots, t_to, side="left")
-    shared = full.copy()
-    lo, hi, count = [], [], []
-    coarse = edges[full].tolist()
-    for k, (e, w, a, b) in enumerate(zip(coarse, width.tolist(), first, last)):
-        if a < b:
-            kd = t_to[k] - knots[a:b]  # descending
-            shared[k] = min(full[k], np.searchsorted(edges, kd[-1], side="right") - 1)
-            cuts = _sorted_unique(np.concatenate((edges[shared[k]:full[k] + 1], kd, [w])))
-            lo.extend(cuts[:-1].tolist())
-            hi.extend(cuts[1:].tolist())
-            count.append(cuts.size - 1)
-        elif e < w:
-            lo.append(e)
-            hi.append(w)
-            count.append(1)
-        else:
-            count.append(0)
-    return shared, np.array(lo), np.array(hi), np.array(count, dtype=int)
+    floor = 2.0 * (sol.t_end - sol.t0) / _DENSE_STEPS
+    frac, e0 = math.frexp(floor)
+    e0 -= frac == 0.5  # the smallest e with 2^e >= floor
+    whole = (first == last) & (width <= floor)
+    step, off, wid = [np.flatnonzero(whole)], [np.zeros(np.count_nonzero(whole))], [width[whole]]
+    for k in np.flatnonzero(~whole).tolist():
+        dyadic = np.ldexp(1.0, np.arange(e0, math.frexp(width[k])[1]))
+        cuts = _sorted_unique(np.r_[0.0, t_to[k] - knots[first[k]:last[k]],
+                                    dyadic[dyadic < width[k]], width[k]])
+        step.append(np.full(cuts.size - 1, k))
+        off.append(cuts[:-1])
+        wid.append(np.diff(cuts))
+    return np.concatenate(step), np.concatenate(off), np.concatenate(wid)
 
 
-def _blocks(sizes, limit: int):
-    """(start, stop) runs of consecutive steps holding at most `limit` nodes.
+def _width_moments(edges, d, kernel, kappa, ws, prefix: dict) -> np.ndarray:
+    """W(w)[j, n] = int_0^w e^{-kappa_n d} L_j(d/w) dd for each w in ws, rising.
 
-    Each step counts at least one node, for its decay factor; a step
-    larger than `limit` makes a block of its own.
+    Shape (widths, 12, modes).  L_j is the Lagrange basis through the
+    rule's nodes of [0, w] (`model._gl_basis`).  The integral runs over the
+    12-point panels of the lattice `edges` below 2^top <= w, whose weighted
+    kernels `kernel` at the nodes d are shared by every width, and over
+    the coarse panel [2^top, w].  On [0, 2^top] each L_j(d/w) is a
+    polynomial of degree 11, so it equals its interpolant through the
+    rule's nodes D u_m of [0, D], D = 2^top: the lattice part is
+    sum_m L_j(D u_m / w) P[m], where P = `prefix`[top] holds the lattice
+    moments of that basis of [0, D], made once per D: widths come rising,
+    so `prefix` keeps the latest D alone.  Each width gets its own
+    products, so W(w) does not depend on the widths beside it.
     """
-    start, total = 0, 0
-    for k, size in enumerate(sizes):
-        size = max(size, 1)
-        if k > start and total + size > limit:
-            yield start, k
-            start, total = k, 0
-        total += size
-    if start < len(sizes):
-        yield start, len(sizes)
+    full = np.searchsorted(edges, ws, side="right") - 1
+    out = np.zeros((ws.size, _GL_X.size, kappa.size))
+    node = 0.5 * (1.0 + _GL_X)
+    runs = np.flatnonzero(np.r_[True, full[1:] != full[:-1], True])
+    for a, b in zip(runs[:-1].tolist(), runs[1:].tolist()):
+        f = int(full[a])
+        if f == 0:
+            continue
+        if f not in prefix:
+            n = _GL_X.size * f
+            prefix.clear()
+            prefix[f] = _gl_basis(d[:n] / edges[f], _GL_X, _GL_W).T @ kernel[:n]
+        V = _gl_basis(edges[f] * node / ws[a:b, None], _GL_X, _GL_W)
+        np.matmul(V.transpose(0, 2, 1), prefix[f], out=out[a:b])
+    lo = edges[full]
+    half = (0.5 * (ws - lo))[:, None]
+    dc = (lo[:, None] + half) + half * _GL_X
+    # the coarse nodes' weights go into the basis, so only the kernels are
+    # made width by width, in one buffer
+    coarse = _gl_basis(dc / ws[:, None], _GL_X, _GL_W) * (half * _GL_W)[..., None]
+    coarse = coarse.transpose(0, 2, 1)
+    K = np.empty((_GL_X.size, kappa.size))
+    for i in range(ws.size):
+        np.exp(np.multiply.outer(dc[i], -kappa, out=K), out=K)
+        out[i] += coarse[i] @ K
+    return out
 
 
 def _march(sol: SeriesSolution, T_from, t_from, t_to):
@@ -303,12 +336,16 @@ def _march(sol: SeriesSolution, T_from, t_from, t_to):
     means no initial term, so nothing is decayed.  The forcing integral is
     e^{s t_k} int_0^w e^{-(s + beta) d} f(t_k - d) dd, with w = t_k - t_from[k].
     s + beta >= mu/R >= 0 for every mode, so each kernel lies in [0, 1]
-    and no term exceeds e^{s t_k}.  The panels lie on one dyadic lattice
-    in d (`_lattice`, `_panels`), so the kernels of its full panels are
-    made once per call and shared by every step.  Each step is summed by
-    its own products, as if it were marched alone, in passes of at most
-    `_PASS` nodes, so the nodes and kernels held at once do not grow with
-    the number of steps.
+    and no term exceeds e^{s t_k}.  Each step is cut into pieces
+    (`_pieces`); a piece at offset o and of width w adds
+    e^{-(s + beta) o} (q @ W(w)), where q holds the forcing weights at the
+    12 nodes of the piece and W(w) (`_width_moments`) integrates the kernel
+    exactly against their Lagrange basis.  The pieces are taken in order of
+    width, in passes of at most `_PASS` nodes and half a `_BLOCK` of
+    products, and W is made once per distinct width, in blocks of half a
+    `_BLOCK`.  Each piece is summed by its own product, and a step's pieces
+    are added in that one order, so a row does not depend on the batch or
+    block size.
     """
     t_from = np.asarray(t_from, dtype=float)
     t_to = np.asarray(t_to, dtype=float)
@@ -322,73 +359,55 @@ def _march(sol: SeriesSolution, T_from, t_from, t_to):
             "rescale time or shorten the horizon"
         )
     T = np.zeros((beta.size, t_to.size))
-    if T_from is not None:
-        T_from = np.broadcast_to(T_from, T.shape)
-    width = t_to - t_from
+    steps = np.flatnonzero(moving)
+    step, off, wid = _pieces(sol, t_from[steps], t_to[steps])
+    step = steps[step]
     kappa = s + beta
-    edges = _lattice(float(np.max(kappa)), float(np.max(width, initial=0.0)))
+    edges = _lattice(float(np.max(kappa)), float(np.max(wid, initial=0.0)))
     d, wts = _gl_nodes(edges[:-1], edges[1:])
     kernel = wts[:, None] * np.exp(np.multiply.outer(-d, kappa))
-    steps = np.flatnonzero(moving)
-    shared, lo, hi, count = _panels(sol._knots, edges, t_from[steps], t_to[steps])
-    n_sh, n_own = _GL_X.size * shared, _GL_X.size * count
-    sizes = np.zeros(t_to.size, dtype=int)
-    sizes[steps] = n_sh + n_own
-    panel = np.concatenate(([0], np.cumsum(count)))
-    for i, j in _blocks(sizes.tolist(), _PASS):
-        if T_from is not None:
-            T[:, i:j] = T_from[:, i:j] * np.exp(-beta[:, None] * width[i:j])
-        u, v = np.searchsorted(steps, (i, j))
-        if u < v:
-            own = slice(panel[u], panel[v])
-            _add_forcing(sol, T, steps[u:v], t_to, kernel, d, n_sh[u:v],
-                         _gl_nodes(lo[own], hi[own]), n_own[u:v])
+    mn = sol.moments / sol.norms
+    node = 0.5 * (1.0 + _GL_X)
+    order, uw, rank = _distinct(wid)
+    sw, uid = wid[order], rank[order]
+    nw = max(1, _BLOCK // (2 * _GL_X.size * kappa.size))
+    per = max(1, min(_PASS // _GL_X.size, _BLOCK // (6 * kappa.size)))
+    y = np.empty((min(per, order.size), 3, kappa.size))
+    block, first, prefix = None, 0, {}
+    for i in range(0, order.size, per):
+        idx = order[i:i + per]
+        ks, o, w, u = step[idx], off[idx], sw[i:i + per], uid[i:i + per]
+        tau = (t_to[ks] - o)[:, None] - w[:, None] * node
+        q = np.stack(forcing_weights(sol.lift_data, tau), axis=1)
+        seg = np.flatnonzero(np.r_[True, u[1:] != u[:-1], True])
+        for a, b in zip(seg[:-1].tolist(), seg[1:].tolist()):
+            if block is None or u[a] >= first + nw:
+                first, block = u[a], None  # the old block goes before the next is made
+                block = _width_moments(edges, d, kernel, kappa, uw[first:first + nw], prefix)
+            np.matmul(q[a:b], block[u[a] - first], out=y[a:b])
+        z = y[:idx.size]
+        v = mn[0] * z[:, 0] + mn[1] * z[:, 1] + mn[2] * z[:, 2]
+        far = o > 0.0
+        if far.any():
+            v[far] *= np.exp(np.multiply.outer(-o[far], kappa))
+        v *= np.exp(s * t_to[ks])[:, None]
+        sk = np.sort(ks)
+        if np.all(sk[1:] != sk[:-1]):
+            T[:, ks] += v.T
+        else:  # some step has several pieces here: add them one by one
+            np.add.at(T, (slice(None), ks), v.T)
+    if T_from is not None:
+        T_from = np.broadcast_to(T_from, T.shape)
+        cols = max(1, _BLOCK // beta.size)
+        for i in range(0, t_to.size, cols):
+            c = slice(i, i + cols)
+            decay = np.multiply.outer(-beta, t_to[c] - t_from[c])
+            np.exp(decay, out=decay)
+            decay *= T_from[:, c]
+            T[:, c] += decay
     if not np.all(np.isfinite(T)):
         raise NumericOverflowError("series coefficients left the double range")
     return T
-
-
-def _add_forcing(sol: SeriesSolution, T, steps, t_to, kernel, d, n_sh, own, n_own):
-    """T[:, k] += e^{s t_k} sum_i (moment_i / norm) (K_k @ q_i) for each step k.
-
-    K_k is step k's kernels w_j e^{-(s + beta) d_j}: the first n_sh[k] rows
-    of the shared lattice `kernel`, then the n_own[k] nodes of its own
-    panels, whose kernels are made in blocks of whole steps of at most
-    `_BLOCK` modes x nodes.  q = (a, b, c) are the forcing weights at
-    tau = t_k - d, made in one call for all the steps.
-    """
-    s = sol.data.params.s
-    kappa = s + sol.beta
-    od, ow = own
-    sh_at = np.concatenate(([0], np.cumsum(n_sh)))
-    own_at = np.concatenate(([0], np.cumsum(n_own)))
-    # lattice node j of each step sits at d[j]: a ragged arange per step
-    ragged = np.arange(sh_at[-1]) - np.repeat(sh_at[:-1], n_sh)
-    tau = np.concatenate((np.repeat(t_to[steps], n_sh) - d[ragged],
-                          np.repeat(t_to[steps], n_own) - od))
-    q = np.stack(forcing_weights(sol.lift_data, tau), axis=1)
-    q_sh, q_own = q[:sh_at[-1]], q[sh_at[-1]:]
-    mn = sol.moments / sol.norms
-    growth = np.exp(s * t_to[steps])
-    blocks = list(_blocks(n_own.tolist(), max(1, _BLOCK // kappa.size)))
-    # one work array for every block: a fresh one per block costs page faults
-    rows = max(own_at[v] - own_at[u] for u, v in blocks)
-    work = np.empty((rows, kappa.size))
-    y = np.empty((max(v - u for u, v in blocks), 3, kappa.size))
-    for u, v in blocks:
-        blk = slice(own_at[u], own_at[v])
-        K = work[:blk.stop - blk.start]
-        np.multiply.outer(-od[blk], kappa, out=K)
-        np.exp(K, out=K)
-        K *= ow[blk, None]
-        qb, at = q_own[blk], own_at - blk.start
-        for m in range(u, v):
-            np.matmul(q_sh[sh_at[m]:sh_at[m + 1]].T, kernel[:n_sh[m]], out=y[m - u])
-            y[m - u] += qb[at[m]:at[m + 1]].T @ K[at[m]:at[m + 1]]
-        z = y[:v - u]
-        inc = growth[u:v, None] * (mn[0] * z[:, 0] + mn[1] * z[:, 1] + mn[2] * z[:, 2])
-        cols = steps[u:v]
-        T[:, cols] = T[:, cols] + inc.T
 
 
 def _mode_moments(kind: str, lam: np.ndarray, params) -> np.ndarray:
@@ -688,11 +707,14 @@ def _phi_combine(sol: SeriesSolution, e, co, si) -> np.ndarray:
     start = out.shape[-1] - kap.size
     if start:
         out[..., 0] = e
-    out[..., start:] = co + (r / kap) * si
+    # (r / kappa_n) sin + cos, formed in place: no parts-sized temporary
+    cos_sin = np.multiply(si, r / kap, out=out[..., start:])
+    cos_sin += co
     return out
 
 
-def _phi_matrices(sol: SeriesSolution, x):
+def _phi_matrices(sol: SeriesSolution, x, slope: bool = True):
+    """phi_n at the points x, and phi_n' there (None without `slope`)."""
     p = sol.data.params
     x = np.atleast_1d(np.asarray(x, dtype=float))
     kap = _kappas(sol)
@@ -701,6 +723,8 @@ def _phi_matrices(sol: SeriesSolution, x):
     co = np.cos(arg)
     si = np.sin(arg, out=arg)  # arg is spent: one nodes x modes array less
     vals = _phi_combine(sol, e, co, si)
+    if not slope:
+        return vals, None
     ders = np.empty_like(vals)
     start = vals.shape[1] - kap.size
     if start:
@@ -728,7 +752,7 @@ def _shaped(out: np.ndarray, x, t):
 
 def eval_w(sol: SeriesSolution, x, t):
     """Transformed solution w(x, t) = sum T_n(t) phi_n(x), one row per instant."""
-    vals, _ = _phi_matrices(sol, x)
+    vals, _ = _phi_matrices(sol, x, slope=False)
     return _shaped(_sums(vals, sol.coefficients(t)), x, t)
 
 
@@ -743,7 +767,7 @@ def _evaluate(sol: SeriesSolution, x, t, T: np.ndarray, slope: bool = False):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     T = T.reshape(T.shape[0], ts.size)
-    vals, ders = _phi_matrices(sol, xs)
+    vals, ders = _phi_matrices(sol, xs, slope)
     out = np.empty((ts.size, xs.size))
     step = max(1, _POINTS // xs.size)
     for i in range(0, ts.size, step):
@@ -876,9 +900,10 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
     dense = _dense_grid(sol._knots, data.t0, t_end)
     dense_T = _march(sol, None, np.r_[dense[0], dense[:-1]], dense)
     dense_T[:, 0] = sol.T0
+    _, widths, which = _distinct(np.diff(dense))
+    decay = np.exp(np.multiply.outer(widths, -sol.beta))
     for k in range(1, dense.size):
-        decay = np.exp(-sol.beta * (dense[k] - dense[k - 1]))
-        dense_T[:, k] = dense_T[:, k - 1] * decay + dense_T[:, k]
+        dense_T[:, k] = dense_T[:, k - 1] * decay[which[k - 1]] + dense_T[:, k]
     if not np.all(np.isfinite(dense_T)):
         raise NumericOverflowError("series coefficients left the double range")
     sol._dense_times = dense

@@ -429,3 +429,30 @@ def test_csv_writer_matches_the_per_cell_writer(tmp_path, monkeypatch, case, blo
     cli._write_csv(tmp_path / "new.csv", "a,b,c", rows())
     per_cell_csv(tmp_path / "old.csv", "a,b,c", rows())
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _grid_cases():
+    rng = np.random.default_rng(11)
+    ts, xs = np.linspace(0.0, 2.0, 41), np.linspace(0.0, 1.0, 61)
+    grid = rng.standard_normal((ts.size, xs.size)) * 10.0 ** rng.integers(-20, 20, (41, 61))
+    edge = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1.0 / 3.0])
+    return {
+        "random": (ts, xs, grid),
+        "edge-values": (edge[:3], edge, np.array([np.roll(edge, k) for k in range(3)])),
+        "one-x": (ts, np.array([-0.0]), grid[:, :1]),
+        "one-t": (np.array([5e-324]), xs, grid[:1]),
+        "one-cell": (np.array([1e300]), np.array([-0.0]), np.array([[-0.0]])),
+    }
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 1 << 20])
+@pytest.mark.parametrize("case", sorted(_grid_cases()))
+def test_grid_writer_matches_the_row_writer(tmp_path, monkeypatch, case, block):
+    """profile.csv's grid form gives the bytes of the same (t, x, C) rows."""
+    if block is not None:
+        monkeypatch.setattr(cli, "_CSV_ROWS", block)
+    ts, xs, grid = _grid_cases()[case]
+    cli._write_csv(tmp_path / "grid.csv", "t,x,C", grid=(ts, xs, grid))
+    rows = ((t, x, c) for t, row in zip(ts, grid) for x, c in zip(xs, row))
+    cli._write_csv(tmp_path / "rows.csv", "t,x,C", rows)
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

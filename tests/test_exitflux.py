@@ -424,3 +424,114 @@ def test_constant_phi_off_equilibrium_still_integrates(monkeypatch):
     assert np.array_equal(got, exit_concentration(general, ts))
     # the exit first reads the resident 0.3, as it decays: the initial part
     assert got[1] == pytest.approx(0.3 * np.exp(-0.5 * ts[1]), rel=1e-6)
+
+
+# -- the lag convolution on a uniform grid ------------------------------------
+
+def _per_row(monkeypatch):
+    """Make every instant grid take the per-row rule."""
+    monkeypatch.setattr(exitflux, "_grid_step", lambda t0, ts: None)
+
+
+def _chain_inlet(n_grid=512):
+    """Segment 2 of the README chain: its inlet is segment 1's 512-knot exit table."""
+    seg1 = resolve_exit(make_data(ell=0.5, g=SmoothFn.smooth_pulse(0.1, 0.6, 1.0)),
+                        2.0, n_grid=n_grid)
+    return make_data(ell=0.5, g=seg1.require_exit())
+
+
+@pytest.mark.parametrize("case", ["pulse-solve", "loaded", "table-inlet"])
+def test_lag_path_matches_the_per_row_rule(case, loaded_data, monkeypatch):
+    data, t_end = {
+        "pulse-solve": (make_data(g=SmoothFn.smooth_pulse(0.1, 0.6, 1.0)), 2.0),
+        "loaded": (loaded_data.with_exit(None), 2.5),
+        "table-inlet": (_chain_inlet(), 2.0),
+    }[case]
+    hp = HalfLineProblem.from_data(data)
+    assert hp.at_rest == (case != "loaded")
+    ts = np.linspace(data.t0, t_end, 512)
+    lag = exit_concentration(hp, ts)
+    # every 15th row and the last: the per-row rule is slow on a table inlet
+    rows = np.r_[np.arange(0, 511, 15), 511]
+    _per_row(monkeypatch)
+    ref = exit_concentration(hp, ts[rows])
+    assert np.max(np.abs(lag[rows] - ref)) <= 1e-12
+
+
+def test_table_inlet_at_grid_instants_matches_adaptive_quad():
+    """The 256-knot inlet of `test_tabulated_inlet_closure_uses_every_knot`,
+    now at instants of its own grid, where the lag path runs."""
+    seg1 = resolve_exit(make_data(ell=0.5, g=SmoothFn.constant(1.0)), 2.0,
+                        n_grid=256)
+    g = seg1.require_exit()
+    data = make_data(ell=0.5, g=g)
+    p = data.params
+    kap = p.D / p.R
+    a = p.ell * p.ell / (4.0 * kap)
+    grid = np.asarray(g.knots)
+    got = exit_concentration(HalfLineProblem.from_data(data), grid)
+    for i in (38, 115, 153, 242):
+        t = grid[i]
+        pts = [c for c in [np.sqrt(a)] + [np.sqrt(t - k) for k in g.knots
+                                          if 0.0 < k < t]
+               if c < np.sqrt(t)]
+        duhamel, _ = quad(
+            lambda q: np.exp(-a / q**2 - p.s * q**2) / q**2 * g.eval(t - q * q),
+            0.0, np.sqrt(t), points=pts, limit=2 * len(pts) + 200,
+            epsabs=1e-13, epsrel=1e-13)
+        want = np.exp(p.r * p.ell) * p.ell / np.sqrt(np.pi * kap) * duhamel
+        assert abs(got[i] - want) <= 1e-12
+
+
+def _count(monkeypatch, name):
+    calls = []
+    real = getattr(exitflux, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exitflux, name, counted)
+    return calls
+
+
+def test_readme_pulse_exit_curve_is_one_lag_convolution(monkeypatch):
+    rows = _count(monkeypatch, "_boundary_part")
+    lags = _count(monkeypatch, "_lag_part")
+    exit_curve(make_data(g=SmoothFn.smooth_pulse(0.1, 0.6, 1.0)), 2.0, n_grid=512)
+    assert rows == [] and lags == [1]
+
+
+@pytest.mark.parametrize("ts", [[0.3, 0.9, 1.2, 1.9], [1.5], np.linspace(0.0, 2.0, 9) ** 2])
+def test_instants_off_a_uniform_grid_take_the_per_row_rule(ts, monkeypatch):
+    lags = _count(monkeypatch, "_lag_part")
+    hp = HalfLineProblem.from_data(make_data(g=SmoothFn.smooth_pulse(0.1, 0.6, 1.0)))
+    exit_concentration(hp, np.asarray(ts))
+    assert lags == []
+
+
+def test_unresolved_narrow_bump_falls_back_to_the_per_row_rule(monkeypatch):
+    """Samples at 10 nodes of each 0.25-wide interval cannot follow a 0.05-wide
+    bump: the Legendre-tail check sends the grid to the per-row rule."""
+    ts = np.linspace(0.0, 2.0, 9)
+    hinted = HalfLineProblem.from_data(make_data(
+        g=_narrow_bump_inlet(knots=(0.85, 0.95, 1.0, 1.05, 1.15))))
+    want = np.array([exit_concentration(hinted, t) for t in ts])
+    rows = _count(monkeypatch, "_boundary_part")
+    lags = _count(monkeypatch, "_lag_part")
+    got = exit_concentration(HalfLineProblem.from_data(make_data(g=_narrow_bump_inlet())), ts)
+    assert lags == [1] and rows == [1]
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_grid_longer_than_the_convolution_cap_takes_the_per_row_rule(monkeypatch):
+    """np.convolve's cost grows like M^2: past `_LAG_ROWS` rows the grid is
+    integrated row by row, to the same values."""
+    hp = HalfLineProblem.from_data(make_data(g=SmoothFn.smooth_pulse(0.1, 0.6, 1.0)))
+    ts = np.linspace(0.0, 2.0, 65)
+    lagged = exit_concentration(hp, ts)
+    monkeypatch.setattr(exitflux, "_LAG_ROWS", 63)
+    lags = _count(monkeypatch, "_lag_part")
+    rows = exit_concentration(hp, ts)
+    assert lags == []
+    assert np.max(np.abs(rows - lagged)) <= 1e-12

@@ -589,6 +589,81 @@ def test_march_matches_the_fused_per_node_rule(loaded_data, kind, monkeypatch):
         assert_close_per_instant(T, reference_increments(sol, t_from, t_to))
 
 
+def test_width_moments_are_made_once_and_do_not_depend_on_the_call(loaded_data,
+                                                                     monkeypatch):
+    """W(w) of a dense step is bit-equal in a march of 500 steps and of one."""
+    import coltrans.series as series
+
+    sol = build_solution(loaded_data, TruncationPolicy(n_max=60), 2.5)
+    dense = sol._dense_times
+    made = {}
+    width_moments = series._width_moments
+
+    def recorded(edges, d, kernel, kappa, ws, prefix):
+        out = width_moments(edges, d, kernel, kappa, ws, prefix)
+        for w, W in zip(ws.tolist(), out):
+            made.setdefault(w, []).append(W.copy())
+        return out
+
+    monkeypatch.setattr(series, "_width_moments", recorded)
+    series._march(sol, None, dense[:500], dense[1:501])
+    assert len(made) < 100 and all(len(Ws) == 1 for Ws in made.values())
+    for k in (0, 137, 499):
+        series._march(sol, None, dense[k:k + 1], dense[k + 1:k + 2])
+        first, again = made[float(dense[k + 1] - dense[k])]
+        assert _bits(first) == _bits(again)
+
+
+def test_long_step_is_the_sum_of_its_pieces(loaded_data):
+    """A step across the inlet knots and past t_end, against each of its pieces
+    marched as a step of its own and decayed over the piece's offset."""
+    import coltrans.series as series
+
+    sol = build_solution(loaded_data, TruncationPolicy(n_max=60), 2.5)
+    t_from, t_to = 0.05, 6.0
+    _, off, wid = series._pieces(sol, np.array([t_from]), np.array([t_to]))
+    assert off.size >= 12 and off[0] == 0.0
+    assert np.sum((sol._knots > t_from) & (sol._knots < t_to)) >= 4
+    whole = series._march(sol, None, [t_from], [t_to])
+    parts = sum(np.exp(-sol.beta * o)[:, None]
+                * series._march(sol, None, [t_to - o - w], [t_to - o])
+                for o, w in zip(off.tolist(), wid.tolist()))
+    assert_close_per_instant(whole, parts)
+
+
+def _loaded_verify_data():
+    """The loaded-verify benchmark problem: measured Gaussian exit."""
+    phi = SmoothFn.polynomial([0.0, 0.0, 2.0384, -2.912, 1.04])
+    return make_data(R=1.2, D=0.6, v=1.1, mu=0.4, gamma=0.3, ell=1.4, phi=phi,
+                     g=SmoothFn.smooth_pulse(0.1, 0.9, 1.0, ramp=0.15),
+                     exit=SmoothFn.exp_pulse(0.4, 1.6, 0.4))
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of what it allocated on top of the live heap, MiB."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_march_memory_stays_within_its_blocks():
+    """The build and the 165 mass-balance instants of `verify` on the loaded
+    problem peak no higher than the per-node march did (1.62 and 1.21 MiB)."""
+    sol, build_peak = _traced_peak(
+        lambda: build_solution(_loaded_verify_data(), TruncationPolicy(), 2.5))
+    ht = 2.5 / 2000.0
+    times = np.linspace(2.5 * ht, 2.5 - 2.5 * ht, 33)
+    instants = (times[:, None] + np.arange(-2, 3) * ht).ravel()
+    _, eval_peak = _traced_peak(lambda: sol.coefficients(instants))
+    assert build_peak <= 1.7 and eval_peak <= 1.3
+
+
 def test_large_t_with_a_fast_negative_mode_is_finite():
     """|beta_0| gap = 2,763: decaying a zero initial state once gave 0 inf."""
     data = make_data(v=2.0, D=0.1, mu=0.1, g=SmoothFn.constant(1.0),
