@@ -375,6 +375,9 @@ def _lag_part(params: TransportParams, g: SmoothFn, gm: float, x: float,
     def kern(u):
         return pref * np.exp(-a / u - p.s * u) / (u * np.sqrt(u))
 
+    def sample(tau):  # g - gm at tau, also where g returns one value for all
+        return np.broadcast_to(g.eval(tau), tau.shape) - gm
+
     ends = t0 + h * np.arange(M + 1)
     knots = np.asarray(g.knots, dtype=float)
     knots = knots[(knots > t0) & (knots < ends[-1])]
@@ -382,14 +385,14 @@ def _lag_part(params: TransportParams, g: SmoothFn, gm: float, x: float,
     inside = knots > ends[holder]
     knots, holder = knots[inside], holder[inside]
     node = 0.5 * (1.0 + _GL_X)
-    G = g.eval(ends[:-1, None] + h * node) - gm
+    G = sample(ends[:-1, None] + h * node)
     G[holder] = 0.0
     pieces = []  # (interval, lo, hi, samples) of the cut intervals
     for j in _sorted_unique(holder).astype(int).tolist():
         inner = np.clip((knots[holder == j] - ends[j]) / h, 0.0, 1.0)
         cuts = _sorted_unique(np.r_[0.0, inner, 1.0])
         for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-            pieces.append((j, lo, hi, g.eval(ends[j] + h * (lo + (hi - lo) * node)) - gm))
+            pieces.append((j, lo, hi, sample(ends[j] + h * (lo + (hi - lo) * node))))
     samples = [G] + [q for *_, q in pieces]
     scale = tol * max(1.0, *(float(np.max(np.abs(q), initial=0.0)) for q in samples))
     if any(np.max(np.abs(q @ _LEG_TAIL).sum(axis=-1), initial=0.0) > scale

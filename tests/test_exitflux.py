@@ -535,3 +535,14 @@ def test_grid_longer_than_the_convolution_cap_takes_the_per_row_rule(monkeypatch
     rows = exit_concentration(hp, ts)
     assert lags == []
     assert np.max(np.abs(rows - lagged)) <= 1e-12
+
+
+def test_lag_path_takes_an_inlet_that_returns_one_value(monkeypatch):
+    """A callable g may return a scalar for an array of instants."""
+    ts = np.linspace(0.0, 2.0, 33)
+    lags = _count(monkeypatch, "_lag_part")
+    scalar = SmoothFn.from_callable(lambda t: 1.0, lambda t: 0.0)
+    got = exit_concentration(HalfLineProblem.from_data(make_data(g=scalar)), ts)
+    want = exit_concentration(HalfLineProblem.from_data(make_data(g=SmoothFn.constant(1.0))), ts)
+    assert lags == [1, 1]
+    assert np.array_equal(got, want)
