@@ -362,8 +362,9 @@ def _lag_part(params: TransportParams, g: SmoothFn, gm: float, x: float,
     alone.  g - gm is sampled at the 10-point rule's nodes of each grid
     interval j and interpolated there, so row i is
     sum_q sum_j G[j, q] W[i - j - 1, q] (`_lag_moments`), one np.convolve
-    per node.  An interval holding an inlet knot strictly inside is cut at
-    it, and each piece is added with its own samples and moments.  None
+    per node.  An interval holding an inlet knot inside, by more than
+    1e-9 of its width, is cut at it, and each piece is added with its own
+    samples and moments.  None
     when a check fails: moments that do not settle, or samples whose last
     two Legendre coefficients exceed tol max(1, |g - gm|).
     """
@@ -382,15 +383,16 @@ def _lag_part(params: TransportParams, g: SmoothFn, gm: float, x: float,
     knots = np.asarray(g.knots, dtype=float)
     knots = knots[(knots > t0) & (knots < ends[-1])]
     holder = np.searchsorted(ends, knots, side="right") - 1
-    inside = knots > ends[holder]
-    knots, holder = knots[inside], holder[inside]
+    # where a knot sits in its interval; one within rounding of an end is on it
+    pos = (knots - ends[holder]) / h
+    inside = (pos > 1e-9) & (pos < 1.0 - 1e-9)
+    pos, holder = pos[inside], holder[inside]
     node = 0.5 * (1.0 + _GL_X)
     G = sample(ends[:-1, None] + h * node)
     G[holder] = 0.0
     pieces = []  # (interval, lo, hi, samples) of the cut intervals
     for j in _sorted_unique(holder).astype(int).tolist():
-        inner = np.clip((knots[holder == j] - ends[j]) / h, 0.0, 1.0)
-        cuts = _sorted_unique(np.r_[0.0, inner, 1.0])
+        cuts = _sorted_unique(np.r_[0.0, pos[holder == j], 1.0])
         for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
             pieces.append((j, lo, hi, sample(ends[j] + h * (lo + (hi - lo) * node))))
     samples = [G] + [q for *_, q in pieces]

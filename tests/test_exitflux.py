@@ -546,3 +546,18 @@ def test_lag_path_takes_an_inlet_that_returns_one_value(monkeypatch):
     want = exit_concentration(HalfLineProblem.from_data(make_data(g=SmoothFn.constant(1.0))), ts)
     assert lags == [1, 1]
     assert np.array_equal(got, want)
+
+
+def test_knot_within_rounding_of_a_grid_instant_cuts_no_sliver(monkeypatch):
+    """A pulse knot 2e-15 of an interval below a grid instant: cutting there
+    would leave a piece whose nodes round onto the instant, where the kernel
+    is 0/0.  The knot counts as on the instant, and the lag path holds."""
+    ts = np.linspace(0.0, 2.0, 33)
+    start = float(ts[5] - 2e-15 * (ts[1] - ts[0]))
+    hp = HalfLineProblem.from_data(make_data(g=SmoothFn.smooth_pulse(start, 1.2, 1.0)))
+    lags = _count(monkeypatch, "_lag_part")
+    with np.errstate(divide="raise", invalid="raise"):
+        got = exit_concentration(hp, ts)
+    assert lags == [1]
+    _per_row(monkeypatch)
+    assert np.max(np.abs(got - exit_concentration(hp, ts))) <= 1e-12
