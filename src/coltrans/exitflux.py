@@ -364,9 +364,9 @@ def _lag_part(params: TransportParams, g: SmoothFn, gm: float, x: float,
     sum_q sum_j G[j, q] W[i - j - 1, q] (`_lag_moments`), one np.convolve
     per node.  An interval holding an inlet knot inside, by more than
     1e-9 of its width, is cut at it, and each piece is added with its own
-    samples and moments.  None
-    when a check fails: moments that do not settle, or samples whose last
-    two Legendre coefficients exceed tol max(1, |g - gm|).
+    samples and moments.  None when a check fails: moments that do not
+    settle, or samples whose last two Legendre coefficients exceed
+    tol max(1, |g - gm|).
     """
     p = params
     kap = p.D / p.R
