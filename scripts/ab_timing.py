@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Interleaved wall-time pairs of two checkouts on the benchmark's commands.
 
-    python3 scripts/ab_timing.py --against ../parent [--pairs 10] [--cpu 1]
+    python3 scripts/ab_timing.py --against ../parent
 
 For each case it writes the seed-0 run file from perfbench/workloads.py
 (which is only read) and runs the command in fresh `python -m coltrans`
-processes, one from this checkout (`--root`, default this one) and one
-from `--against`, pair by pair, the order swapped from each pair to the
-next.  The cases are pulse-solve (`solve`), loaded-verify (`verify`) and
-chain, the pulse-solve run file with `[chain] lengths = 0.5 0.5 0.5`.
-Every process is pinned to one CPU (`--cpu`), so the two sides see the
-same core.
+processes, one from this checkout and one from `--against`, for ten
+pairs, the order swapped from each pair to the next.  The cases are
+pulse-solve (`solve`), loaded-verify (`verify`) and chain, the
+pulse-solve run file with `[chain] lengths = 0.5 0.5 0.5`.  Every
+process is pinned to the last CPU this one may use, so the two sides see
+the same core.
 
 It prints, per case, each side's median wall time with its quartiles, how
 many pairs each side won, and each side's median in-process stage times:
@@ -43,6 +43,7 @@ CASES = {
     "chain": ("pulse-solve", "\n[chain]\nlengths = 0.5 0.5 0.5\n"),
 }
 COMMAND = {"pulse-solve": "solve", "loaded-verify": "verify", "chain": "chain"}
+PAIRS = 10
 
 # cli name -> stage
 STAGES = {
@@ -56,6 +57,7 @@ STAGES = {
     "mass_balance": "balance",
     "mass_balance_fd": "balance",
     "_write_csv": "write",
+    "_write_grid_csv": "write",
     "_write_json": "write",
 }
 STAGE_ORDER = ["config", "exit", "build", "eval", "fd", "balance", "write", "main"]
@@ -108,7 +110,7 @@ def quartiles(values):
     return med, q1, q3
 
 
-def compare(case: str, roots: dict, pairs: int, tmp: Path) -> list:
+def compare(case: str, roots: dict, tmp: Path) -> list:
     sys.path.insert(0, str(HERE / "perfbench"))
     import workloads
 
@@ -118,7 +120,7 @@ def compare(case: str, roots: dict, pairs: int, tmp: Path) -> list:
     walls = {side: [] for side in roots}
     stages = {side: [] for side in roots}
     sides = list(roots)
-    for i in range(pairs):
+    for i in range(PAIRS):
         for side in sides if i % 2 == 0 else sides[::-1]:
             wall, stage = run_once(roots[side], COMMAND[case], ini,
                                    tmp / f"{case}-{side}-{i}", tmp / "sidecar.json")
@@ -126,11 +128,11 @@ def compare(case: str, roots: dict, pairs: int, tmp: Path) -> list:
             stages[side].append(stage)
     this, other = sides
     wins = sum(a < b for a, b in zip(walls[this], walls[other]))
-    lines = [f"{case}: {COMMAND[case]}, {pairs} interleaved pairs"]
+    lines = [f"{case}: {COMMAND[case]}, {PAIRS} interleaved pairs"]
     for side in sides:
         med, q1, q3 = quartiles(walls[side])
         lines.append(f"  wall {side:<8} median {med:.4f} s  (quartiles {q1:.4f}, {q3:.4f})")
-    lines.append(f"  this faster in {wins} of {pairs} pairs")
+    lines.append(f"  this faster in {wins} of {PAIRS} pairs")
     lines.append("  stage medians, ms   " + "".join(f"{s:>9}" for s in STAGE_ORDER))
     for side in sides:
         meds = [1e3 * statistics.median(r[s] for r in stages[side]) for s in STAGE_ORDER]
@@ -144,22 +146,12 @@ def main(argv=None) -> int:
         return child(argv[1], argv[argv.index("--") + 1:])
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--against", required=True, help="checkout to compare with")
-    ap.add_argument("--root", default=str(HERE),
-                    help="checkout whose src/ is run as `this` (default: this one)")
-    ap.add_argument("--pairs", type=int, default=10, help="pairs per case (at least 2)")
-    ap.add_argument("--cpu", type=int, default=None,
-                    help="CPU to pin to (default: the last one this process may use)")
-    ap.add_argument("--case", action="append", choices=list(CASES),
-                    help="limit to these cases (repeatable)")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
-    cpu = max(os.sched_getaffinity(0)) if args.cpu is None else args.cpu
-    os.sched_setaffinity(0, {cpu})  # children inherit the pinning
-    roots = {"this": Path(args.root).resolve(), "against": Path(args.against).resolve()}
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})  # children inherit it
+    roots = {"this": HERE, "against": Path(args.against).resolve()}
     with tempfile.TemporaryDirectory() as tmp:
-        for case in args.case or list(CASES):
-            print("\n".join(compare(case, roots, args.pairs, Path(tmp))), flush=True)
+        for case in CASES:
+            print("\n".join(compare(case, roots, Path(tmp))), flush=True)
     return 0
 
 
