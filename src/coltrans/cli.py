@@ -92,18 +92,28 @@ def _write_json(path: Path, payload: dict):
         fh.write(text + "\n")
 
 
-def _write_csv(path: Path, header: str, rows=(), *, grid=None):
+def _write_csv(path: Path, header: str, rows):
     """header, then each row's cells as %.17g, comma-separated.
 
     Rows are taken in blocks of `_CSV_ROWS` and each block is one
     %-format of its lines, written at once, so memory stays bounded.
-    `grid` = (ts, xs, values) in place of rows writes the rows (t, x, C) of
-    a (t, x) grid, t slowest, by `_grid_blocks`: the same bytes, with each
-    distinct t and x formatted once per file and only C once per cell.
     """
+    _write_blocks(path, header, _row_blocks(rows))
+
+
+def _write_grid_csv(path: Path, header: str, ts, xs, values):
+    """The rows (t, x, C) of a (t, x) grid, t slowest, as `_write_csv` writes them.
+
+    Same bytes, with each distinct t and x formatted once per file and
+    only C once per cell (`_grid_blocks`).
+    """
+    _write_blocks(path, header, _grid_blocks(ts, xs, values))
+
+
+def _write_blocks(path: Path, header: str, blocks):
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for text in _row_blocks(rows) if grid is None else _grid_blocks(*grid):
+        for text in blocks:
             fh.write(text)
 
 
@@ -156,7 +166,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
     profile = eval_C(sol, xs, ts)
     # same instants, so the coefficients come from the solution's memo
     bt = zip(ts, eval_C(sol, data.params.ell, ts), cE.eval(ts))
-    _write_csv(out / "profile.csv", "t,x,C", grid=(ts, xs, profile))
+    _write_grid_csv(out / "profile.csv", "t,x,C", ts, xs, profile)
     _write_csv(out / "breakthrough.csv", "t,C_exit,C_flux_exit", bt)
 
     _write_json(out / "manifest.json", {

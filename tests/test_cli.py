@@ -448,11 +448,11 @@ def _grid_cases():
 @pytest.mark.parametrize("block", [None, 1, 7, 1 << 20])
 @pytest.mark.parametrize("case", sorted(_grid_cases()))
 def test_grid_writer_matches_the_row_writer(tmp_path, monkeypatch, case, block):
-    """profile.csv's grid form gives the bytes of the same (t, x, C) rows."""
+    """profile.csv's grid writer gives the bytes of the same (t, x, C) rows."""
     if block is not None:
         monkeypatch.setattr(cli, "_CSV_ROWS", block)
     ts, xs, grid = _grid_cases()[case]
-    cli._write_csv(tmp_path / "grid.csv", "t,x,C", grid=(ts, xs, grid))
+    cli._write_grid_csv(tmp_path / "grid.csv", "t,x,C", ts, xs, grid)
     rows = ((t, x, c) for t, row in zip(ts, grid) for x, c in zip(xs, row))
     cli._write_csv(tmp_path / "rows.csv", "t,x,C", rows)
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
