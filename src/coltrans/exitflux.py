@@ -26,15 +26,15 @@ once (`exit_concentration` takes an array of t; `exit_curve` passes its
 grid in one call).
 
 On a uniform grid t0 + h (1, ..., M), which is what `exit_curve` passes,
-and M <= `_LAG_ROWS` (np.convolve's cost grows like M^2, the per-row
-rule's like M), the Duhamel part is one lag convolution (`_lag_part`), by product
-integration (Linz, *Analytical and Numerical Methods for Volterra
-Equations*, SIAM 1985; Atkinson, *The Numerical Solution of Integral
-Equations of the Second Kind*, CUP 1997).  In u = t - tau its kernel
-k(u) = x/(2 sqrt(pi D/R)) e^{-a/u - s u} u^{-3/2}, a = x^2/(4 D/R),
-depends on the lag alone.  g - gamma/mu is sampled at the 10 Gauss-Legendre
-nodes of each grid interval and interpolated there, and the kernel's
-moments against that Lagrange basis are integrated once per lag m, on
+and M <= `_LAG_ROWS`, the Duhamel part is one lag convolution
+(`_lag_part`), by product integration (Linz, *Analytical and Numerical
+Methods for Volterra Equations*, SIAM 1985; Atkinson, *The Numerical
+Solution of Integral Equations of the Second Kind*, CUP 1997).  Its cost
+grows like M^2, the per-row rule's like M, hence the cap.  In u = t - tau
+its kernel k(u) = x/(2 sqrt(pi D/R)) e^{-a/u - s u} u^{-3/2},
+a = x^2/(4 D/R), depends on the lag alone.  g - gamma/mu is sampled at
+the 10 Gauss-Legendre nodes of each grid interval and interpolated
+there, and the kernel's moments against that Lagrange basis are integrated once per lag m, on
 panels halved until two passes agree (`_lag_moments`); row i is then
 sum_q sum_j G[j, q] W[i - j - 1, q], one np.convolve per node.  An interval
 that holds an inlet knot strictly inside is cut there, and each piece is
@@ -95,7 +95,11 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _PANELS = 4                 # panels per gap between cuts in the coarse rule
 _CHUNK_NODES = 1 << 15      # integrand nodes per pass: 256 KB a temporary
 _LAG_LEVELS = 6             # halvings of the lag moments' panels before giving up
-_LAG_ROWS = 1 << 13         # longest grid convolved: np.convolve costs M^2 a node
+# longest grid convolved.  np.convolve's cost grows like M^2, the per-row
+# rule's like M; on the README pulse the two cross between M = 7,000 and
+# 7,500 (one CPU of a 2-CPU Xeon host), on a 512-knot table inlet the lag
+# path is still 6x faster at M = 16,384
+_LAG_ROWS = 7000
 # the last two Legendre coefficients of the interpolant through samples at
 # the rule's nodes: samples @ _LEG_TAIL
 _LEG_TAIL = (np.polynomial.legendre.legvander(_GL_X, _GL_X.size - 1)[:, -2:]
