@@ -45,7 +45,7 @@ CASES = {
 COMMAND = {"pulse-solve": "solve", "loaded-verify": "verify", "chain": "chain"}
 PAIRS = 10
 
-# cli name -> stage
+# cli name -> stage; a name a checkout lacks is skipped
 STAGES = {
     "load_config": "config",
     "resolve_exit": "exit",
@@ -85,7 +85,8 @@ def child(sidecar: str, argv) -> int:
         return timed
 
     for attr, stage in STAGES.items():
-        setattr(cli, attr, wrap(getattr(cli, attr), stage))
+        if hasattr(cli, attr):
+            setattr(cli, attr, wrap(getattr(cli, attr), stage))
     start = time.perf_counter()
     try:
         return cli.main(argv)
