@@ -267,13 +267,35 @@ class BalanceReport:
         return float(np.max(self.relative)) if self.relative.size else 0.0
 
 
-def _simpson_weights(nx: int, h: float) -> np.ndarray:
-    if nx % 2 == 0:
-        raise ParameterError("Simpson quadrature needs an odd node count")
-    w = np.ones(nx)
+def _simpson_weights(x: np.ndarray) -> np.ndarray:
+    if x.size < 3 or x.size % 2 == 0:
+        raise ParameterError("Simpson quadrature needs an odd node count, at least 3")
+    w = np.ones(x.size)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * (h / 3.0)
+    return w * ((x[1] - x[0]) / 3.0)
+
+
+def _books(data: ProblemData, times: np.ndarray, ht: float, masses,
+           conc, w: np.ndarray) -> BalanceReport:
+    """The storage equation's residual at each audit instant.
+
+    Row i of `masses` holds w @ C at times[i] - 2 ht, - ht, + ht and + 2 ht,
+    row i of `conc` holds C at times[i].  Each mass and source is one row's
+    dot product, so audits that read the same rows agree bit for bit.
+    """
+    if not times.size:
+        raise ParameterError("the balance audit needs at least one instant")
+    p = data.params
+    m = np.asarray(masses, dtype=float)
+    storage = p.R * ((m[:, 0] - 8.0 * m[:, 1] + 8.0 * m[:, 2] - m[:, 3]) / (12.0 * ht))
+    gin = p.v * np.asarray(data.g.eval(times), dtype=float)
+    gout = p.v * np.asarray(data.require_exit().eval(times), dtype=float)
+    source = np.array([float(w @ (p.gamma - p.mu * c)) for c in conc])
+    res = storage - gin + gout - source
+    scale = float(np.max(np.abs([storage, gin, gout, source]), initial=0.0))
+    rel = np.abs(res) / scale if scale > 0.0 else np.zeros_like(res)
+    return BalanceReport(times=times, residual=res, relative=rel, scale=scale)
 
 
 def mass_balance(Cfun, data: ProblemData, t_end: float, *, times=None,
@@ -292,56 +314,30 @@ def mass_balance(Cfun, data: ProblemData, t_end: float, *, times=None,
     span = t_end - data.t0
     ht = span / 2000.0
     if times is None:
+        if n_times < 1:
+            raise ParameterError("n_times must be at least 1")
         times = np.linspace(data.t0 + 2.5 * ht, t_end - 2.5 * ht, n_times)
     times = np.asarray(times, dtype=float)
     if times.size and (times.min() < data.t0 + 2.0 * ht or times.max() > t_end - 2.0 * ht):
         raise ParameterError("audit times leave no room for the time stencil")
     xs = np.linspace(0.0, p.ell, nx)
-    w = _simpson_weights(nx, xs[1] - xs[0])
+    w = _simpson_weights(xs)
 
     # per audit instant: t - 2 ht, t - ht, t, t + ht, t + 2 ht
     instants = times[:, None] + np.array([-2, -1, 0, 1, 2])[None, :] * ht
     conc = np.asarray(Cfun(xs, instants.ravel()), dtype=float)
     conc = conc.reshape(times.size, 5, nx)
-    g_in = p.v * np.asarray(data.g.eval(times), dtype=float)
-    g_out = p.v * np.asarray(data.require_exit().eval(times), dtype=float)
-    res = np.empty(times.size)
-    scales = np.empty(times.size)
-    for i, (gin, gout) in enumerate(zip(g_in.tolist(), g_out.tolist())):
-        m = [float(w @ conc[i, k]) for k in (0, 1, 3, 4)]
-        dm = (m[0] - 8.0 * m[1] + 8.0 * m[2] - m[3]) / (12.0 * ht)
-        source = float(w @ (p.gamma - p.mu * conc[i, 2]))
-        res[i] = p.R * dm - gin + gout - source
-        scales[i] = max(abs(p.R * dm), abs(gin), abs(gout), abs(source))
-    scale = float(np.max(scales, initial=0.0))
-    rel = np.abs(res) / scale if scale > 0.0 else np.zeros_like(res)
-    return BalanceReport(times=times, residual=res, relative=rel, scale=scale)
+    masses = [[float(w @ c[k]) for k in (0, 1, 3, 4)] for c in conc]
+    return _books(data, times, ht, masses, conc[:, 2], w)
 
 
 def mass_balance_fd(fdres: FdResult) -> BalanceReport:
     """Audit a finite-difference run on its own grid and time levels."""
-    data = fdres.data
-    p = data.params
-    nx = fdres.x.size
-    if nx % 2 == 0:
-        raise ParameterError("FD balance audit needs an odd node count")
-    w = _simpson_weights(nx, fdres.x[1] - fdres.x[0])
-    M = fdres.C @ w
-    dt = fdres.t[1] - fdres.t[0]
-    k = np.arange(2, fdres.t.size - 2)
-    dm = (M[k - 2] - 8.0 * M[k - 1] + 8.0 * M[k + 1] - M[k + 2]) / (12.0 * dt)
-    times = fdres.t[k]
-    gin = p.v * np.asarray(data.g.eval(times), dtype=float)
-    gout = p.v * np.asarray(data.require_exit().eval(times), dtype=float)
-    source = (p.gamma - p.mu * fdres.C[k]) @ w
-    res = p.R * dm - gin + gout - source
-    scales = np.max(
-        np.vstack([np.abs(p.R * dm), np.abs(gin), np.abs(gout), np.abs(source)]),
-        axis=0,
-    )
-    scale = float(np.max(scales, initial=0.0))
-    rel = np.abs(res) / scale if scale > 0.0 else np.zeros_like(res)
-    return BalanceReport(times=times, residual=res, relative=rel, scale=scale)
+    w = _simpson_weights(fdres.x)
+    M = np.array([float(w @ c) for c in fdres.C])
+    masses = np.stack([M[:-4], M[1:-3], M[3:-1], M[4:]], axis=1)
+    return _books(fdres.data, fdres.t[2:-2], fdres.t[1] - fdres.t[0], masses,
+                  fdres.C[2:-2], w)
 
 
 def danckwerts_solve(data: ProblemData, policy: TruncationPolicy,

@@ -235,7 +235,29 @@ def test_balance_validation(smoke_data, smoke_solution):
     res = fd_solve(smoke_data, 2.0, FdGrid(nx=100, nt=40))
     with pytest.raises(ParameterError, match="odd"):
         mass_balance_fd(res)
+    with pytest.raises(ParameterError, match="at least 3"):
+        mass_balance(fn, smoke_data, 2.0, nx=1)
+    for n in (0, -1):
+        with pytest.raises(ParameterError, match="n_times"):
+            mass_balance(fn, smoke_data, 2.0, n_times=n)
+    with pytest.raises(ParameterError, match="instant"):
+        mass_balance(fn, smoke_data, 2.0, times=[])
+    res = fd_solve(smoke_data, 2.0, FdGrid(nx=21, nt=3))
+    with pytest.raises(ParameterError, match="instant"):
+        mass_balance_fd(res)
 
+
+
+def test_both_audits_keep_one_set_of_books(loaded_data):
+    """mass_balance over the FD levels gives mass_balance_fd's residuals, bit for bit."""
+    fd = fd_solve(loaded_data, 2.5, FdGrid(nx=65, nt=2000))
+    dt = fd.t[1] - fd.t[0]
+    assert dt == 2.5 / 2000.0   # the series audit's stencil step
+    levels = lambda xs, t: fd.C[np.rint((t - fd.t[0]) / dt).astype(int)]
+    k = np.array([3, 250, 1001, 1996])
+    rep = mass_balance(levels, loaded_data, 2.5, times=fd.t[k], nx=65)
+    books = mass_balance_fd(fd)
+    np.testing.assert_array_equal(rep.residual, books.residual[k - 2])
 
 # -- Danckwerts closure comparison --------------------------------------------
 
