@@ -31,7 +31,8 @@ omitted sections default to zero.  Without a measured [exit] the exit
 concentration is computed from the half-line closure on a grid of
 exit.n_grid points.  Each option's default and range check live in the
 dataclass that holds it; the loader passes on only the keys a run file
-sets, and the CLI flags go through the same checks.
+sets, and the CLI flags go through the same checks.  A key that the loader
+does not read is a ConfigError.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ class VerifyOptions:
         FdGrid(nx=self.fd_nx, nt=self.fd_nt)  # the oracle's own checks
         if self.fd_nx % 2 == 0:
             raise ParameterError("fd_nx must be odd for the balance audit")
+        if self.fd_nt < 4:
+            raise ParameterError("fd_nt must be at least 4 for the balance audit")
         for tol in ("balance_tol", "compare_tol"):
             if not 0.0 < getattr(self, tol) < np.inf:
                 raise ParameterError(f"{tol} must be positive and finite")
@@ -115,6 +118,18 @@ _REQUIRED = object()
 # run-file text -> value, by the annotation of the field it sets
 _PARSE = {"int": int, "float": float, "str": str,
           "tuple": lambda raw: tuple(_floats(raw))}
+
+
+class _RunFile(configparser.ConfigParser):
+    """The run file's parser; `used` records each (section, key) whose value is read."""
+
+    def __init__(self):
+        super().__init__()
+        self.used = set()
+
+    def get(self, section, option, **kwargs):
+        self.used.add((section, self.optionxform(option)))
+        return super().get(section, option, **kwargs)
 
 
 def _get(cp, section, key, conv=float, default=_REQUIRED):
@@ -188,7 +203,7 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
-    cp = configparser.ConfigParser()
+    cp = _RunFile()
     try:
         source = path.read_text()
         cp.read_string(source, source=str(path))
@@ -223,7 +238,7 @@ def load_config(path) -> RunConfig:
 
     chain = (_checked(ChainOptions, "[chain]: ", **_set_in(cp, "chain", ChainOptions))
              if cp.has_section("chain") else None)
-    return _checked(
+    cfg = _checked(
         RunConfig, "", data=data,
         policy=_checked(TruncationPolicy, "[policy]: ",
                         **_set_in(cp, "policy", TruncationPolicy)),
@@ -234,3 +249,8 @@ def load_config(path) -> RunConfig:
         **_set_in(cp, "exit", RunConfig, exit_n_grid="n_grid"),
         **_set_in(cp, "output", RunConfig, out_dir="dir"),
     )
+    for sec in cp.sections():
+        for key in cp.options(sec):
+            if (sec, key) not in cp.used:
+                raise ConfigError(f"[{sec}] unknown key {key!r}")
+    return cfg

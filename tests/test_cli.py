@@ -270,7 +270,7 @@ def test_config_errors_exit_two(tmp_path, capsys):
 # each of these used to exit 0 with a PASS or FAIL line, exit 1 with a
 # numpy traceback, or exit 3 as a numeric failure
 @pytest.mark.parametrize("line", ["n_times = 0", "n_times = -1", "fd_nx = 3",
-                                  "fd_nt = 0", "balance_tol = -1",
+                                  "fd_nt = 0", "fd_nt = 3", "balance_tol = -1",
                                   "compare_tol = 0"])
 def test_out_of_range_verify_options_exit_two(tmp_path, capsys, line):
     ini = write_ini(tmp_path, BASE_INI + f"\n[verify]\n{line}\n")
@@ -281,6 +281,39 @@ def test_out_of_range_verify_options_exit_two(tmp_path, capsys, line):
     assert "Traceback" not in err
     assert not out.exists()
 
+
+
+def with_lines(text, section, lines):
+    """text with `lines` added to [section], which is made when missing."""
+    head = f"[{section}]\n"
+    if head in text:
+        return text.replace(head, head + lines + "\n")
+    return text + "\n" + head + lines + "\n"
+
+
+# (section, its lines, the key that no one reads): each of these used to
+# run on the defaults, the typo or stray key silently ignored
+UNKNOWN_KEYS = [
+    ("params", "vel = 2.0", "vel"),
+    ("grid", "n_x = 5", "n_x"),
+    ("phi", "kind = constant\nlevel = 1.0", "level"),
+    ("g", "start = 0.1", "start"),          # [g] is constant here
+    ("exit", "value = 0.5", "value"),       # a computed exit reads no curve
+    ("policy", "nmax = 10", "nmax"),
+    ("verify", "ntimes = 0", "ntimes"),
+    ("chain", "lengths = 1.0\ngrid = 64", "grid"),
+    ("output", "directory = res", "directory"),
+]
+
+
+@pytest.mark.parametrize("section, lines, key", UNKNOWN_KEYS)
+def test_unknown_keys_exit_two_and_write_nothing(tmp_path, capsys, section,
+                                                 lines, key):
+    ini = write_ini(tmp_path, with_lines(BASE_INI, section, lines))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", ini, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: [{section}] unknown key {key!r}\n"
+    assert not out.exists()
 
 # `args.x or cfg.x` used to drop a 0 and run on the file's value; a nan
 # tail tolerance passed the policy's check

@@ -1,6 +1,8 @@
 """Run-file loading: defaults for omitted sections, explicit overrides."""
 
+import importlib.util
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -67,7 +69,7 @@ def test_unset_sizes_take_the_dataclass_defaults(tmp_path):
 # (run-file line, what the message names): each of these used to load, and
 # then passed, failed or crashed at run time
 VERIFY_DEFECTS = [("n_times = 0", "n_times"), ("n_times = -1", "n_times"),
-                  ("fd_nx = 3", "nx"), ("fd_nt = 0", "nt"),
+                  ("fd_nx = 3", "nx"), ("fd_nt = 0", "nt"), ("fd_nt = 3", "fd_nt"),
                   ("balance_tol = -1", "balance_tol"),
                   ("compare_tol = 0", "compare_tol")]
 
@@ -81,9 +83,22 @@ def test_out_of_range_verify_options_are_config_errors(tmp_path, line, names):
 
 
 def test_verify_options_check_their_own_ranges():
-    VerifyOptions(fd_nx=5, fd_nt=1, n_times=1)
-    for bad in ({"fd_nx": 4}, {"fd_nx": 202}, {"fd_nt": 0}, {"n_times": 0},
+    VerifyOptions(fd_nx=5, fd_nt=4, n_times=1)
+    for bad in ({"fd_nx": 4}, {"fd_nx": 202}, {"fd_nt": 0}, {"fd_nt": 3}, {"n_times": 0},
                 {"balance_tol": 0.0}, {"compare_tol": float("nan")},
                 {"balance_tol": float("inf")}):
         with pytest.raises(ParameterError):
             VerifyOptions(**bad)
+
+
+def test_benchmark_run_files_load(tmp_path):
+    # every key the benchmark writes is one the loader reads
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.NAMES:
+        for seed in (0, 1):
+            run = tmp_path / f"{name}-{seed}.ini"
+            run.write_text(workloads.ini_text(workloads.spec(name, seed)))
+            load_config(run)
