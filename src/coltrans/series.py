@@ -769,7 +769,7 @@ def _evaluate(sol: SeriesSolution, x, t, T: np.ndarray, slope: bool = False):
     T = T.reshape(T.shape[0], ts.size)
     vals, ders = _phi_matrices(sol, xs, slope)
     out = np.empty((ts.size, xs.size))
-    step = max(1, _POINTS // xs.size)
+    step = max(1, _POINTS // max(1, xs.size))
     for i in range(0, ts.size, step):
         tb, Tb = ts[i:i + step, None], T[:, i:i + step]
         H, _, _ = lift_H(sol.lift_data, xs, tb)
