@@ -8,7 +8,8 @@ prints one line per output file:
 
     <sha256>  <workload>/<command>/<file>
 
-pulse-solve also runs `chain` on its run file with a [chain] section
+pulse-solve also runs `verify` on its run file, the README config with a
+computed exit, whose audits FAIL, and `chain` with a [chain] section
 appended here, which splits the column into two halves; the segments'
 files are listed as <workload>/chain/segment_<i>/<file>.
 
@@ -50,8 +51,9 @@ sys.path.insert(0, str(HERE / "perfbench"))
 
 import workloads  # noqa: E402
 
-# workload -> [chain] section appended to its seed-0 run file for `chain`
-CHAIN = {"pulse-solve": "\n[chain]\nlengths = 0.5 0.5\n"}
+# workload -> further (command, text appended to its seed-0 run file) runs
+EXTRA = {"pulse-solve": [("verify", ""),
+                         ("chain", "\n[chain]\nlengths = 0.5 0.5\n")]}
 
 # a decimal number, split out of the text around it
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
@@ -88,8 +90,7 @@ def outputs(root: Path, names, tmp: Path) -> dict:
         cfg = workloads.spec(name, 0)
         text = workloads.ini_text(cfg)
         runs = [(cfg["command"], text), ("compare-danckwerts", text)]
-        if name in CHAIN:
-            runs.append(("chain", text + CHAIN[name]))
+        runs += [(command, text + extra) for command, extra in EXTRA.get(name, [])]
         for command, ini_text in runs:
             ini = tmp / f"{name}-{command}.ini"
             ini.write_text(ini_text)
