@@ -282,7 +282,6 @@ def test_out_of_range_verify_options_exit_two(tmp_path, capsys, line):
     assert not out.exists()
 
 
-
 def with_lines(text, section, lines):
     """text with `lines` added to [section], which is made when missing."""
     head = f"[{section}]\n"
@@ -314,6 +313,7 @@ def test_unknown_keys_exit_two_and_write_nothing(tmp_path, capsys, section,
     assert main(["solve", "--config", ini, "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err == f"config error: [{section}] unknown key {key!r}\n"
     assert not out.exists()
+
 
 # `args.x or cfg.x` used to drop a 0 and run on the file's value; a nan
 # tail tolerance passed the policy's check

@@ -461,13 +461,13 @@ def test_batched_rows_equal_scalar_calls(loaded_data, kind):
     assert _bits(T[:, 3]) == _bits(sol.coefficients(ts[3]))
 
 
-
 def test_empty_x_gives_empty_rows(loaded_data):
     sol = build_solution(loaded_data, TruncationPolicy(n_max=20), 2.5)
     xs, ts = np.array([]), np.array([0.5, 1.0, 2.0])
     for evaluate in (eval_w, eval_C, eval_C_x):
         assert evaluate(sol, xs, ts).shape == (3, 0)
     assert eval_large_t(sol, xs, 2.0).shape == (0,)
+
 
 def test_march_and_evaluation_are_independent_of_the_block_size(loaded_data,
                                                                monkeypatch):

@@ -247,7 +247,6 @@ def test_balance_validation(smoke_data, smoke_solution):
         mass_balance_fd(res)
 
 
-
 def test_both_audits_keep_one_set_of_books(loaded_data):
     """mass_balance over the FD levels gives mass_balance_fd's residuals, bit for bit."""
     fd = fd_solve(loaded_data, 2.5, FdGrid(nx=65, nt=2000))
