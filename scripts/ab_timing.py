@@ -7,12 +7,14 @@ For each case it writes the seed-0 run file from perfbench/workloads.py
 (which is only read) and runs the command in fresh `python -m coltrans`
 processes, one from this checkout and one from `--against`, for ten
 pairs, the order swapped from each pair to the next.  The cases are
-pulse-solve (`solve`), loaded-verify (`verify`) and chain, the
+pulse-solve (`solve`), loaded-verify (`verify`), compare
+(`compare-danckwerts` on the pulse-solve run file) and chain, the
 pulse-solve run file with `[chain] lengths = 0.5 0.5 0.5`.  Every
 process is pinned to the last CPU this one may use, so the two sides see
 the same core.
 
-It prints, per case, each side's median wall time with its quartiles, how
+It prints, per case, each side's median wall time with its quartiles and
+its median peak resident set (VmHWM, read by the child as it ends), how
 many pairs each side won, and each side's median in-process stage times:
 the self time of the `cli` entry points a command reaches (config,
 exit closure, series build, evaluation, FD oracle, balance, writes; a
@@ -40,9 +42,11 @@ HERE = Path(__file__).resolve().parent.parent
 CASES = {
     "pulse-solve": ("pulse-solve", ""),
     "loaded-verify": ("loaded-verify", ""),
+    "compare": ("pulse-solve", ""),
     "chain": ("pulse-solve", "\n[chain]\nlengths = 0.5 0.5 0.5\n"),
 }
-COMMAND = {"pulse-solve": "solve", "loaded-verify": "verify", "chain": "chain"}
+COMMAND = {"pulse-solve": "solve", "loaded-verify": "verify",
+           "compare": "compare-danckwerts", "chain": "chain"}
 PAIRS = 10
 
 # cli name -> stage; a name a checkout lacks is skipped
@@ -51,7 +55,9 @@ STAGES = {
     "resolve_exit": "exit",
     "exit_concentration": "exit",
     "build_solution": "build",
+    "danckwerts_solve": "build",
     "eval_C": "eval",
+    "danckwerts_comparison": "eval",
     "fd_solve": "fd",
     "fd_convergence_order": "fd",
     "mass_balance": "balance",
@@ -63,8 +69,21 @@ STAGES = {
 STAGE_ORDER = ["config", "exit", "build", "eval", "fd", "balance", "write", "main"]
 
 
+def peak_rss_mb():
+    """This process's resident high-water mark (VmHWM) in MiB, or nan off Linux."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return float("nan")
+
+
 def child(sidecar: str, argv) -> int:
-    """Run `cli.main(argv)` with the stage names wrapped; write their self times."""
+    """Run `cli.main(argv)` with the stage names wrapped; write their self times
+    and the process's peak RSS."""
     from coltrans import cli
 
     totals = dict.fromkeys(STAGE_ORDER, 0.0)
@@ -92,11 +111,12 @@ def child(sidecar: str, argv) -> int:
         return cli.main(argv)
     finally:
         totals["main"] = time.perf_counter() - start
+        totals["rss_mb"] = peak_rss_mb()
         Path(sidecar).write_text(json.dumps(totals))
 
 
 def run_once(root: Path, command: str, ini: Path, out: Path, sidecar: Path):
-    """(wall seconds, stage seconds) of one fresh process on `root`'s src/."""
+    """(wall seconds, stage seconds and peak RSS) of one fresh process on `root`'s src/."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     argv = [sys.executable, str(Path(__file__).resolve()), "--child", str(sidecar),
             "--", command, "--config", str(ini), "--out", str(out), "--quiet"]
@@ -132,7 +152,9 @@ def compare(case: str, roots: dict, tmp: Path) -> list:
     lines = [f"{case}: {COMMAND[case]}, {PAIRS} interleaved pairs"]
     for side in sides:
         med, q1, q3 = quartiles(walls[side])
-        lines.append(f"  wall {side:<8} median {med:.4f} s  (quartiles {q1:.4f}, {q3:.4f})")
+        rss = statistics.median(r["rss_mb"] for r in stages[side])
+        lines.append(f"  wall {side:<8} median {med:.4f} s  (quartiles {q1:.4f}, "
+                     f"{q3:.4f})  peak RSS median {rss:.1f} MiB")
     lines.append(f"  this faster in {wins} of {PAIRS} pairs")
     lines.append("  stage medians, ms   " + "".join(f"{s:>9}" for s in STAGE_ORDER))
     for side in sides:

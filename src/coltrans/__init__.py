@@ -38,6 +38,7 @@ from .eigensystem import (
     EigenPair,
     danckwerts_eigenpair,
     danckwerts_eigenvalue,
+    danckwerts_spectrum,
     eval_phi,
     inner_product,
     robin_eigenpair,

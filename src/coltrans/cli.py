@@ -145,19 +145,13 @@ def _say(quiet: bool, msg: str):
         print(msg)
 
 
-def _resolved(cfg: RunConfig) -> ProblemData:
-    if cfg.data.exit is not None:
-        return cfg.data
-    return resolve_exit(cfg.data, cfg.t_end, n_grid=cfg.exit_n_grid)
-
-
 def _params_dict(p):
     return {"R": p.R, "D": p.D, "v": p.v, "mu": p.mu, "gamma": p.gamma,
             "ell": p.ell}
 
 
 def _cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    data = _resolved(cfg)
+    data = resolve_exit(cfg.data, cfg.t_end, n_grid=cfg.exit_n_grid)
     sol = build_solution(data, cfg.policy, cfg.t_end)
     ts = np.linspace(data.t0, cfg.t_end, cfg.nt)
     xs = np.linspace(0.0, data.params.ell, cfg.nx)
@@ -191,7 +185,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 def _cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
     vo = cfg.verify
-    data = _resolved(cfg)
+    data = resolve_exit(cfg.data, cfg.t_end, n_grid=cfg.exit_n_grid)
     sol = build_solution(data, cfg.policy, cfg.t_end)
     fd = fd_solve(data, cfg.t_end, FdGrid(nx=vo.fd_nx, nt=vo.fd_nt))
 
@@ -235,7 +229,7 @@ def _cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 
 def _cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    data = _resolved(cfg)
+    data = resolve_exit(cfg.data, cfg.t_end, n_grid=cfg.exit_n_grid)
     robin = build_solution(data, cfg.policy, cfg.t_end)
     danck = danckwerts_solve(data, cfg.policy, cfg.t_end)
     report = danckwerts_comparison(robin, danck)
@@ -262,6 +256,9 @@ def _cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
 def _cmd_chain(cfg: RunConfig, out: Path, quiet: bool) -> int:
     if cfg.chain is None:
         raise ConfigError("the chain command needs a [chain] section")
+    if cfg.data.exit is not None:
+        raise ConfigError("the chain command computes every segment's exit; "
+                          "it takes no measured [exit]")
     base = cfg.data
     g_in = base.g
     reports = []

@@ -29,10 +29,10 @@ plus optional [grid] nx and nt, and optional [exit], [policy], [verify],
 [exit]) accept kinds constant, polynomial, pulse, gaussian and table;
 omitted sections default to zero.  Without a measured [exit] the exit
 concentration is computed from the half-line closure on a grid of
-exit.n_grid points.  Each option's default and range check live in the
-dataclass that holds it; the loader passes on only the keys a run file
-sets, and the CLI flags go through the same checks.  A key that the loader
-does not read is a ConfigError.
+exit.n_grid points; a measured [exit] takes no n_grid.  Each option's
+default and range check live in the dataclass that holds it; the loader
+passes on only the keys a run file sets, and the CLI flags go through the
+same checks.  A key that the loader does not read is a ConfigError.
 """
 
 from __future__ import annotations
@@ -232,6 +232,9 @@ def load_config(path) -> RunConfig:
     phi = _parse_fn(cp, "phi") if cp.has_section("phi") else SmoothFn.constant(0.0)
     g = _parse_fn(cp, "g") if cp.has_section("g") else SmoothFn.constant(0.0)
     computed = _get(cp, "exit", "kind", str, "computed").strip().lower() == "computed"
+    if not computed and cp.has_option("exit", "n_grid"):
+        raise ConfigError("[exit] n_grid sets the grid of a computed exit; "
+                          "a measured exit is used as given")
     exit_fn = None if computed else _parse_fn(cp, "exit")
     data = _checked(ProblemData, "", params=params, phi=phi, g=g, exit=exit_fn,
                     t0=_get(cp, "grid", "t0", float, 0.0))

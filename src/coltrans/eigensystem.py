@@ -13,15 +13,14 @@ phi_0 = e^{r x}, then lambda_n = (n pi / ell)^2 with a cos + sin
 combination.  The Danckwerts family has no explicit eigenvalues and all
 of them are positive.  Writing kappa = sqrt(lambda), they are the roots
 of the tangent equation tan(kappa ell) = 2 r kappa / (kappa^2 - r^2),
-located by Brent's method on a pole-free rearrangement: mode n = 0 is
-the slow root below pi/ell, where kappa ell = 2 atan(r / kappa), and
-mode n >= 1 is the single root bracketed between the Robin eigenvalues
-(n pi/ell)^2 and ((n + 1) pi/ell)^2.  Together they are the complete
-zero-gradient family.
+located by bisection (Brent, 1973, ch. 4) on a pole-free rearrangement,
+every mode in one numpy pass: mode n = 0 is the slow root below pi/ell,
+where kappa ell = 2 atan(r / kappa), and mode n >= 1 is the single root
+bracketed between the Robin eigenvalues (n pi/ell)^2 and
+((n + 1) pi/ell)^2.  Together they are the complete zero-gradient family.
 
-scipy is imported on the first call of `quad` (`inner_product`, the exit
-closure's rescue) or `brentq` (the Danckwerts roots); a `solve` needs
-neither.
+scipy is imported on the first call of `quad`, which only `inner_product`,
+the tests' QUADPACK reference, makes; no command needs it.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ __all__ = [
     "EigenPair",
     "robin_eigenpair",
     "robin_spectrum",
+    "danckwerts_spectrum",
     "danckwerts_eigenvalue",
     "danckwerts_eigenpair",
     "eval_phi",
@@ -52,12 +52,6 @@ def quad(*args, **kwargs):
     """scipy.integrate.quad, imported on first call."""
     from scipy.integrate import quad
     return quad(*args, **kwargs)
-
-
-def brentq(*args, **kwargs):
-    """scipy.optimize.brentq, imported on first call."""
-    from scipy.optimize import brentq
-    return brentq(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ def robin_eigenpair(n: int, params: TransportParams) -> EigenPair:
     return EigenPair(n=n, lam=float(lam), norm=float(norm), kind=ROBIN)
 
 
-def _danckwerts_residual(kappa: float, r: float, ell: float) -> float:
+def _danckwerts_residual(kappa, r: float, ell: float):
     # Pole-free form of tan(kappa ell) = 2 r kappa / (kappa^2 - r^2):
     # the tangent's poles are cleared by multiplying through by
     # cos(kappa ell) (kappa^2 - r^2).
@@ -128,50 +122,49 @@ def _danckwerts_residual(kappa: float, r: float, ell: float) -> float:
     )
 
 
-def _bracketed_root(k_lo: float, k_hi: float, r: float, ell: float,
-                    n: int) -> float:
-    f_lo = _danckwerts_residual(k_lo, r, ell)
-    f_hi = _danckwerts_residual(k_hi, r, ell)
-    if f_lo == 0.0:  # cannot happen for r > 0, guard anyway
-        return k_lo * k_lo
-    if f_lo * f_hi >= 0.0:
-        raise BracketingError(
-            f"no sign change for mode {n} on ({k_lo:.6g}, {k_hi:.6g})"
-        )
-    kappa = brentq(
-        _danckwerts_residual,
-        k_lo,
-        k_hi,
-        args=(r, ell),
-        xtol=1e-15 * k_hi,
-        rtol=4.0 * np.finfo(float).eps,
-        maxiter=200,
-    )
-    return float(kappa * kappa)
-
-
-def danckwerts_eigenvalue(n: int, params: TransportParams) -> float:
-    """n-th zero-gradient-exit eigenvalue.
+def danckwerts_spectrum(n, params: TransportParams):
+    """Zero-gradient-exit eigenvalues lambda_Dn and squared norms, shaped as n.
 
     lambda_D0 is the slow root, the only one in (0, pi^2/ell^2); for
     n >= 1, lambda_Dn lies strictly inside (n^2 pi^2/ell^2,
-    (n+1)^2 pi^2/ell^2).  Each root of the pole-free residual is refined
-    by Brent's method to relative precision a few eps.
+    (n+1)^2 pi^2/ell^2).  Each kappa_n = sqrt(lambda_Dn) is bisected on
+    the pole-free residual, all modes at once, until its bracket's ends
+    are adjacent doubles; the end with the smaller |residual| is the root.
+    Raises BracketingError when a bracket's ends show no sign change.
     """
-    if n < 0:
+    n = np.asarray(n)
+    if np.any(n < 0):
         raise ParameterError("mode index must be nonnegative")
     r, ell = params.r, params.ell
-    if n == 0:
-        # residual ~ -r kappa (r ell + 2) < 0 just right of zero
-        return _bracketed_root(1e-15 * np.pi / ell, np.pi / ell, r, ell, 0)
-    return _bracketed_root(n * np.pi / ell, (n + 1) * np.pi / ell, r, ell, n)
+    # residual ~ -r kappa (r ell + 2) < 0 just right of zero
+    lo = np.where(n == 0, 1e-15, n) * np.pi / ell
+    hi = (n + 1) * np.pi / ell
+    sign = np.sign(_danckwerts_residual(lo, r, ell))
+    bad = sign == np.sign(_danckwerts_residual(hi, r, ell))
+    if np.any(bad):
+        k = np.argmax(bad)
+        raise BracketingError(f"no sign change for mode {n.flat[k]} on "
+                              f"({lo.flat[k]:.6g}, {hi.flat[k]:.6g})")
+    # a closed bracket's midpoint is one of its ends, which the update keeps
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        left = np.sign(_danckwerts_residual(mid, r, ell)) == sign
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        mid = 0.5 * (lo + hi)
+    nearer = (np.abs(_danckwerts_residual(lo, r, ell))
+              <= np.abs(_danckwerts_residual(hi, r, ell)))
+    kappa = np.where(nearer, lo, hi)
+    return kappa * kappa, _general_norm(kappa, r, ell)
+
+
+def danckwerts_eigenvalue(n: int, params: TransportParams) -> float:
+    """n-th zero-gradient-exit eigenvalue: one mode of `danckwerts_spectrum`."""
+    return danckwerts_eigenpair(n, params).lam
 
 
 def danckwerts_eigenpair(n: int, params: TransportParams) -> EigenPair:
-    lam = danckwerts_eigenvalue(n, params)
-    kappa = np.sqrt(lam)
-    norm = _general_norm(kappa, params.r, params.ell)
-    return EigenPair(n=n, lam=lam, norm=float(norm), kind=DANCKWERTS)
+    lam, norm = danckwerts_spectrum(n, params)
+    return EigenPair(n=n, lam=float(lam), norm=float(norm), kind=DANCKWERTS)
 
 
 def eval_phi(pair: EigenPair, x, r: float):

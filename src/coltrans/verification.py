@@ -267,9 +267,13 @@ class BalanceReport:
         return float(np.max(self.relative)) if self.relative.size else 0.0
 
 
-def _simpson_weights(x: np.ndarray) -> np.ndarray:
-    if x.size < 3 or x.size % 2 == 0:
+def _check_simpson(n: int):
+    if n < 3 or n % 2 == 0:
         raise ParameterError("Simpson quadrature needs an odd node count, at least 3")
+
+
+def _simpson_weights(x: np.ndarray) -> np.ndarray:
+    _check_simpson(x.size)
     w = np.ones(x.size)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -309,6 +313,7 @@ def mass_balance(Cfun, data: ProblemData, t_end: float, *, times=None,
     [t0, t_end].
     """
     data.require_exit()
+    _check_simpson(nx)
     p = data.params
     t_end = float(t_end)
     span = t_end - data.t0

@@ -235,6 +235,20 @@ def test_chain_needs_its_section(tmp_path, capsys):
     assert "chain" in capsys.readouterr().err
 
 
+MEASURED_INI = BASE_INI.replace(
+    "[exit]\nkind = computed\nn_grid = 64\n",
+    "[exit]\nkind = gaussian\nlevel = 0.4\ncenter = 1.0\nwidth = 0.4\n")
+
+
+def test_chain_refuses_a_measured_exit(tmp_path, capsys):
+    """Each segment's exit is computed; a measured one used to be dropped silently."""
+    ini = write_ini(tmp_path, MEASURED_INI + "\n[chain]\nlengths = 0.7 0.7\n")
+    out = tmp_path / "o"
+    assert main(["chain", "--config", ini, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: the chain command ")
+    assert not (out / "breakthrough.csv").exists()
+
+
 # -- failure modes ------------------------------------------------------------
 
 def test_usage_errors_exit_one():
@@ -315,6 +329,17 @@ def test_unknown_keys_exit_two_and_write_nothing(tmp_path, capsys, section,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "compare-danckwerts"])
+def test_measured_exit_with_n_grid_exits_two_and_writes_nothing(tmp_path, capsys,
+                                                                 command):
+    """n_grid grids a computed exit; with a measured one it used to load and do nothing."""
+    ini = write_ini(tmp_path, with_lines(MEASURED_INI, "exit", "n_grid = 9"))
+    out = tmp_path / "o"
+    assert main([command, "--config", ini, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: [exit] n_grid ")
+    assert not out.exists()
+
+
 # `args.x or cfg.x` used to drop a 0 and run on the file's value; a nan
 # tail tolerance passed the policy's check
 @pytest.mark.parametrize("flags", [["--modes", "0"], ["--nx", "0"], ["--nt", "0"],
@@ -385,15 +410,20 @@ def scipy_modules_after(*lines):
 
 
 def test_solve_path_imports_no_scipy(tmp_path):
-    ini = write_ini(tmp_path, README_INI)
+    """No command loads scipy: numpy is the only runtime dependency."""
+    readme = write_ini(tmp_path, README_INI)
+    chain = write_ini(tmp_path, README_INI + "\n[chain]\nlengths = 0.5 0.5\n",
+                      "chain.ini")
 
-    def command(name):
+    def command(name, ini=readme):
         argv = [name, "--config", ini, "--out", str(tmp_path / name), "--quiet"]
         return f"from coltrans import cli\nassert cli.main({argv!r}) == 0"
 
     assert scipy_modules_after("from coltrans import cli") == []
     assert scipy_modules_after(command("solve")) == []
     assert scipy_modules_after(command("verify")) == []
+    assert scipy_modules_after(command("compare-danckwerts")) == []
+    assert scipy_modules_after(command("chain", chain)) == []
 
 
 def test_solve_path_imports_no_numpy_ma(tmp_path):

@@ -4,6 +4,7 @@ import importlib.util
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coltrans import ConfigError, ParameterError, TruncationPolicy
@@ -102,3 +103,51 @@ def test_benchmark_run_files_load(tmp_path):
             run = tmp_path / f"{name}-{seed}.ini"
             run.write_text(workloads.ini_text(workloads.spec(name, seed)))
             load_config(run)
+
+
+def test_table_sections_load(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(MINIMAL_INI + "\n[g]\nkind = table\nknots = 0 0.5 1.5\n"
+                    "values = 0, 1, 0.25\n")
+    g = load_config(path).data.g
+    assert g.knots == (0.0, 0.5, 1.5)
+    np.testing.assert_array_equal(g.eval(np.array([0.0, 0.5, 1.5, 2.0])),
+                                  [0.0, 1.0, 0.25, 0.25])
+
+
+# (knots, values, what the message names): each a table the loader refuses;
+# a count mismatch used to crash in the interpolant's set-up or at run time
+TABLE_DEFECTS = [("0 1 2", "0 1", "one value per knot"),
+                 ("0 1", "0 1 2", "one value per knot"),
+                 ("0", "1", "at least two knots"),
+                 ("0 1 1", "0 1 2", "strictly increasing"),
+                 ("0 1 x", "0 1 2", "expected numbers")]
+
+
+@pytest.mark.parametrize("knots, values, message", TABLE_DEFECTS)
+def test_malformed_tables_are_config_errors(tmp_path, knots, values, message):
+    path = tmp_path / "run.ini"
+    path.write_text(MINIMAL_INI + f"\n[g]\nkind = table\nknots = {knots}\n"
+                    f"values = {values}\n")
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section", ["params", "grid"])
+def test_missing_required_sections_are_config_errors(tmp_path, section):
+    head, rest = MINIMAL_INI.split("\n[grid]\n")
+    text = {"params": "[grid]\n" + rest, "grid": head}[section]
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=rf"^missing \[{section}\] section$"):
+        load_config(path)
+
+
+def test_measured_exit_takes_no_n_grid(tmp_path):
+    path = tmp_path / "run.ini"
+    measured = "\n[exit]\nkind = gaussian\nlevel = 0.4\ncenter = 1.0\nwidth = 0.4\n"
+    path.write_text(MINIMAL_INI + measured)
+    assert load_config(path).data.exit is not None
+    path.write_text(MINIMAL_INI + measured + "n_grid = 9\n")
+    with pytest.raises(ConfigError, match=r"^\[exit\] n_grid .* measured exit"):
+        load_config(path)

@@ -1,5 +1,6 @@
 """Eigenvalue placement, norms, orthogonality, root bracketing."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,10 +12,12 @@ from coltrans import (
     TransportParams,
     danckwerts_eigenpair,
     danckwerts_eigenvalue,
+    danckwerts_spectrum,
     eval_phi,
     inner_product,
     robin_eigenpair,
 )
+from coltrans import eigensystem
 from coltrans.eigensystem import (
     DANCKWERTS,
     ROBIN,
@@ -254,6 +257,35 @@ def test_comparison_family_skips_the_slow_mode():
     p = params_for(1.0, 1.0)
     slow = danckwerts_eigenvalue(0, p)
     assert danckwerts_eigenvalue(1, p) > (np.pi / p.ell) ** 2 > slow
+
+
+@pytest.mark.parametrize("r, ell", [(0.5, 1.0), (5.0, 2.0), (1e-6, 3.0), (300.0, 1.0)])
+def test_danckwerts_roots_to_the_last_bits(r, ell):
+    """Bisection to adjacent doubles leaves kappa within an ulp of the root,
+    so lambda = kappa^2 within 6e-16 relative."""
+    lam, _ = danckwerts_spectrum(np.arange(201), params_for(r, ell))
+    with mp.workdps(30):
+        for n in (0, 1, 2, 17, 100, 200):
+            k = mp.findroot(lambda k: (k * k - r * r) * mp.sin(k * ell)
+                            - 2 * r * k * mp.cos(k * ell), mp.sqrt(lam[n]))
+            assert abs(lam[n] - float(k * k)) <= 6e-16 * lam[n]
+
+
+def test_danckwerts_spectrum_is_the_one_mode_calls():
+    p = params_for(1.3, 1.7)
+    lam, norm = danckwerts_spectrum(np.arange(41), p)
+    assert lam.shape == norm.shape == (41,)
+    for n in range(41):
+        pair = danckwerts_eigenpair(n, p)
+        assert (pair.lam, pair.norm) == (lam[n], norm[n])
+        assert danckwerts_eigenvalue(n, p) == lam[n]
+
+
+def test_bracket_without_sign_change_raises(monkeypatch):
+    monkeypatch.setattr(eigensystem, "_danckwerts_residual",
+                        lambda kappa, r, ell: np.ones_like(kappa))
+    with pytest.raises(BracketingError, match="no sign change for mode 0"):
+        danckwerts_spectrum(np.arange(3), UNIT)
 
 
 # -- helpers and validation ---------------------------------------------------

@@ -172,47 +172,51 @@ def _narrow_bump_inlet(knots=()):
         knots=knots)
 
 
-def test_missed_rows_are_rescued_by_quad(monkeypatch):
-    calls = []
-    real = exitflux.quad
+def refinements(monkeypatch):
+    """Record (rows, panels) of every `_panel_rule` pass past the first."""
+    passes = []
+    real = exitflux._panel_rule
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return real(*args, **kwargs)
+    def counted(integrand, cuts, tol, **kwargs):
+        if kwargs.get("panels", exitflux._PANELS) > exitflux._PANELS:
+            passes.append((cuts.shape[0], kwargs["panels"]))
+        return real(integrand, cuts, tol, **kwargs)
 
-    monkeypatch.setattr(exitflux, "quad", counted)
+    monkeypatch.setattr(exitflux, "_panel_rule", counted)
+    return passes
+
+
+def test_missed_rows_are_rescued_by_panel_doubling(monkeypatch):
+    passes = refinements(monkeypatch)
     ts = np.array([1.05, 1.5, 1.9])
     hinted = HalfLineProblem.from_data(make_data(
         g=_narrow_bump_inlet(knots=(0.85, 0.95, 1.0, 1.05, 1.15))))
     want = exit_concentration(hinted, ts)
-    assert not calls
+    assert not passes
     blind = HalfLineProblem.from_data(make_data(g=_narrow_bump_inlet()))
     got = exit_concentration(blind, ts)
-    assert calls
+    assert passes
+    assert passes[0][1] == 2 * exitflux._PANELS
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_panel_rule_alone_meets_tolerance(monkeypatch, loaded_data):
-    """No rescue in the inlet layer, at early times, or on the README pulse."""
-    def unexpected(*args, **kwargs):
-        raise AssertionError("a row fell back to quad")
-
-    monkeypatch.setattr(exitflux, "quad", unexpected)
+    """No row refined in the inlet layer, at early times, or on the README pulse."""
+    passes = refinements(monkeypatch)
     hp = HalfLineProblem.from_data(loaded_data)
     for x in (1e-7, 1e-3, 0.4, 1.4, 3.0):
         for t in (1e-8, 1e-3, 0.3, 2.5):
             eval_u(hp, x, t)
     pulse = make_data(g=SmoothFn.smooth_pulse(0.1, 0.6, 1.0))
     exit_curve(pulse, 2.0, n_grid=512)
+    assert not passes
 
 
 def test_failed_rescue_raises(monkeypatch):
-    def failing(fn, a, b, **kwargs):
-        return 0.0, 1.0, {}, "forced failure"
-
-    monkeypatch.setattr(exitflux, "quad", failing)
+    """A row still missing the tolerance once the doublings run out raises."""
+    monkeypatch.setattr(exitflux, "_DOUBLINGS", 0)
     hp = HalfLineProblem.from_data(make_data(g=_narrow_bump_inlet()))
-    with pytest.raises(QuadratureError, match="forced failure"):
+    with pytest.raises(QuadratureError, match="after 0 doublings"):
         exit_concentration(hp, np.array([1.5]))
 
 
@@ -522,6 +526,30 @@ def test_unresolved_narrow_bump_falls_back_to_the_per_row_rule(monkeypatch):
     got = exit_concentration(HalfLineProblem.from_data(make_data(g=_narrow_bump_inlet())), ts)
     assert lags == [1] and rows == [1]
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("unsettled", ["whole intervals", "cut pieces"])
+def test_unsettled_lag_moments_fall_back_to_the_per_row_rule(unsettled, monkeypatch):
+    """Moments that do not settle within `_LAG_LEVELS` halvings, on the whole
+    grid intervals or on the pieces an inlet knot cuts, refuse the lag path."""
+    hp = HalfLineProblem.from_data(make_data(g=SmoothFn.smooth_pulse(0.1, 0.6, 1.0)))
+    ts = np.linspace(0.0, 2.0, 65)   # the pulse's knots fall inside intervals
+    lagged = exit_concentration(hp, ts)
+    if unsettled == "whole intervals":
+        monkeypatch.setattr(exitflux, "_LAG_LEVELS", 0)
+    else:
+        real = exitflux._lag_moments
+
+        def pieces_unsettled(kern, h, lo, hi, lags, tol):
+            whole = (lo, hi) == (0.0, 1.0)
+            return real(kern, h, lo, hi, lags, tol) if whole else None
+
+        monkeypatch.setattr(exitflux, "_lag_moments", pieces_unsettled)
+    rows = _count(monkeypatch, "_boundary_part")
+    lags = _count(monkeypatch, "_lag_part")
+    got = exit_concentration(hp, ts)
+    assert lags == [1] and rows == [1]
+    assert np.max(np.abs(got - lagged)) <= 1e-12
 
 
 def test_grid_longer_than_the_convolution_cap_takes_the_per_row_rule(monkeypatch):

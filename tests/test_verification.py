@@ -247,6 +247,16 @@ def test_balance_validation(smoke_data, smoke_solution):
         mass_balance_fd(res)
 
 
+@pytest.mark.parametrize("nx", [-1, -257, 0, 2])
+def test_balance_refuses_bad_nx_before_sampling(smoke_data, nx):
+    """A node count Simpson's rule cannot take is refused, not left to np.linspace."""
+    def never(xs, t):
+        raise AssertionError("sampled before nx was checked")
+
+    with pytest.raises(ParameterError, match="odd node count, at least 3"):
+        mass_balance(never, smoke_data, 2.0, nx=nx)
+
+
 def test_both_audits_keep_one_set_of_books(loaded_data):
     """mass_balance over the FD levels gives mass_balance_fd's residuals, bit for bit."""
     fd = fd_solve(loaded_data, 2.5, FdGrid(nx=65, nt=2000))
