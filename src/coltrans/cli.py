@@ -8,11 +8,18 @@
 Exit codes: 0 on success (verify FAILURE lines still exit 0; they are
 reported, not fatal), 1 for usage mistakes, 2 for config defects, 3 when
 the numerics refuse (bracketing, quadrature, overflow, bad parameters).
-An out-of-range run option or flag is a config defect, found before the
-output directory is made: exit 2 writes nothing.
+An out-of-range run option or flag, and a `chain` run without a
+[chain] section or with a measured [exit], is a config defect, found
+before the output directory is made: exit 2 writes nothing.
 
-All outputs are deterministic: no timestamps, sorted JSON keys, floats
-printed with %.17g, LF line endings.  Running the same config twice gives
+Every command builds its series in `_series`, so [exit] n_grid grids
+every computed exit, `chain` segments included, and `solve` and each
+segment write `breakthrough.csv` in `_write_breakthrough`: a one-segment
+chain is a `solve`.
+
+All outputs are deterministic: no timestamps, sorted JSON keys, LF line
+endings, CSV cells printed with %.17g and manifest floats as Python's
+shortest round-trip repr.  Running the same config twice gives
 byte-identical files.
 """
 
@@ -39,7 +46,6 @@ from .errors import (
 )
 from .eigensystem import robin_eigenpair  # unused; the benchmark traces it
 from .exitflux import HalfLineProblem, exit_concentration, resolve_exit
-from .model import ProblemData
 from .series import _sorted_unique, build_solution, eval_C
 from .verification import (
     FdGrid,
@@ -63,31 +69,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-class _Float(float):
-    """float whose json form is %.17g, for reproducible manifests."""
-
-    def __repr__(self):
-        return f"{float(self):.17g}"
-
-
-def _jsonify(obj):
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return _Float(obj)
-    if isinstance(obj, np.floating):
-        return _Float(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonify(v) for v in obj]
-    return str(obj)
-
-
 def _write_json(path: Path, payload: dict):
-    text = json.dumps(_jsonify(payload), sort_keys=True, indent=2)
+    text = json.dumps(payload, sort_keys=True, indent=2)
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
 
@@ -145,29 +128,34 @@ def _say(quiet: bool, msg: str):
         print(msg)
 
 
-def _params_dict(p):
-    return {"R": p.R, "D": p.D, "v": p.v, "mu": p.mu, "gamma": p.gamma,
-            "ell": p.ell}
+def _series(cfg: RunConfig, data):
+    """The Robin series of `data` to t_end, a computed exit gridded by [exit] n_grid."""
+    data = resolve_exit(data, cfg.t_end, n_grid=cfg.exit_n_grid)
+    return build_solution(data, cfg.policy, cfg.t_end)
+
+
+def _write_breakthrough(path: Path, sol, ts):
+    """breakthrough.csv: C at the exit face and the exit data C_E, at each t."""
+    data = sol.data
+    rows = zip(ts, eval_C(sol, data.params.ell, ts), data.require_exit().eval(ts))
+    _write_csv(path, "t,C_exit,C_flux_exit", rows)
 
 
 def _cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    data = resolve_exit(cfg.data, cfg.t_end, n_grid=cfg.exit_n_grid)
-    sol = build_solution(data, cfg.policy, cfg.t_end)
+    sol = _series(cfg, cfg.data)
+    data = sol.data
     ts = np.linspace(data.t0, cfg.t_end, cfg.nt)
     xs = np.linspace(0.0, data.params.ell, cfg.nx)
 
-    cE = data.require_exit()
-    profile = eval_C(sol, xs, ts)
+    _write_grid_csv(out / "profile.csv", "t,x,C", ts, xs, eval_C(sol, xs, ts))
     # same instants, so the coefficients come from the solution's memo
-    bt = zip(ts, eval_C(sol, data.params.ell, ts), cE.eval(ts))
-    _write_grid_csv(out / "profile.csv", "t,x,C", ts, xs, profile)
-    _write_csv(out / "breakthrough.csv", "t,C_exit,C_flux_exit", bt)
+    _write_breakthrough(out / "breakthrough.csv", sol, ts)
 
     _write_json(out / "manifest.json", {
         "command": "solve",
         "version": __version__,
         "config": cfg.source,
-        "params": _params_dict(data.params),
+        "params": dataclasses.asdict(data.params),
         "grid": {"t0": data.t0, "t_end": cfg.t_end, "nx": cfg.nx, "nt": cfg.nt},
         "exit_n_grid": cfg.exit_n_grid,
         "policy": {"n_max": cfg.policy.n_max, "tail_tol": cfg.policy.tail_tol},
@@ -185,8 +173,8 @@ def _cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 def _cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
     vo = cfg.verify
-    data = resolve_exit(cfg.data, cfg.t_end, n_grid=cfg.exit_n_grid)
-    sol = build_solution(data, cfg.policy, cfg.t_end)
+    sol = _series(cfg, cfg.data)
+    data = sol.data
     fd = fd_solve(data, cfg.t_end, FdGrid(nx=vo.fd_nx, nt=vo.fd_nt))
 
     # pointwise comparison on the FD grid at a spread of time levels
@@ -229,8 +217,8 @@ def _cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 
 def _cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    data = resolve_exit(cfg.data, cfg.t_end, n_grid=cfg.exit_n_grid)
-    robin = build_solution(data, cfg.policy, cfg.t_end)
+    robin = _series(cfg, cfg.data)
+    data = robin.data
     danck = danckwerts_solve(data, cfg.policy, cfg.t_end)
     report = danckwerts_comparison(robin, danck)
 
@@ -253,43 +241,39 @@ def _cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
     return 0
 
 
-def _cmd_chain(cfg: RunConfig, out: Path, quiet: bool) -> int:
+def _chain_checks(cfg: RunConfig):
     if cfg.chain is None:
         raise ConfigError("the chain command needs a [chain] section")
     if cfg.data.exit is not None:
         raise ConfigError("the chain command computes every segment's exit; "
                           "it takes no measured [exit]")
-    base = cfg.data
-    g_in = base.g
+
+
+def _cmd_chain(cfg: RunConfig, out: Path, quiet: bool) -> int:
+    ts = np.linspace(cfg.data.t0, cfg.t_end, cfg.nt)
+    g_in = cfg.data.g
     reports = []
-    last = None
     for i, L in enumerate(cfg.chain.lengths, start=1):
-        params_i = dataclasses.replace(base.params, ell=float(L))
-        data_i = ProblemData(params=params_i, phi=base.phi, g=g_in, t0=base.t0)
-        resolved = resolve_exit(data_i, cfg.t_end, n_grid=cfg.chain.n_grid)
-        sol = build_solution(resolved, cfg.policy, cfg.t_end)
+        params = dataclasses.replace(cfg.data.params, ell=float(L))
+        sol = _series(cfg, dataclasses.replace(cfg.data, params=params, g=g_in))
         seg_dir = out / f"segment_{i}"
         seg_dir.mkdir(parents=True, exist_ok=True)
-        ts = np.linspace(base.t0, cfg.t_end, cfg.nt)
-        cE = resolved.require_exit()
-        bt = list(zip(ts, eval_C(sol, params_i.ell, ts), cE.eval(ts)))
-        _write_csv(seg_dir / "breakthrough.csv", "t,C_exit,C_flux_exit", bt)
+        _write_breakthrough(seg_dir / "breakthrough.csv", sol, ts)
 
         # interpolation defect of the memoized inlet-for-next-segment curve
-        hp = HalfLineProblem.from_data(data_i)
-        knots = cE.knots
-        probes = 0.5 * (np.asarray(knots[:-1]) + np.asarray(knots[1:]))
+        cE = sol.data.exit
+        knots = np.asarray(cE.knots)
+        probes = 0.5 * (knots[:-1] + knots[1:])
         probes = probes[:: max(1, probes.size // 16)]
-        defect = (float(np.max(np.abs(cE.eval(probes)
-                                      - exit_concentration(hp, probes))))
-                  if probes.size else 0.0)
+        exact = exit_concentration(HalfLineProblem.from_data(sol.data), probes)
+        defect = float(np.max(np.abs(cE.eval(probes) - exact)))
         reports.append((i, float(L), sol.n_used, defect))
         _say(quiet, f"segment {i}: ell = {L:g}, modes through n = {sol.n_used}, "
                     f"exit-curve interpolation defect {defect:.3g}")
         g_in = cE
-        last = bt
 
-    _write_csv(out / "breakthrough.csv", "t,C_exit,C_flux_exit", last)
+    # the last segment's curve, at the same instants, so from its memo
+    _write_breakthrough(out / "breakthrough.csv", sol, ts)
     with open(out / "chain_report.txt", "w", newline="\n") as fh:
         for i, L, n_used, defect in reports:
             fh.write(f"segment {i}: ell = {L:.17g}, modes through n = {n_used}, "
@@ -337,6 +321,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         policy = _set(cfg.policy, n_max=args.modes, tail_tol=args.tail_tol)
         cfg = _set(cfg, nx=args.nx, nt=args.nt, policy=policy)
+        if args.command == "chain":
+            _chain_checks(cfg)
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -356,9 +342,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](cfg, out, args.quiet)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (ParameterError, QuadratureError, BracketingError,
             FluxTransformError, NumericOverflowError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

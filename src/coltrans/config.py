@@ -29,10 +29,13 @@ plus optional [grid] nx and nt, and optional [exit], [policy], [verify],
 [exit]) accept kinds constant, polynomial, pulse, gaussian and table;
 omitted sections default to zero.  Without a measured [exit] the exit
 concentration is computed from the half-line closure on a grid of
-exit.n_grid points; a measured [exit] takes no n_grid.  Each option's
-default and range check live in the dataclass that holds it; the loader
-passes on only the keys a run file sets, and the CLI flags go through the
-same checks.  A key that the loader does not read is a ConfigError.
+[exit] n_grid points, for every command and every `chain` segment; a
+measured [exit] takes no n_grid.  Each option's default and range check
+live in the dataclass that holds it (`TransportParams`, `ProblemData`
+for t0, `TruncationPolicy`, `VerifyOptions`, `ChainOptions`,
+`RunConfig`); the loader passes on only the keys a run file sets, and the
+CLI flags go through the same checks.  A key that the loader does not
+read is a ConfigError.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
+from .exitflux import N_GRID
 from .model import ProblemData, SmoothFn, TransportParams
 from .series import TruncationPolicy
 from .verification import FdGrid
@@ -74,13 +78,10 @@ class VerifyOptions:
 @dataclass(frozen=True)
 class ChainOptions:
     lengths: tuple
-    n_grid: int = 512
 
     def __post_init__(self):
         if not self.lengths or not all(0.0 < L < np.inf for L in self.lengths):
             raise ParameterError("lengths must be positive numbers")
-        if self.n_grid < 8:
-            raise ParameterError("n_grid must be at least 8")
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class RunConfig:
     t_end: float
     nx: int = 101
     nt: int = 81
-    exit_n_grid: int = 512
+    exit_n_grid: int = N_GRID
     out_dir: str = "out"
     verify: VerifyOptions = field(default_factory=VerifyOptions)
     chain: ChainOptions | None = None
@@ -220,15 +221,8 @@ def load_config(path) -> RunConfig:
     if not cp.has_section("grid"):
         raise ConfigError("missing [grid] section")
 
-    params = _checked(
-        TransportParams, "[params]: ",
-        R=_get(cp, "params", "R", float, 1.0),
-        D=_get(cp, "params", "D"),
-        v=_get(cp, "params", "v"),
-        mu=_get(cp, "params", "mu", float, 0.0),
-        gamma=_get(cp, "params", "gamma", float, 0.0),
-        ell=_get(cp, "params", "ell"),
-    )
+    params = _checked(TransportParams, "[params]: ",
+                      **_set_in(cp, "params", TransportParams))
     phi = _parse_fn(cp, "phi") if cp.has_section("phi") else SmoothFn.constant(0.0)
     g = _parse_fn(cp, "g") if cp.has_section("g") else SmoothFn.constant(0.0)
     computed = _get(cp, "exit", "kind", str, "computed").strip().lower() == "computed"
@@ -237,7 +231,7 @@ def load_config(path) -> RunConfig:
                           "a measured exit is used as given")
     exit_fn = None if computed else _parse_fn(cp, "exit")
     data = _checked(ProblemData, "", params=params, phi=phi, g=g, exit=exit_fn,
-                    t0=_get(cp, "grid", "t0", float, 0.0))
+                    **_set_in(cp, "grid", ProblemData, t0="t0"))
 
     chain = (_checked(ChainOptions, "[chain]: ", **_set_in(cp, "chain", ChainOptions))
              if cp.has_section("chain") else None)

@@ -88,7 +88,10 @@ __all__ = [
     "exit_curve",
     "resolve_exit",
     "exit_concentration_large_t",
+    "N_GRID",
 ]
+
+N_GRID = 512  # default instants of a computed exit curve's grid, ends included
 
 _ETA_CUT = 9.0  # exp(-81) ~ 6e-36: nothing beyond survives double precision
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
@@ -463,7 +466,7 @@ def exit_concentration(hp: HalfLineProblem, t):
     return (u * np.exp(p.r * p.ell) + hp.gm)[()]
 
 
-def exit_curve(data: ProblemData, t_end: float, *, n_grid: int = 512) -> SmoothFn:
+def exit_curve(data: ProblemData, t_end: float, *, n_grid: int = N_GRID) -> SmoothFn:
     """Exit concentration memoized on a uniform grid as a C^1 interpolant.
 
     The curve is exact at the grid instants and monotonicity-preserving in
@@ -481,7 +484,7 @@ def exit_curve(data: ProblemData, t_end: float, *, n_grid: int = 512) -> SmoothF
     return SmoothFn.from_table(ts, vals)
 
 
-def resolve_exit(data: ProblemData, t_end: float, *, n_grid: int = 512) -> ProblemData:
+def resolve_exit(data: ProblemData, t_end: float, *, n_grid: int = N_GRID) -> ProblemData:
     """Attach a computed exit curve to a problem that lacks measured data."""
     if data.exit is not None:
         return data

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TransportParams:
     """Constant coefficients of the column transport problem.
 
@@ -58,11 +58,11 @@ class TransportParams:
     ell   column length, > 0
     """
 
-    R: float
+    R: float = 1.0
     D: float
     v: float
-    mu: float
-    gamma: float
+    mu: float = 0.0
+    gamma: float = 0.0
     ell: float
 
     def __post_init__(self):

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 from .errors import ParameterError
 from .model import ProblemData
 from .eigensystem import DANCKWERTS, ROBIN
-from .exitflux import resolve_exit
+from .exitflux import N_GRID, resolve_exit
 from .series import SeriesSolution, TruncationPolicy, build_solution, eval_C
 
 __all__ = [
@@ -415,7 +415,7 @@ class DanckwertsGap(NamedTuple):
 
 def danckwerts_error(data: ProblemData, t: float, L_large: float, *,
                      policy: TruncationPolicy | None = None,
-                     n_grid: int = 512) -> DanckwertsGap:
+                     n_grid: int = N_GRID) -> DanckwertsGap:
     """|C(ell,t) - C_D(ell,t)| with the column stretched to length L_large.
 
     Builds both solutions on `data` re-posed at the new length: phi and g

@@ -198,7 +198,6 @@ def test_eigenvalues_are_the_solutions_own(tmp_path):
 CHAIN_INI = BASE_INI + """
 [chain]
 lengths = 1.0
-n_grid = 64
 """
 
 
@@ -228,11 +227,27 @@ def test_two_segment_chain_runs(tmp_path):
     assert all(np.isfinite(c) for row in rows for c in row)
 
 
+def test_exit_n_grid_grids_every_chain_segment(tmp_path):
+    """[exit] n_grid used to be ignored by chain, which read its own [chain] n_grid."""
+    two = CHAIN_INI.replace("lengths = 1.0", "lengths = 0.5 0.5")
+    outs = {}
+    for n in (16, 64):
+        ini = write_ini(tmp_path, two.replace("n_grid = 64", f"n_grid = {n}"),
+                        f"run{n}.ini")
+        outs[n] = tmp_path / f"res{n}"
+        assert main(["chain", "--config", ini, "--out", str(outs[n]),
+                     "--quiet"]) == 0
+    for seg in ("segment_1", "segment_2"):
+        coarse = (outs[16] / seg / "breakthrough.csv").read_bytes()
+        assert coarse != (outs[64] / seg / "breakthrough.csv").read_bytes()
+
+
 def test_chain_needs_its_section(tmp_path, capsys):
     ini = write_ini(tmp_path, BASE_INI)
-    assert main(["chain", "--config", ini, "--out",
-                 str(tmp_path / "o"), "--quiet"]) == 2
+    out = tmp_path / "o"
+    assert main(["chain", "--config", ini, "--out", str(out), "--quiet"]) == 2
     assert "chain" in capsys.readouterr().err
+    assert not out.exists()
 
 
 MEASURED_INI = BASE_INI.replace(
@@ -246,7 +261,7 @@ def test_chain_refuses_a_measured_exit(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["chain", "--config", ini, "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error: the chain command ")
-    assert not (out / "breakthrough.csv").exists()
+    assert not out.exists()
 
 
 # -- failure modes ------------------------------------------------------------
@@ -315,6 +330,7 @@ UNKNOWN_KEYS = [
     ("policy", "nmax = 10", "nmax"),
     ("verify", "ntimes = 0", "ntimes"),
     ("chain", "lengths = 1.0\ngrid = 64", "grid"),
+    ("chain", "lengths = 1.0\nn_grid = 64", "n_grid"),   # [exit] n_grid serves chain
     ("output", "directory = res", "directory"),
 ]
 
@@ -337,6 +353,38 @@ def test_measured_exit_with_n_grid_exits_two_and_writes_nothing(tmp_path, capsys
     out = tmp_path / "o"
     assert main([command, "--config", ini, "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error: [exit] n_grid ")
+    assert not out.exists()
+
+
+# (run file, the start of what the message says after "config error: "):
+# load-time defects that no other test reaches
+CONFIG_DEFECTS = {
+    "unparsable number": (BASE_INI.replace("D = 0.1", "D = abc"),
+                          "[params] D: cannot parse 'abc'"),
+    "unparsable lengths": (with_lines(BASE_INI, "chain", "lengths = a"),
+                           "expected numbers, got 'a'"),
+    "polynomial without coeffs": (
+        BASE_INI.replace("kind = constant\nvalue = 1.0", "kind = polynomial\ncoeffs ="),
+        "[g] polynomial needs coeffs"),
+    "unknown function kind": (BASE_INI.replace("kind = constant", "kind = spline"),
+                              "[g] unknown kind 'spline'"),
+    "t_end not above t0": (BASE_INI.replace("[grid]\n", "[grid]\nt0 = 1.5\n"),
+                           "[grid] t_end must be finite and exceed t0"),
+    "exit grid below 8": (BASE_INI.replace("n_grid = 64", "n_grid = 7"),
+                          "[exit] n_grid must be at least 8"),
+    "zero length": (with_lines(BASE_INI, "chain", "lengths = 0"),
+                    "[chain]: lengths must be positive"),
+    "no section header": ("D = 0.1\n" + BASE_INI, "cannot read "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_DEFECTS))
+def test_config_defects_exit_two_and_write_nothing(tmp_path, capsys, case):
+    text, message = CONFIG_DEFECTS[case]
+    ini = write_ini(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", ini, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: " + message)
     assert not out.exists()
 
 
