@@ -20,6 +20,7 @@ from coltrans import (
     TruncationPolicy,
     danckwerts_error,
 )
+from coltrans.exitflux import N_GRID
 
 
 def parse_args(argv):
@@ -32,8 +33,8 @@ def parse_args(argv):
     ap.add_argument("--ell", type=float, default=2.0, help="shortest length")
     ap.add_argument("--doublings", type=int, default=3)
     ap.add_argument("--time", type=float, default=60.0)
-    ap.add_argument("--modes", type=int, default=200)
-    ap.add_argument("--exit-grid", type=int, default=512)
+    ap.add_argument("--modes", type=int, default=TruncationPolicy.n_max)
+    ap.add_argument("--exit-grid", type=int, default=N_GRID)
     ap.add_argument("--out", default="danckwerts_error.csv")
     return ap.parse_args(argv)
 

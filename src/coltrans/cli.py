@@ -187,7 +187,7 @@ def _cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
     rms = np.sqrt(sq / diffs.size)
 
     series_bal = mass_balance(lambda xs, t: eval_C(sol, xs, t), data,
-                              cfg.t_end, nx=257, n_times=vo.n_times)
+                              cfg.t_end, n_times=vo.n_times)
     fd_bal = mass_balance_fd(fd)
     order, e1, e2 = fd_convergence_order(data, cfg.t_end)
 

@@ -32,10 +32,10 @@ concentration is computed from the half-line closure on a grid of
 [exit] n_grid points, for every command and every `chain` segment; a
 measured [exit] takes no n_grid.  Each option's default and range check
 live in the dataclass that holds it (`TransportParams`, `ProblemData`
-for t0, `TruncationPolicy`, `VerifyOptions`, `ChainOptions`,
-`RunConfig`); the loader passes on only the keys a run file sets, and the
-CLI flags go through the same checks.  A key that the loader does not
-read is a ConfigError.
+for t0, `TruncationPolicy`, `VerifyOptions`, `ChainOptions`, `RunConfig`)
+or in the constant it reads; the loader passes on only the keys a run
+file sets, and the CLI flags go through the same checks.  A key that the
+loader does not read is a ConfigError.
 """
 
 from __future__ import annotations
@@ -46,21 +46,21 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
-from .exitflux import N_GRID
+from .exitflux import N_GRID, N_GRID_MIN
 from .model import ProblemData, SmoothFn, TransportParams
 from .series import TruncationPolicy
-from .verification import FdGrid
+from .verification import BALANCE_TIMES, FdGrid
 
 __all__ = ["RunConfig", "VerifyOptions", "ChainOptions", "load_config"]
 
 
 @dataclass(frozen=True)
 class VerifyOptions:
-    fd_nx: int = 201
-    fd_nt: int = 400
+    fd_nx: int = FdGrid.nx
+    fd_nt: int = FdGrid.nt
     balance_tol: float = 1e-4
     compare_tol: float = 1e-3
-    n_times: int = 33
+    n_times: int = BALANCE_TIMES
 
     def __post_init__(self):
         FdGrid(nx=self.fd_nx, nt=self.fd_nt)  # the oracle's own checks
@@ -103,8 +103,8 @@ class RunConfig:
             raise ParameterError("[grid] t_end must be finite and exceed t0")
         if self.nx < 2 or self.nt < 2:
             raise ParameterError("[grid] nx and nt must be at least 2")
-        if self.exit_n_grid < 8:
-            raise ParameterError("[exit] n_grid must be at least 8")
+        if self.exit_n_grid < N_GRID_MIN:
+            raise ParameterError(f"[exit] n_grid must be at least {N_GRID_MIN}")
 
 
 def _floats(raw: str) -> list:

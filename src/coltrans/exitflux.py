@@ -63,7 +63,7 @@ uniform.  All nodes of a chunk of gaps are evaluated in one numpy call,
 chunks being sized to 256 KB per temporary.  The value returned is
 the same rule on the panels halved, and its distance from the rule on the
 whole panels is the row's error estimate.  A row whose estimate exceeds
-the tolerance (1e-11, absolute and relative) is redone on the same cuts
+the tolerance (`_TOL`, absolute and relative) is redone on the same cuts
 with twice the panels per gap, up to 8 doublings, then `QuadratureError`:
 QUADPACK's interval subdivision (Piessens et al., 1983), made uniform.
 
@@ -92,7 +92,9 @@ __all__ = [
 ]
 
 N_GRID = 512  # default instants of a computed exit curve's grid, ends included
+N_GRID_MIN = 8  # fewest instants an exit curve's grid may have
 
+_TOL = 1e-11  # the closure's quadrature tolerance, absolute and relative
 _ETA_CUT = 9.0  # exp(-81) ~ 6e-36: nothing beyond survives double precision
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _PANELS = 4                 # panels per gap between cuts in the coarse rule
@@ -440,7 +442,7 @@ def _u_scaled(hp: HalfLineProblem, x: float, ts, tol: float):
 
 
 def eval_u(hp: HalfLineProblem, x: float, t: float, *, scaled: bool = True,
-           tol: float = 1e-11) -> float:
+           tol: float = _TOL) -> float:
     """Companion heat solution u(x, t), by default folded by e^{-s t}.
 
     scaled=False multiplies the overflow-prone e^{s t} back in.
@@ -462,7 +464,7 @@ def exit_concentration(hp: HalfLineProblem, t):
     """C_E(t) = u(ell, t) e^{r ell - s t} + gamma/mu, at one t or an array."""
     p = hp.params
     ts = np.asarray(t, dtype=float)
-    u = _u_scaled(hp, p.ell, ts.ravel(), 1e-11).reshape(ts.shape)
+    u = _u_scaled(hp, p.ell, ts.ravel(), _TOL).reshape(ts.shape)
     return (u * np.exp(p.r * p.ell) + hp.gm)[()]
 
 
@@ -476,8 +478,8 @@ def exit_curve(data: ProblemData, t_end: float, *, n_grid: int = N_GRID) -> Smoo
     """
     if not float(t_end) > data.t0:
         raise ParameterError("t_end must exceed t0")
-    if n_grid < 8:
-        raise ParameterError("n_grid must be at least 8")
+    if n_grid < N_GRID_MIN:
+        raise ParameterError(f"n_grid must be at least {N_GRID_MIN}")
     hp = HalfLineProblem.from_data(data)
     ts = np.linspace(data.t0, float(t_end), int(n_grid))
     vals = exit_concentration(hp, ts)
@@ -505,6 +507,5 @@ def exit_concentration_large_t(params: TransportParams, g: SmoothFn, t: float,
     kap = p.D / p.R
     horizon = max(np.log(1.0 / tol) / p.s, 9.0 * p.ell * p.ell / (4.0 * kap))
     t = float(t)
-    u_scaled = _boundary_part(p, g, gm, p.ell, t - horizon, np.array([t]),
-                              1e-11)[0]
+    u_scaled = _boundary_part(p, g, gm, p.ell, t - horizon, np.array([t]), _TOL)[0]
     return float(u_scaled * np.exp(p.r * p.ell) + gm)

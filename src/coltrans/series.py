@@ -239,9 +239,7 @@ def _lattice(kappa_max: float, width: float) -> np.ndarray:
     """
     if not (kappa_max > 0.0 and width > 0.0):
         return np.zeros(1)
-    e0 = math.frexp(4.0 / kappa_max)[1] - 1
-    if kappa_max * math.ldexp(1.0, e0) > 4.0:
-        e0 -= 1
+    e0 = math.frexp(4.0 / kappa_max)[1] - 1  # exact: 4/kappa never rounds up to 2^(e0 + 1)
     top = math.frexp(width)[1] - 1  # 2^top <= width < 2^(top + 1)
     return np.concatenate(([0.0], np.ldexp(1.0, np.arange(e0, top + 1))))
 
@@ -453,7 +451,8 @@ def _settled(data: ProblemData, pieces: int, integrate, what: str):
     cut at np.linspace(0, ell, pieces + 1).  lo and hi are the panel edges,
     `half` each panel's nominal half-width, one value across a gap.  The
     panels are halved until two passes agree to 1e-10 max(1, |value|) in
-    every entry; QuadratureError after 8 halvings.
+    every entry; QuadratureError after 8 halvings, NumericOverflowError at
+    once on a value that is not finite.
     """
     p = data.params
     inner = [k for k in data.phi.knots if 0.0 < k < p.ell]
@@ -466,6 +465,8 @@ def _settled(data: ProblemData, pieces: int, integrate, what: str):
     prev = None
     for _ in range(9):  # one pass, then at most 8 halvings
         val = integrate(cuts[:-1], cuts[1:], half)
+        if not np.all(np.isfinite(val)):
+            raise NumericOverflowError(f"{what} left the double range")
         tol = 1e-10 * np.maximum(1.0, np.abs(val))
         if prev is not None and np.all(np.abs(val - prev) <= tol):
             return val

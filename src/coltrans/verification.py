@@ -33,6 +33,9 @@ __all__ = [
     "danckwerts_outlet_mismatch",
 ]
 
+BALANCE_NX = 257     # default nodes of the series balance audit's Simpson rule
+BALANCE_TIMES = 33   # default instants of the series balance audit
+
 
 @dataclass(frozen=True)
 class FdGrid:
@@ -303,7 +306,7 @@ def _books(data: ProblemData, times: np.ndarray, ht: float, masses,
 
 
 def mass_balance(Cfun, data: ProblemData, t_end: float, *, times=None,
-                 nx: int = 257, n_times: int = 33) -> BalanceReport:
+                 nx: int = BALANCE_NX, n_times: int = BALANCE_TIMES) -> BalanceReport:
     """Audit any evaluator Cfun(x_array, t_array) -> concentrations.
 
     Cfun is called once, with every audit instant and its stencil

@@ -402,12 +402,31 @@ def test_out_of_range_flags_exit_two_and_write_nothing(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-def test_numeric_failures_exit_three(tmp_path, capsys):
-    ini = write_ini(tmp_path, BASE_INI.replace("v = 1.0", "v = 60.0"))
-    rc = main(["solve", "--config", ini, "--out", str(tmp_path / "o"),
-               "--quiet"])
+# (run file, the start of what the message says after "numeric failure: ")
+NUMERIC_FAILURES = {
+    "fast column": (BASE_INI.replace("v = 1.0", "v = 60.0"), "exp(s t_end) overflows"),
+    "data near the double range": (BASE_INI.replace("value = 1.0", "value = 1e300"),
+                                   "base-square integral left the double range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMERIC_FAILURES))
+def test_numeric_failures_exit_three(tmp_path, capsys, case):
+    text, message = NUMERIC_FAILURES[case]
+    ini = write_ini(tmp_path, text)
+    with np.errstate(all="ignore"):
+        rc = main(["solve", "--config", ini, "--out", str(tmp_path / "o"),
+                   "--quiet"])
     assert rc == 3
-    assert "numeric failure" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("numeric failure: " + message)
+
+
+def test_out_below_a_regular_file_exits_two(tmp_path, capsys):
+    ini = write_ini(tmp_path, BASE_INI)
+    (tmp_path / "plain").write_text("")
+    out = tmp_path / "plain" / "o"
+    assert main(["solve", "--config", ini, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot create {out}: ")
 
 
 README_INI = """\

@@ -319,5 +319,10 @@ def test_inner_product_validation_and_failure():
         inner_product(lambda x: x, lambda x: x, 1.0, 0.0)
     with pytest.raises(ParameterError):
         inner_product(lambda x: x, lambda x: x, 0.0, np.inf)
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match="failed on"):
         inner_product(lambda x: np.cos(1.0 / x) / x, lambda x: 1.0, 1e-8, 1.0)
+    # each piece settles to its relative tolerance, but the pieces cancel,
+    # so their summed estimate misses the absolute one
+    with pytest.raises(QuadratureError, match="error estimate"):
+        inner_product(lambda x: x, lambda x: 1.0, -1.0, 1.0, abs_tol=1e-300,
+                      points=[0.0])

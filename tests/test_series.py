@@ -980,6 +980,29 @@ def test_overflow_guards():
         eval_C(sol, np.linspace(0.0, 1.0, 5), 71.0)
 
 
+def _step_solution(level=1.0, **params):
+    data = make_data(g=SmoothFn.constant(level), exit=SmoothFn.constant(0.0), **params)
+    return build_solution(data, TruncationPolicy(n_max=20), 2.0)
+
+
+# (call, its NumericOverflowError's message): overflows that no other test reaches
+OVERFLOWS = {
+    "base square of data near the double range": (
+        lambda: _step_solution(level=1e300), "base-square integral left the double range"),
+    "coefficients at r ell = 750": (lambda: _step_solution(D=1e-3, ell=1.5),
+                                    "series coefficients left the double range"),
+    "evaluation far outside the column": (lambda: eval_C(_step_solution(), 200.0, 1.0),
+                                          "series evaluation overflowed at t = 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_overflows_are_reported_as_overflows(case):
+    call, message = OVERFLOWS[case]
+    with np.errstate(all="ignore"), pytest.raises(NumericOverflowError, match=message):
+        call()
+
+
 def test_scalar_and_array_shapes(smoke_solution):
     v = eval_C(smoke_solution, 0.5, 1.0)
     assert isinstance(v, float)

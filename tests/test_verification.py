@@ -83,6 +83,11 @@ def test_fd_convergence_order():
     assert 1.8 < order < 2.2
 
 
+def test_fd_convergence_order_of_data_that_stay_zero():
+    data = make_data(exit=SmoothFn.constant(0.0))
+    assert fd_convergence_order(data, 2.0, FdGrid(nx=9, nt=4)) == (np.inf, 0.0, 0.0)
+
+
 def reference_fd_solve(data, t_end, grid, kind):
     """fd_solve as a per-step scipy.linalg.solve_banded loop with scalar loads."""
     from scipy.linalg import solve_banded
@@ -187,11 +192,20 @@ def test_gtsv_factors_match_solve_banded(dominant):
     assert (swapped == 0) == dominant
 
 
-def test_singular_tridiagonal_is_refused():
+# (dl, d, du, the row the elimination stops at)
+SINGULAR = {
+    "first row": ([0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0], 0),
+    "last row": ([1.0], [1.0, 1.0], [1.0], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGULAR))
+def test_singular_tridiagonal_is_refused(case):
     from coltrans.verification import _gtsv_factor
 
-    with pytest.raises(ParameterError, match="singular"):
-        _gtsv_factor([0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0])
+    dl, d, du, row = SINGULAR[case]
+    with pytest.raises(ParameterError, match=f"singular at row {row}$"):
+        _gtsv_factor(dl, d, du)
 
 
 # -- balance audits -----------------------------------------------------------
