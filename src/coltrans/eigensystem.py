@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketingError, ParameterError, QuadratureError
-from .model import TransportParams
+from .model import DANCKWERTS, ROBIN, TransportParams, _exp_r_ell
 
 __all__ = [
     "EigenPair",
@@ -43,10 +43,6 @@ __all__ = [
     "inner_product",
     "half_wave_points",
 ]
-
-ROBIN = "robin"
-DANCKWERTS = "danckwerts"
-
 
 def quad(*args, **kwargs):
     """scipy.integrate.quad, imported on first call."""
@@ -107,7 +103,7 @@ def robin_eigenpair(n: int, params: TransportParams) -> EigenPair:
     r, ell = params.r, params.ell
     if n == 0:
         lam = -r * r
-        norm = (np.exp(2.0 * r * ell) - 1.0) / (2.0 * r)
+        norm = (_exp_r_ell(params, 2.0) - 1.0) / (2.0 * r)
     else:
         lam, norm = robin_spectrum(n, params)
     return EigenPair(n=n, lam=float(lam), norm=float(norm), kind=ROBIN)

@@ -78,7 +78,8 @@ from typing import Callable
 
 from .eigensystem import quad  # unused; the benchmark counts calls through it
 from .errors import FluxTransformError, ParameterError, QuadratureError
-from .model import ProblemData, SmoothFn, TransportParams, _gl_basis, _sorted_unique
+from .model import (ProblemData, SmoothFn, TransportParams, _exp_r_ell, _gl_basis,
+                    _sorted_unique)
 
 __all__ = [
     "HalfLineProblem",
@@ -463,9 +464,10 @@ def eval_u(hp: HalfLineProblem, x: float, t: float, *, scaled: bool = True,
 def exit_concentration(hp: HalfLineProblem, t):
     """C_E(t) = u(ell, t) e^{r ell - s t} + gamma/mu, at one t or an array."""
     p = hp.params
+    scale = _exp_r_ell(p)
     ts = np.asarray(t, dtype=float)
     u = _u_scaled(hp, p.ell, ts.ravel(), _TOL).reshape(ts.shape)
-    return (u * np.exp(p.r * p.ell) + hp.gm)[()]
+    return (u * scale + hp.gm)[()]
 
 
 def exit_curve(data: ProblemData, t_end: float, *, n_grid: int = N_GRID) -> SmoothFn:
@@ -503,9 +505,10 @@ def exit_concentration_large_t(params: TransportParams, g: SmoothFn, t: float,
     terminates because s >= v^2 / (4 D R) > 0; g must be evaluable there.
     """
     p = params
+    scale = _exp_r_ell(p)
     gm = _equilibrium_level(p)
     kap = p.D / p.R
     horizon = max(np.log(1.0 / tol) / p.s, 9.0 * p.ell * p.ell / (4.0 * kap))
     t = float(t)
     u_scaled = _boundary_part(p, g, gm, p.ell, t - horizon, np.array([t]), _TOL)[0]
-    return float(u_scaled * np.exp(p.r * p.ell) + gm)
+    return float(u_scaled * scale + gm)

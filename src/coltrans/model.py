@@ -17,9 +17,11 @@ with homogeneous boundaries; H is the lifting function that absorbs the
 boundary data and F collects the forcing that the substitution produces.
 This module owns the parameter set, the smooth-function wrapper used for
 phi, g and C_E, and the lift/forcing/initial-condition algebra: it is the
-only place that reads the boundary data (`_boundary_data`), and H, its
-partials, the forcing weights and the inversion back to C are each written
-once here.  The eigenfunction machinery that consumes these lives in
+only place that reads the boundary data (`_boundary_data`).  H, its
+partials, the forcing weights on the x-basis {e^{-r x}, cos(pi x/ell), 1},
+their moments against each phi_n, int_0^ell F^2 dx, the moments of
+w(., t0) and the inversion back to C are each written once here; `series`
+only sums weights against moments.  The eigenfunction machinery lives in
 `eigensystem` and `series`.
 """
 
@@ -31,7 +33,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericOverflowError, ParameterError
+
+ROBIN = "robin"
+DANCKWERTS = "danckwerts"
+_MAX_EXP = 700.0  # doubles overflow just above e^709
 
 __all__ = [
     "TransportParams",
@@ -93,6 +99,15 @@ class TransportParams:
     def s(self) -> float:
         """Temporal rate of the substitution, (v^2/(4 D) + mu) / R."""
         return (self.v * self.v / (4.0 * self.D) + self.mu) / self.R
+
+
+def _exp_r_ell(p: TransportParams, k: float = 1.0) -> float:
+    """e^{k r ell}, or NumericOverflowError naming r ell before it overflows."""
+    if k * p.r * p.ell > _MAX_EXP:
+        raise NumericOverflowError(
+            f"exp({k * p.r * p.ell:.6g}) overflows: r ell = v ell / (2 D) = "
+            f"{p.r * p.ell:.6g} is too large for double precision")
+    return np.exp(k * p.r * p.ell)
 
 
 def _as_callable_pair(fn, dfn):
@@ -209,7 +224,6 @@ class SmoothFn:
     deriv: Callable
     knots: tuple = ()
     const_value: Optional[float] = None
-    domain: Optional[tuple] = None
 
     @classmethod
     def constant(cls, value: float) -> "SmoothFn":
@@ -302,8 +316,7 @@ class SmoothFn:
         if not (np.all(np.isfinite(t_knots)) and np.all(np.isfinite(values))):
             raise ParameterError("table entries must be finite")
         ev, dv = _as_callable_pair(*_pchip(t_knots, values))
-        return cls(eval=ev, deriv=dv, knots=tuple(t_knots),
-                   domain=(t_knots[0], t_knots[-1]))
+        return cls(eval=ev, deriv=dv, knots=tuple(t_knots))
 
     @classmethod
     def from_callable(cls, fn, dfn, knots=()) -> "SmoothFn":
@@ -340,10 +353,6 @@ class ProblemData:
         _check_finite_on(self.phi, 0.0, self.params.ell, "phi")
         if not np.isfinite(self.g.eval(self.t0)):
             raise ParameterError("g must be finite at t0")
-
-    @property
-    def resolved(self) -> bool:
-        return self.exit is not None
 
     def require_exit(self) -> SmoothFn:
         if self.exit is None:
@@ -439,6 +448,78 @@ def initial_w(data: ProblemData, x):
     H0, _, _ = lift_H(data, x, data.t0)
     out = np.exp(p.s * data.t0) * (np.exp(-p.r * x) * data.phi.eval(x) - H0)
     return out[()]
+
+
+def _mode_moments(kind: str, lam: np.ndarray, params) -> np.ndarray:
+    """Closed-form integrals of {e^{-r x}, cos(pi x/ell), 1} against each phi_n.
+
+    Shape (3, modes), rows in the order of `forcing_weights`, one column per
+    eigenvalue in `lam`; for the Robin kind column 0 is the negative mode
+    phi_0 = e^{r x}.
+    """
+    r, ell = params.r, params.ell
+    p = np.pi / ell
+    out = np.empty((3, lam.size))
+    start = 0
+    if kind == ROBIN:
+        e = _exp_r_ell(params)
+        out[:, 0] = (ell, -r * (e + 1.0) / (r * r + p * p), (e - 1.0) / r)
+        start = 1
+    kappa = np.sqrt(lam[start:])
+
+    def S(q):  # int_0^ell cos(q x) dx, stable through q = 0
+        return ell * np.sinc(q * ell / np.pi)
+
+    def V(q):  # int_0^ell sin(q x) dx = (1 - cos(q ell)) / q, odd in q
+        return 0.5 * ell * ell * q * np.sinc(q * ell / (2.0 * np.pi)) ** 2
+
+    sin_l, cos_l = np.sin(kappa * ell), np.cos(kappa * ell)
+    out[0, start:] = (
+        np.exp(-r * ell) * ((kappa - r * r / kappa) * sin_l - 2.0 * r * cos_l)
+        + 2.0 * r
+    ) / (r * r + kappa * kappa)
+    out[1, start:] = 0.5 * (S(p - kappa) + S(p + kappa)) + (r / kappa) * 0.5 * (
+        V(kappa + p) + V(kappa - p)
+    )
+    out[2, start:] = S(kappa) + (r / kappa) * V(kappa)
+    return out
+
+
+def _basis_sum(coeffs, parts):
+    """sum_k coeffs[k] parts[k] over the basis of `_mode_moments`, in its order."""
+    out = coeffs[0] * parts[0]
+    for c, part in zip(coeffs[1:], parts[1:]):
+        out = out + c * part
+    return out
+
+
+def _forcing_sq(data: ProblemData, t):
+    """int_0^ell F(x, t)^2 dx at t, in closed form from the forcing weights.
+
+    Overflow raises NumericOverflowError, with no numpy warning.
+    """
+    r, ell, q = data.params.r, data.params.ell, np.pi / data.params.ell
+    E2 = (1.0 - np.exp(-2.0 * r * ell)) / (2.0 * r)
+    EC = r * (1.0 + np.exp(-r * ell)) / (r * r + q * q)
+    E1 = (1.0 - np.exp(-r * ell)) / r
+    a, b, c = forcing_weights(data, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # int cos(pi x/ell) dx vanishes, no b*c cross term
+        out = (a * a * E2 + b * b * (0.5 * ell) + c * c * ell
+               + 2.0 * a * b * EC + 2.0 * a * c * E1)
+    if not np.all(np.isfinite(out)):
+        raise NumericOverflowError("forcing-square integral left the double range")
+    return out
+
+
+def _initial_moments(data: ProblemData, moments, phi_moments=None):
+    """<w(., t0), phi_n> from `moments`, given <e^{-r x} phi, phi_n> unless phi is constant."""
+    Ie, Ic, I1 = moments
+    phi_moments = data.phi.const_value * Ie if phi_moments is None else phi_moments
+    g0, _, c0, _ = _boundary_data(data, data.t0)
+    # H(x, t0) = (g0 + c0) + (g0 - c0) cos(pi x / ell)
+    raw = phi_moments - (g0 + c0) * I1 - (g0 - c0) * Ic
+    return np.exp(data.params.s * data.t0) * raw
 
 
 def invert(w, H, x, t, r: float, s: float):

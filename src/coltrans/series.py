@@ -17,12 +17,14 @@ mode of both families (the negative mode has s + beta_0 = mu/R), so each
 kernel e^{-(s + beta_n) d} lies in [0, 1] and no term exceeds e^{s t}.  The
 other split, e^{s tau} e^{-beta_n d}, overflows for the negative mode.
 
-The forcing is a combination of e^{-r x}, cos(pi x / ell) and 1 with
-time-dependent weights (`model.forcing_weights`), so every mode projection
-reduces to three precomputed x-integrals.  The time integration is product
+The lift is `model`'s: the forcing is a combination of its x-basis with
+time-dependent weights (`model.forcing_weights`), and every mode projection
+sums those weights against precomputed x-moments (`model._mode_moments`,
+summed by `model._basis_sum`); the initial data's moments and the bounds'
+int_0^ell F^2 dx come from `model` too.  The time integration is product
 integration (Linz, *Analytical and Numerical Methods for Volterra
 Equations*, SIAM 1985): each step is cut into pieces in d at the data knots
-inside it (and, on long steps, at dyadic edges), the three weights are
+inside it (and, on long steps, at dyadic edges), the weights are
 sampled at the 12 Gauss-Legendre nodes of a piece, and the kernels are
 integrated exactly against the Lagrange basis of those samples.  A piece at
 offset o of width w adds e^{-(s + beta) o} (q @ W(w)), and W(w) depends on
@@ -60,10 +62,14 @@ from dataclasses import dataclass
 
 from .errors import NumericOverflowError, ParameterError, QuadratureError
 from .model import (
+    _MAX_EXP,
     ProblemData,
     SmoothFn,
-    _boundary_data,
+    _basis_sum,
+    _forcing_sq,
     _gl_basis,
+    _initial_moments,
+    _mode_moments,
     _pchip,
     _sorted_unique,
     forcing_weights,
@@ -100,7 +106,6 @@ __all__ = [
 # the lattice, on which the stiffest retained decay factor varies by at most
 # ~e^4, where this rule holds far more accuracy than the 1e-10 target.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
-_MAX_EXP = 700.0  # doubles overflow just above e^709
 _PANELS = 1 << 13  # panels x modes per block of the T0 projection: 64 KB
 _BLOCK = 1 << 15  # modes x nodes per block of the batched march: 256 KB
 _PASS = 1 << 11   # nodes per pass of the march's forcing weights: 16 KB
@@ -145,7 +150,7 @@ class SeriesSolution:
         self.lam = np.array([p.lam for p in pairs])
         self.norms = np.array([p.norm for p in pairs])
         self.beta = (data.params.D / data.params.R) * self.lam
-        self.moments = moments      # (3, M): rows e^{-rx}, cos(pi x/ell), 1
+        self.moments = moments      # (basis, modes): model._mode_moments
         self.T0 = None              # T_n(t0)
         self._ff_cum = ff_cum       # cumulative int_0^ell F^2 dx dtau
         self._base_sq = base_sq     # int_0^ell (e^{-r x} phi - H(., t0))^2 dx
@@ -370,8 +375,8 @@ def _march(sol: SeriesSolution, T_from, t_from, t_to):
     order, uw, rank = _distinct(wid)
     sw, uid = wid[order], rank[order]
     nw = max(1, _BLOCK // (2 * _GL_X.size * kappa.size))
-    per = max(1, min(_PASS // _GL_X.size, _BLOCK // (6 * kappa.size)))
-    y = np.empty((min(per, order.size), 3, kappa.size))
+    per = max(1, min(_PASS // _GL_X.size, _BLOCK // (2 * len(mn) * kappa.size)))
+    y = np.empty((min(per, order.size), len(mn), kappa.size))
     block, first, prefix = None, 0, {}
     for i in range(0, order.size, per):
         idx = order[i:i + per]
@@ -384,8 +389,7 @@ def _march(sol: SeriesSolution, T_from, t_from, t_to):
                 first, block = u[a], None  # the old block goes before the next is made
                 block = _width_moments(edges, d, kernel, kappa, uw[first:first + nw], prefix)
             np.matmul(q[a:b], block[u[a] - first], out=y[a:b])
-        z = y[:idx.size]
-        v = mn[0] * z[:, 0] + mn[1] * z[:, 1] + mn[2] * z[:, 2]
+        v = _basis_sum(mn, y[:idx.size].transpose(1, 0, 2))
         far = o > 0.0
         if far.any():
             v[far] *= np.exp(np.multiply.outer(-o[far], kappa))
@@ -409,40 +413,6 @@ def _march(sol: SeriesSolution, T_from, t_from, t_to):
     return T
 
 
-def _mode_moments(kind: str, lam: np.ndarray, params) -> np.ndarray:
-    """Closed-form integrals of {e^{-r x}, cos(pi x/ell), 1} against each phi_n.
-
-    Shape (3, modes), one column per eigenvalue in `lam`; for the Robin kind
-    column 0 is the negative mode phi_0 = e^{r x}.
-    """
-    r, ell = params.r, params.ell
-    p = np.pi / ell
-    out = np.empty((3, lam.size))
-    start = 0
-    if kind == ROBIN:
-        out[:, 0] = (ell, -r * (np.exp(r * ell) + 1.0) / (r * r + p * p),
-                     (np.exp(r * ell) - 1.0) / r)
-        start = 1
-    kappa = np.sqrt(lam[start:])
-
-    def S(q):  # int_0^ell cos(q x) dx, stable through q = 0
-        return ell * np.sinc(q * ell / np.pi)
-
-    def V(q):  # int_0^ell sin(q x) dx = (1 - cos(q ell)) / q, odd in q
-        return 0.5 * ell * ell * q * np.sinc(q * ell / (2.0 * np.pi)) ** 2
-
-    sin_l, cos_l = np.sin(kappa * ell), np.cos(kappa * ell)
-    out[0, start:] = (
-        np.exp(-r * ell) * ((kappa - r * r / kappa) * sin_l - 2.0 * r * cos_l)
-        + 2.0 * r
-    ) / (r * r + kappa * kappa)
-    out[1, start:] = 0.5 * (S(p - kappa) + S(p + kappa)) + (r / kappa) * 0.5 * (
-        V(kappa + p) + V(kappa - p)
-    )
-    out[2, start:] = S(kappa) + (r / kappa) * V(kappa)
-    return out
-
-
 def _settled(data: ProblemData, pieces: int, integrate, what: str):
     """integrate(lo, hi, half) on 12-point panels over [0, ell], settled by halving.
 
@@ -464,7 +434,8 @@ def _settled(data: ProblemData, pieces: int, integrate, what: str):
     half = np.repeat(0.5 * gaps / counts, counts)
     prev = None
     for _ in range(9):  # one pass, then at most 8 halvings
-        val = integrate(cuts[:-1], cuts[1:], half)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = integrate(cuts[:-1], cuts[1:], half)
         if not np.all(np.isfinite(val)):
             raise NumericOverflowError(f"{what} left the double range")
         tol = 1e-10 * np.maximum(1.0, np.abs(val))
@@ -524,48 +495,28 @@ def _projected(sol: SeriesSolution, lo, hi, half) -> np.ndarray:
 
 
 def _initial_coefficients(sol: SeriesSolution) -> np.ndarray:
-    """All T_n(t0) = <w(., t0), phi_n> / <phi_n, phi_n>, H(., t0) by moments.
+    """All T_n(t0) = <w(., t0), phi_n> / <phi_n, phi_n>, by `model._initial_moments`.
 
     e^{-r x} phi is projected by `_settled` and `_projected` on panels as
     fine as the fastest mode's half-waves; a constant phi by its moments.
     """
     data = sol.lift_data
-    p = data.params
-    g0, _, c0, _ = _boundary_data(data, data.t0)
-    Ie, Ic, I1 = sol.moments
-    if data.phi.const_value is not None:
-        phi_part = data.phi.const_value * Ie
-    else:
-        pieces = int(np.ceil(p.ell * np.sqrt(sol.lam[-1]) / np.pi))
+    phi_part = None
+    if data.phi.const_value is None:
+        pieces = int(np.ceil(data.params.ell * np.sqrt(sol.lam[-1]) / np.pi))
         phi_part = _settled(data, pieces, lambda lo, hi, half:
                             _projected(sol, lo, hi, half), "initial projection")
-    # H(x, t0) = (g0 + c0) + (g0 - c0) cos(pi x / ell)
-    raw = phi_part - (g0 + c0) * I1 - (g0 - c0) * Ic
-    return np.exp(p.s * data.t0) * raw / sol.norms
+    return _initial_moments(data, sol.moments, phi_part) / sol.norms
 
 
 def _forcing_sq_cum(lift_data: ProblemData, t0: float, t_end: float):
     """Cumulative double integral of F^2 over [0, ell] x [t0, tau]."""
-    p = lift_data.params
-    r, ell = p.r, p.ell
-    q = np.pi / ell
-    E2 = (1.0 - np.exp(-2.0 * r * ell)) / (2.0 * r)
-    EC = r * (1.0 + np.exp(-r * ell)) / (r * r + q * q)
-    E1 = (1.0 - np.exp(-r * ell)) / r
     taus = np.linspace(t0, t_end, 1025)
     # pull in data knots so the trapezoid sees every kink
     ks = _knots_between(_knot_array(lift_data), t0, t_end)
     if ks.size:
         taus = _sorted_unique(np.concatenate([taus, ks]))
-    a, b, c = forcing_weights(lift_data, taus)
-    fx2 = (
-        a * a * E2
-        + b * b * (0.5 * ell)
-        + c * c * ell
-        + 2.0 * a * b * EC
-        + 2.0 * a * c * E1
-        # int cos(pi x/ell) dx vanishes, no b*c cross term
-    )
+    fx2 = _forcing_sq(lift_data, taus)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (fx2[1:] + fx2[:-1]) * np.diff(taus))])
     return _pchip(taus, cum)[0]
 
@@ -674,10 +625,8 @@ def _tail_bound_core(p, kind: str, t0: float, ff: float, base_sq: float,
 def project_forcing(sol: SeriesSolution, n: int, tau):
     """f_n(tau): the forcing projected on mode n, normalized."""
     pos = sol._pos(n)
-    a, b, c = forcing_weights(sol.lift_data, tau)
-    out = (
-        sol.moments[0][pos] * a + sol.moments[1][pos] * b + sol.moments[2][pos] * c
-    ) / sol.norms[pos]
+    weights = forcing_weights(sol.lift_data, tau)
+    out = _basis_sum(sol.moments[:, pos], weights) / sol.norms[pos]
     return out[()] if isinstance(out, np.ndarray) else out
 
 
@@ -859,22 +808,20 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
     if kind == ROBIN and p.mu == 0.0:
         notes.append("mu = 0: n = 0 coefficient bound uses the direct sup fallback")
 
-    ff_cum = _forcing_sq_cum(lift_data, data.t0, t_end)
+    # base_sq first: data near the double range overflow its square before F^2
     base_sq = _base_sq_integral(lift_data, policy.n_max)
+    ff_cum = _forcing_sq_cum(lift_data, data.t0, t_end)
 
-    # Tail target: smallest N with the a-priori tail under tail_tol,
-    # else n_max with the achieved tail reported.
+    # Tail target: the first of 8, 16, 32, ... below n_max, then n_max, whose
+    # a-priori tail is under tail_tol, else n_max with the achieved tail reported.
     ff_end = float(ff_cum(t_end))
 
     def tail_at(n):
         return _tail_bound_core(p, kind, data.t0, ff_end, base_sq,
                                 policy.tail_tol, n, t_end)
 
-    N = policy.n_max
-    for cand in _tail_candidates(policy.n_max):
-        if tail_at(cand) <= policy.tail_tol:
-            N = cand
-            break
+    cands = [8 << k for k in range(policy.n_max.bit_length()) if 8 << k < policy.n_max]
+    N = next((n for n in cands + [policy.n_max] if tail_at(n) <= policy.tail_tol), policy.n_max)
     reported = tail_at(N)
     if reported > policy.tail_tol:
         notes.append(
@@ -912,12 +859,3 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
     sol._dense_T = dense_T
     return sol
 
-
-def _tail_candidates(n_max: int):
-    cand = []
-    c = 8
-    while c < n_max:
-        cand.append(c)
-        c *= 2
-    cand.append(n_max)
-    return cand

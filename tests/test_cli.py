@@ -421,6 +421,35 @@ def test_numeric_failures_exit_three(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("numeric failure: " + message)
 
 
+# (run file, the start of its one stderr line): overflows told without numpy warnings
+OVERFLOWING_RUNS = {
+    "computed exit at r ell = 750": (
+        BASE_INI.replace("D = 0.1", "D = 1e-3").replace("ell = 1.0", "ell = 1.5"),
+        "exp(750) overflows: r ell = v ell / (2 D) = 750 "),
+    "measured exit at r ell = 375": (
+        BASE_INI.replace("D = 0.1", "D = 2e-3").replace("ell = 1.0", "ell = 1.5")
+        .replace("kind = computed\nn_grid = 64", "kind = constant\nvalue = 0.0"),
+        "exp(750) overflows: r ell = v ell / (2 D) = 375 "),
+    "data near the double range": (BASE_INI.replace("value = 1.0", "value = 1e300"),
+                                   "base-square integral left the double range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_RUNS))
+def test_overflowing_runs_print_one_line(tmp_path, case):
+    """In a fresh interpreter, as a user runs it: exit 3 and one line of stderr."""
+    text, message = OVERFLOWING_RUNS[case]
+    ini = write_ini(tmp_path, text)
+    src = str(Path(coltrans.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "coltrans", "solve", "--config", ini,
+                          "--out", str(tmp_path / "o"), "--quiet"],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"))
+    assert out.returncode == 3
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure: " + message), lines
+
+
 def test_out_below_a_regular_file_exits_two(tmp_path, capsys):
     ini = write_ini(tmp_path, BASE_INI)
     (tmp_path / "plain").write_text("")

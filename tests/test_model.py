@@ -1,11 +1,14 @@
 """Parameter derivation, boundary lift, forcing shape, transform algebra."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coltrans import (
+    NumericOverflowError,
     ParameterError,
     ProblemData,
     SmoothFn,
@@ -15,6 +18,7 @@ from coltrans import (
     invert,
     lift_H,
 )
+from coltrans.model import _forcing_sq
 from conftest import make_data
 
 
@@ -122,7 +126,6 @@ def test_from_table_passes_knots_and_clamps():
     assert f.eval(-3.0) == vals[0]
     assert f.eval(9.0) == vals[-1]
     assert f.deriv(-3.0) == 0.0 and f.deriv(9.0) == 0.0
-    assert f.domain == (0.0, 2.0)
     assert f.knots == tuple(ts)
 
 
@@ -206,11 +209,11 @@ def test_problem_data_validation():
 
 def test_require_exit_and_with_exit():
     data = make_data()
-    assert not data.resolved
+    assert data.exit is None
     with pytest.raises(ParameterError, match="exit"):
         data.require_exit()
     fitted = data.with_exit(SmoothFn.constant(0.0), computed=True)
-    assert fitted.resolved and fitted.exit_computed
+    assert fitted.exit is not None and fitted.exit_computed
     assert fitted.require_exit().eval(1.0) == 0.0
 
 
@@ -326,6 +329,24 @@ def test_forcing_split_sums_to_total():
     xs = np.linspace(0.0, data.params.ell, 9)
     F, F1, F2 = forcing_F(data, xs, 0.7)
     assert np.max(np.abs(F - (F1 + F2))) <= 1e-15 * (1.0 + np.max(np.abs(F)))
+
+
+def test_forcing_square_closed_form_matches_quadrature(loaded_data):
+    """int_0^ell F^2 dx against 12-point Gauss-Legendre; gamma != 0 brings in e^{-r x}."""
+    ell = loaded_data.params.ell
+    nodes, wts = np.polynomial.legendre.leggauss(12)
+    xs, wts = 0.5 * ell * (1.0 + nodes), 0.5 * ell * wts
+    ts = np.array([0.0, 0.15, 0.5, 0.95, 1.7])  # before, on and after g's ramps
+    want = np.array([wts @ forcing_F(loaded_data, xs, t)[0] ** 2 for t in ts])
+    assert np.all(np.abs(_forcing_sq(loaded_data, ts) - want) <= 1e-12 * want)
+
+
+def test_forcing_square_overflow_is_one_error_and_no_warning():
+    data = make_data(g=SmoothFn.constant(1e300), exit=SmoothFn.constant(0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError, match="forcing-square integral"):
+            _forcing_sq(data, np.linspace(0.0, 1.0, 5))
 
 
 # -- initial transform -------------------------------------------------------

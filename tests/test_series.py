@@ -1,5 +1,7 @@
 """Series solution: coefficients, bounds, tails, evaluation, large-t limit."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -766,7 +768,7 @@ def reference_mode_moments(pair, params):
 def test_mode_moments_in_one_pass_match_the_per_mode_form(kind):
     from coltrans import TransportParams
     from coltrans.eigensystem import danckwerts_eigenpair
-    from coltrans.series import _mode_moments
+    from coltrans.model import _mode_moments
 
     pair_of = robin_eigenpair if kind == ROBIN else danckwerts_eigenpair
     rng = np.random.default_rng(7)
@@ -783,6 +785,23 @@ def test_mode_moments_in_one_pass_match_the_per_mode_form(kind):
         else:
             scale = np.max(np.abs(want), axis=1, keepdims=True)
             assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
+def test_negative_mode_refuses_r_ell_beyond_the_double_range():
+    """The Robin n = 0 norm takes e^{2 r ell} and its moments e^{r ell}; each
+    is refused with r ell named, and numpy does not warn first."""
+    from coltrans import TransportParams
+    from coltrans.model import _mode_moments
+
+    norm_over = TransportParams(D=2e-3, v=1.0, ell=1.5)  # r ell = 375
+    moments_over = TransportParams(D=1e-3, v=1.0, ell=1.5)  # r ell = 750
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError, match="= 375 is too large"):
+            robin_eigenpair(0, norm_over)
+        with pytest.raises(NumericOverflowError, match="= 750 is too large"):
+            _mode_moments(ROBIN, np.array([-moments_over.r ** 2]), moments_over)
+        assert robin_eigenpair(1, norm_over).norm > 0.0  # n >= 1 takes no e^{r ell}
 
 
 # -- a-priori bounds ----------------------------------------------------------
@@ -990,7 +1009,9 @@ OVERFLOWS = {
     "base square of data near the double range": (
         lambda: _step_solution(level=1e300), "base-square integral left the double range"),
     "coefficients at r ell = 750": (lambda: _step_solution(D=1e-3, ell=1.5),
-                                    "series coefficients left the double range"),
+                                    r"exp\(1500\) overflows: r ell = v ell / \(2 D\) = 750 "),
+    "coefficients of large data at s t_end = 685": (
+        lambda: _step_solution(level=1e100, mu=340.0), "series coefficients left the double range"),
     "evaluation far outside the column": (lambda: eval_C(_step_solution(), 200.0, 1.0),
                                           "series evaluation overflowed at t = 1"),
 }
