@@ -70,7 +70,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(path: Path, payload: dict):
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    """payload as strict JSON; a value that is not finite ends the run."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericOverflowError(f"{path.name}: {exc}") from None
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
 
@@ -160,7 +164,9 @@ def _cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
         "exit_n_grid": cfg.exit_n_grid,
         "policy": {"n_max": cfg.policy.n_max, "tail_tol": cfg.policy.tail_tol},
         "series": {"kind": sol.kind, "n_used": sol.n_used,
-                   "reported_tail": sol.reported_tail,
+                   # null: the bound left the double range (the notes say so)
+                   "reported_tail": None if sol.reported_tail == np.inf
+                   else sol.reported_tail,
                    "exit_computed": data.exit_computed,
                    "notes": list(sol.notes)},
         "outputs": ["breakthrough.csv", "manifest.json", "profile.csv"],

@@ -1,4 +1,4 @@
-"""Eigenpairs of the transformed column problem.
+"""The mode family of the transformed column problem: spectra and phi_n.
 
 The substitution in `model` leaves a heat problem for w whose separated
 spatial part solves phi'' = -lambda phi under one of two boundary sets:
@@ -19,6 +19,11 @@ where kappa ell = 2 atan(r / kappa), and mode n >= 1 is the single root
 bracketed between the Robin eigenvalues (n pi/ell)^2 and
 ((n + 1) pi/ell)^2.  Together they are the complete zero-gradient family.
 
+No other module writes these formulas: `spectrum` gives any modes'
+eigenvalues and squared norms, `_phi_matrices` their phi_n and phi_n'
+(a negative lambda_0 is the mode e^{r x}), and `_phi_combine` phi_n from
+sums of its parts, on which `series` projects.
+
 scipy is imported on the first call of `quad`, which only `inner_product`,
 the tests' QUADPACK reference, makes; no command needs it.
 """
@@ -34,8 +39,8 @@ from .model import DANCKWERTS, ROBIN, TransportParams, _exp_r_ell
 
 __all__ = [
     "EigenPair",
+    "spectrum",
     "robin_eigenpair",
-    "robin_spectrum",
     "danckwerts_spectrum",
     "danckwerts_eigenvalue",
     "danckwerts_eigenpair",
@@ -68,47 +73,6 @@ class EigenPair:
             raise ParameterError("mode index must be nonnegative")
 
 
-def _general_norm(kappa: float, r: float, ell: float) -> float:
-    """Closed form of int_0^ell (cos(kappa x) + (r/kappa) sin(kappa x))^2 dx."""
-    q = r / kappa
-    s2 = np.sin(2.0 * kappa * ell)
-    c2 = np.cos(2.0 * kappa * ell)
-    return (
-        0.5 * ell * (1.0 + q * q)
-        + s2 / (4.0 * kappa) * (1.0 - q * q)
-        + r / (2.0 * kappa * kappa) * (1.0 - c2)
-    )
-
-
-def robin_spectrum(n, params: TransportParams):
-    """lambda_n = (n pi/ell)^2 and squared norm (r^2 + lambda_n) ell / (2 lambda_n).
-
-    The oscillatory double-flux modes n >= 1, as arrays shaped as n; the
-    one place these formulas are written.
-    """
-    # float_power squares through libm's pow, as Python's float ** does;
-    # numpy's ** 2 multiplies, which differs in the last bit now and then
-    lam = np.float_power(n * np.pi / params.ell, 2)
-    return lam, (params.r * params.r + lam) * params.ell / (2.0 * lam)
-
-
-def robin_eigenpair(n: int, params: TransportParams) -> EigenPair:
-    """Eigenpair of the double-flux family.
-
-    n = 0 is the negative mode lambda_0 = -r^2 with phi_0 = e^{r x} and
-    squared norm (e^{2 r ell} - 1)/(2 r); n >= 1 is `robin_spectrum`.
-    """
-    if n < 0:
-        raise ParameterError("mode index must be nonnegative")
-    r, ell = params.r, params.ell
-    if n == 0:
-        lam = -r * r
-        norm = (_exp_r_ell(params, 2.0) - 1.0) / (2.0 * r)
-    else:
-        lam, norm = robin_spectrum(n, params)
-    return EigenPair(n=n, lam=float(lam), norm=float(norm), kind=ROBIN)
-
-
 def _danckwerts_residual(kappa, r: float, ell: float):
     # Pole-free form of tan(kappa ell) = 2 r kappa / (kappa^2 - r^2):
     # the tangent's poles are cleared by multiplying through by
@@ -118,20 +82,29 @@ def _danckwerts_residual(kappa, r: float, ell: float):
     )
 
 
-def danckwerts_spectrum(n, params: TransportParams):
-    """Zero-gradient-exit eigenvalues lambda_Dn and squared norms, shaped as n.
+def spectrum(kind: str, n, params: TransportParams):
+    """Eigenvalues lambda_n and squared norms of the modes n of `kind`, shaped as n.
 
-    lambda_D0 is the slow root, the only one in (0, pi^2/ell^2); for
-    n >= 1, lambda_Dn lies strictly inside (n^2 pi^2/ell^2,
-    (n+1)^2 pi^2/ell^2).  Each kappa_n = sqrt(lambda_Dn) is bisected on
-    the pole-free residual, all modes at once, until its bracket's ends
-    are adjacent doubles; the end with the smaller |residual| is the root.
-    Raises BracketingError when a bracket's ends show no sign change.
+    Robin: lambda_0 = -r^2 with norm (e^{2 r ell} - 1)/(2 r), whose e^{2 r
+    ell} is taken (and refused past the double range) only when n holds 0,
+    and lambda_n = (n pi/ell)^2 with norm (r^2 + lambda_n) ell / (2 lambda_n).
+    Danckwerts: each kappa_n is bisected until its bracket's ends are
+    adjacent doubles, and the end with the smaller |residual| is the root;
+    BracketingError when a bracket's ends show no sign change.
     """
     n = np.asarray(n)
     if np.any(n < 0):
         raise ParameterError("mode index must be nonnegative")
     r, ell = params.r, params.ell
+    if kind == ROBIN:
+        neg = n == 0
+        norm0 = (_exp_r_ell(params, 2.0) - 1.0) / (2.0 * r) if np.any(neg) else 0.0
+        # float_power squares through libm's pow, as Python's float ** does;
+        # numpy's ** 2 multiplies, which differs in the last bit now and then
+        lam = np.where(neg, -r * r, np.float_power(n * np.pi / ell, 2))
+        return lam, np.where(neg, norm0, (r * r + lam) * ell / (2.0 * lam))
+    if kind != DANCKWERTS:
+        raise ParameterError(f"unknown eigenpair kind {kind!r}")
     # residual ~ -r kappa (r ell + 2) < 0 just right of zero
     lo = np.where(n == 0, 1e-15, n) * np.pi / ell
     hi = (n + 1) * np.pi / ell
@@ -150,33 +123,100 @@ def danckwerts_spectrum(n, params: TransportParams):
     nearer = (np.abs(_danckwerts_residual(lo, r, ell))
               <= np.abs(_danckwerts_residual(hi, r, ell)))
     kappa = np.where(nearer, lo, hi)
-    return kappa * kappa, _general_norm(kappa, r, ell)
+    # int_0^ell (cos(kappa x) + q sin(kappa x))^2 dx, q = r / kappa
+    q = r / kappa
+    return kappa * kappa, (0.5 * ell * (1.0 + q * q)
+                           + np.sin(2.0 * kappa * ell) / (4.0 * kappa) * (1.0 - q * q)
+                           + r / (2.0 * kappa * kappa) * (1.0 - np.cos(2.0 * kappa * ell)))
 
 
-def danckwerts_eigenvalue(n: int, params: TransportParams) -> float:
-    """n-th zero-gradient-exit eigenvalue: one mode of `danckwerts_spectrum`."""
-    return danckwerts_eigenpair(n, params).lam
+def robin_eigenpair(n: int, params: TransportParams) -> EigenPair:
+    """Mode n of the double-flux family: one entry of `spectrum`."""
+    return EigenPair(n, *map(float, spectrum(ROBIN, n, params)), ROBIN)
 
 
 def danckwerts_eigenpair(n: int, params: TransportParams) -> EigenPair:
-    lam, norm = danckwerts_spectrum(n, params)
-    return EigenPair(n=n, lam=float(lam), norm=float(norm), kind=DANCKWERTS)
+    """Mode n of the zero-gradient-exit family: one entry of `spectrum`."""
+    return EigenPair(n, *map(float, spectrum(DANCKWERTS, n, params)), DANCKWERTS)
+
+
+def danckwerts_eigenvalue(n: int, params: TransportParams) -> float:
+    """n-th zero-gradient-exit eigenvalue: one entry of `spectrum`."""
+    return float(spectrum(DANCKWERTS, n, params)[0])
+
+
+def danckwerts_spectrum(n, params: TransportParams):
+    """Zero-gradient-exit eigenvalues and squared norms: `spectrum` of that kind."""
+    return spectrum(DANCKWERTS, n, params)
+
+
+def _kappas(lam: np.ndarray) -> np.ndarray:
+    """kappa_n = sqrt(lambda_n) of the cos-sin modes: all but a negative lambda_0."""
+    return np.sqrt(lam[1:] if lam[0] < 0.0 else lam)
+
+
+def _exp_mode(x, r: float):
+    """phi = e^{r x}, the mode of a negative lambda_0, and phi' = r e^{r x}."""
+    e = np.exp(r * x)
+    return e, r * e
+
+
+def _cos_sin(kap, r: float, co, si, out=None):
+    """phi = cos + (r / kappa) sin of a cos-sin mode, from co = cos(kappa x)
+    and si = sin(kappa x); formed in `out` when given, with no temporary."""
+    out = np.multiply(si, r / kap, out=out)
+    out += co
+    return out
+
+
+def _cos_sin_slope(kap, r: float, co, si):
+    """phi' = r cos - kappa sin of a cos-sin mode, from the same parts."""
+    return -kap * si + r * co
+
+
+def _phi_combine(lam: np.ndarray, r: float, e, co, si) -> np.ndarray:
+    """phi_n from its parts e^{r x} (None without a negative lambda_0),
+    cos(kappa_n x) and sin(kappa_n x), modes on the last axis; linear in
+    the parts, so sums of them give sums of phi_n."""
+    kap = _kappas(lam)
+    out = np.empty(np.shape(co)[:-1] + (lam.size,))
+    start = lam.size - kap.size
+    if start:
+        out[..., 0] = e
+    _cos_sin(kap, r, co, si, out=out[..., start:])
+    return out
+
+
+def _phi_matrices(lam: np.ndarray, x, r: float, slope: bool = True):
+    """phi_n and phi_n' (None without `slope`) at the points x, a column per
+    eigenvalue in `lam`; phi'(0) = r phi(0) is met with phi(0) = 1."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    kap = _kappas(lam)
+    start = lam.size - kap.size
+    e, de = _exp_mode(x, r) if start else (None, None)
+    arg = x[:, None] * kap[None, :]
+    co = np.cos(arg)
+    si = np.sin(arg, out=arg)  # arg is spent: one nodes x modes array less
+    vals = _phi_combine(lam, r, e, co, si)
+    if not slope:
+        return vals, None
+    ders = np.empty_like(vals)
+    if start:
+        ders[:, 0] = de
+    ders[:, start:] = _cos_sin_slope(kap, r, co, si)
+    return vals, ders
 
 
 def eval_phi(pair: EigenPair, x, r: float):
-    """Eigenfunction value and spatial derivative at x.
-
-    The entrance condition phi'(0) = r phi(0) fixes the normalization
-    phi(0) = 1 for every mode.
-    """
+    """Eigenfunction value and slope at x, a column of `_phi_matrices` bit for
+    bit: its formulas, on scalars for the tests' point-by-point QUADPACK."""
     x = np.asarray(x, dtype=float)
-    if pair.kind == ROBIN and pair.n == 0:
-        e = np.exp(r * x)
-        return e[()], (r * e)[()]
-    kappa = np.sqrt(pair.lam)
-    c, s = np.cos(kappa * x), np.sin(kappa * x)
-    phi = c + (r / kappa) * s
-    dphi = -kappa * s + r * c
+    if pair.lam < 0.0:
+        phi, dphi = _exp_mode(x, r)
+    else:
+        kap = np.sqrt(pair.lam)
+        co, si = np.cos(kap * x), np.sin(kap * x)
+        phi, dphi = _cos_sin(kap, r, co, si), _cos_sin_slope(kap, r, co, si)
     return phi[()], dphi[()]
 
 

@@ -17,7 +17,9 @@ mode of both families (the negative mode has s + beta_0 = mu/R), so each
 kernel e^{-(s + beta_n) d} lies in [0, 1] and no term exceeds e^{s t}.  The
 other split, e^{s tau} e^{-beta_n d}, overflows for the negative mode.
 
-The lift is `model`'s: the forcing is a combination of its x-basis with
+The modes are `eigensystem`'s: one `spectrum` call gives the kept
+eigenvalues and norms, and every phi_n is formed there.  The lift is
+`model`'s: the forcing is a combination of its x-basis with
 time-dependent weights (`model.forcing_weights`), and every mode projection
 sums those weights against precomputed x-moments (`model._mode_moments`,
 summed by `model._basis_sum`); the initial data's moments and the bounds'
@@ -81,10 +83,12 @@ from .eigensystem import (
     DANCKWERTS,
     ROBIN,
     EigenPair,
-    danckwerts_spectrum,
+    _kappas,
+    _phi_combine,
+    _phi_matrices,
     inner_product,  # unused here; the benchmark traces series.inner_product
-    robin_eigenpair,
-    robin_spectrum,
+    robin_eigenpair,  # unused here; the benchmark traces series.robin_eigenpair
+    spectrum,
 )
 
 __all__ = [
@@ -130,25 +134,24 @@ class TruncationPolicy:
 class SeriesSolution:
     """Frozen result of `build_solution`; evaluate, do not mutate.
 
-    All arrays are index-aligned with `pairs`.  Both summations start at
-    n = 0: the negative mode for Robin, the slow tangent-equation root
-    below pi/ell for Danckwerts.  `build_solution` then sets `T0`, with
+    All arrays are index-aligned with `lam` and `norms`.  Both summations
+    start at n = 0: the negative mode for Robin, the slow tangent-equation
+    root below pi/ell for Danckwerts.  `build_solution` then sets `T0`, with
     the evaluator's own form of phi_n (`_phi_combine`), and the dense march
     through the evaluator's own `_march`.
     Instances are safe to share across threads once built: evaluation only
     replaces a one-entry memo, the latest (t, T) pair, in one assignment.
     """
 
-    def __init__(self, data, lift_data, kind, policy, t_end, pairs,
+    def __init__(self, data, lift_data, kind, policy, t_end, lam, norms,
                  moments, ff_cum, base_sq, reported_tail, notes):
         self.data = data            # resolved problem (true exit curve)
         self.lift_data = lift_data  # what the lift/forcing use (zero exit for Danckwerts)
         self.kind = kind
         self.policy = policy
         self.t_end = float(t_end)
-        self.pairs = pairs
-        self.lam = np.array([p.lam for p in pairs])
-        self.norms = np.array([p.norm for p in pairs])
+        self.lam = lam              # lambda_n, n = 0..n_used
+        self.norms = norms          # <phi_n, phi_n>
         self.beta = (data.params.D / data.params.R) * self.lam
         self.moments = moments      # (basis, modes): model._mode_moments
         self.T0 = None              # T_n(t0)
@@ -163,14 +166,20 @@ class SeriesSolution:
 
     @property
     def n_used(self) -> int:
-        return self.pairs[-1].n
+        return self.lam.size - 1
+
+    @property
+    def pairs(self) -> tuple:
+        """The kept modes as `EigenPair`s, made from `lam` and `norms` on each read."""
+        return tuple(EigenPair(n, q, w, self.kind) for n, (q, w)
+                     in enumerate(zip(self.lam.tolist(), self.norms.tolist())))
 
     @property
     def t0(self) -> float:
         return self.data.t0
 
     def _pos(self, n: int) -> int:
-        if n < 0 or n >= len(self.pairs):
+        if n < 0 or n >= self.lam.size:
             raise ParameterError(f"mode {n} not kept (have 0..{self.n_used})")
         return n
 
@@ -468,7 +477,7 @@ def _projected(sol: SeriesSolution, lo, hi, half) -> np.ndarray:
     """
     data = sol.lift_data
     r = data.params.r
-    kap = _kappas(sol)
+    kap = _kappas(sol.lam)
     kh, kl = _split(kap)
     mids = 0.5 * (hi + lo)
     mh, ml = _split(mids[:, None])
@@ -491,7 +500,7 @@ def _projected(sol: SeriesSolution, lo, hi, half) -> np.ndarray:
             part[0] += sums[-1]
             sums = np.add.accumulate(part, axis=0, out=part)
     e = f.ravel() @ np.exp(r * x.ravel()) if sol.kind == ROBIN else None
-    return _phi_combine(sol, e, *sums[-1])
+    return _phi_combine(sol.lam, r, e, *sums[-1])
 
 
 def _initial_coefficients(sol: SeriesSolution) -> np.ndarray:
@@ -539,20 +548,29 @@ def _base_sq_integral(data: ProblemData, pieces: int) -> float:
 def _direct_zero_mode_bound(sol: SeriesSolution, t: float) -> float:
     """Sup-based bound for the n = 0 term when mu = 0 removes the divisor."""
     taus = np.linspace(sol.t0, t, 257)
-    f0 = project_forcing(sol, sol.pairs[0].n, taus)
+    f0 = project_forcing(sol, 0, taus)
     p = sol.data.params
     beta0 = sol.beta[0]
     expo = p.s * taus - beta0 * (t - taus)
     return (t - sol.t0) * float(np.max(np.abs(f0 * np.exp(expo))))
 
 
+def _bound(value) -> float:
+    """A bound as a float: inf past the double range, where inf - inf or
+    0 inf made it nan."""
+    value = float(value)
+    return np.inf if np.isnan(value) else value
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def coefficient_bound(sol: SeriesSolution, n: int, t: float) -> float:
     """Schwarz-type a-priori bound on |T_n(t)| as printed for the family.
 
     The tail selection sums these with the eigenfunction sup factor
     (1 + r / sqrt(lambda_n)).  When mu = 0 the negative mode's divisor
     2 mu / R vanishes and a direct sup bound over the integrand replaces
-    the first term (noted on the solution at build time).
+    the first term (noted on the solution at build time).  Past the
+    double range (s t above about 354) it is inf (`_bound`).
     """
     pos = sol._pos(n)
     t = float(t)
@@ -567,7 +585,7 @@ def coefficient_bound(sol: SeriesSolution, n: int, t: float) -> float:
     else:
         ff = float(sol._ff_cum(min(t, sol.t_end)))
         term1 = (np.exp(2.0 * s * t) - initial) / (rate * norm) * ff
-    return float(term1 + term2)
+    return _bound(term1 + term2)
 
 
 def tail_bound(sol: SeriesSolution, N: int, t: float) -> float:
@@ -582,15 +600,17 @@ def tail_bound(sol: SeriesSolution, N: int, t: float) -> float:
                             sol.policy.tail_tol, N, t)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _tail_bound_core(p, kind: str, t0: float, ff: float, base_sq: float,
                      tail_tol: float, N: int, t: float) -> float:
-    """`tail_bound` from explicit parts; ff is int_{t0}^{t} int_0^ell F^2."""
+    """`tail_bound` from explicit parts; ff is int_{t0}^{t} int_0^ell F^2.
+    Past the double range, where e^{2 s t} overflows, it is inf (`_bound`)."""
     r, ell, s = p.r, p.ell, p.s
     dr = p.D / p.R
     e2st = np.exp(2.0 * s * t)
     norm_floor = 0.25 * ell if kind == DANCKWERTS else 0.5 * ell
     n = np.arange(N + 1, N + 2001)
-    lam, norm = robin_spectrum(n, p)
+    lam, norm = spectrum(ROBIN, n, p)
     beta = dr * lam
     if kind != ROBIN:
         norm = norm_floor
@@ -619,7 +639,7 @@ def _tail_bound_core(p, kind: str, t0: float, ff: float, base_sq: float,
         * (1.0 + r * ell / np.pi)
         * 2.0
     )
-    return float(total + rem1 + rem2)
+    return _bound(total + rem1 + rem2)
 
 
 def project_forcing(sol: SeriesSolution, n: int, tau):
@@ -638,50 +658,6 @@ def initial_coefficient(sol: SeriesSolution, n: int) -> float:
 def coefficient(sol: SeriesSolution, n: int, t: float) -> float:
     """T_n(t), marched from the dense grid on the shared dyadic lattice."""
     return float(sol.coefficients(t)[sol._pos(n)])
-
-
-def _kappas(sol: SeriesSolution) -> np.ndarray:
-    """kappa_n = sqrt(lambda_n) of the cos-sin modes: all but the Robin n = 0."""
-    return np.sqrt(sol.lam[1:] if sol.kind == ROBIN else sol.lam)
-
-
-def _phi_combine(sol: SeriesSolution, e, co, si) -> np.ndarray:
-    """phi_n from its parts, modes on the last axis.
-
-    e stands for e^{r x}, the Robin n = 0 mode (None for Danckwerts); co and
-    si for cos(kappa_n x) and sin(kappa_n x), which make cos + (r / kappa_n) sin.
-    Linear in the parts, so sums of them give sums of phi_n.
-    """
-    r = sol.data.params.r
-    kap = _kappas(sol)
-    out = np.empty(np.shape(co)[:-1] + (len(sol.pairs),))
-    start = out.shape[-1] - kap.size
-    if start:
-        out[..., 0] = e
-    # (r / kappa_n) sin + cos, formed in place: no parts-sized temporary
-    cos_sin = np.multiply(si, r / kap, out=out[..., start:])
-    cos_sin += co
-    return out
-
-
-def _phi_matrices(sol: SeriesSolution, x, slope: bool = True):
-    """phi_n at the points x, and phi_n' there (None without `slope`)."""
-    p = sol.data.params
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    kap = _kappas(sol)
-    e = np.exp(p.r * x) if sol.kind == ROBIN else None
-    arg = x[:, None] * kap[None, :]
-    co = np.cos(arg)
-    si = np.sin(arg, out=arg)  # arg is spent: one nodes x modes array less
-    vals = _phi_combine(sol, e, co, si)
-    if not slope:
-        return vals, None
-    ders = np.empty_like(vals)
-    start = vals.shape[1] - kap.size
-    if start:
-        ders[:, 0] = p.r * e
-    ders[:, start:] = -kap[None, :] * si + p.r * co
-    return vals, ders
 
 
 def _sums(mat: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -703,7 +679,7 @@ def _shaped(out: np.ndarray, x, t):
 
 def eval_w(sol: SeriesSolution, x, t):
     """Transformed solution w(x, t) = sum T_n(t) phi_n(x), one row per instant."""
-    vals, _ = _phi_matrices(sol, x, slope=False)
+    vals, _ = _phi_matrices(sol.lam, x, sol.data.params.r, slope=False)
     return _shaped(_sums(vals, sol.coefficients(t)), x, t)
 
 
@@ -718,7 +694,7 @@ def _evaluate(sol: SeriesSolution, x, t, T: np.ndarray, slope: bool = False):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     T = T.reshape(T.shape[0], ts.size)
-    vals, ders = _phi_matrices(sol, xs, slope)
+    vals, ders = _phi_matrices(sol.lam, xs, p.r, slope)
     out = np.empty((ts.size, xs.size))
     step = max(1, _POINTS // max(1, xs.size))
     for i in range(0, ts.size, step):
@@ -829,18 +805,11 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
             f"{policy.n_max}; achieved {reported:.3g}"
         )
 
-    if kind == ROBIN:
-        pairs = [robin_eigenpair(n, p) for n in range(N + 1)]
-    else:
-        lam, norm = danckwerts_spectrum(np.arange(N + 1), p)
-        pairs = [EigenPair(n=n, lam=q, norm=w, kind=DANCKWERTS)
-                 for n, (q, w) in enumerate(zip(lam.tolist(), norm.tolist()))]
-    moments = _mode_moments(kind, np.array([q.lam for q in pairs]), p)
-
+    lam, norms = spectrum(kind, np.arange(N + 1), p)
     sol = SeriesSolution(
         data=data, lift_data=lift_data, kind=kind, policy=policy, t_end=t_end,
-        pairs=pairs, moments=moments, ff_cum=ff_cum, base_sq=base_sq,
-        reported_tail=reported, notes=notes,
+        lam=lam, norms=norms, moments=_mode_moments(kind, lam, p),
+        ff_cum=ff_cum, base_sq=base_sq, reported_tail=reported, notes=notes,
     )
     sol.T0 = _initial_coefficients(sol)
     # dense recursion grid for fast arbitrary-time evaluation (`_dense_grid`):

@@ -450,6 +450,45 @@ def test_overflowing_runs_print_one_line(tmp_path, case):
     assert len(lines) == 1 and lines[0].startswith("numeric failure: " + message), lines
 
 
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+# mu = 345 makes s t_end = 695: the march stays in range, e^{2 s t} does not
+TAIL_PAST_RANGE_INI = BASE_INI.replace("ell = 1.0", "mu = 345\nell = 1.0").replace(
+    "t_end = 1.5", "t_end = 2")
+
+
+def test_tail_bound_past_the_double_range_is_written_as_null(tmp_path):
+    """In a fresh interpreter: exit 0, no warning, and a manifest that strict
+    JSON reads, its reported tail null and the note saying inf."""
+    ini = write_ini(tmp_path, TAIL_PAST_RANGE_INI)
+    src = str(Path(coltrans.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "coltrans", "solve", "--config", ini,
+                          "--out", str(tmp_path / "o"), "--quiet"],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"))
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    series = _strict_json((tmp_path / "o" / "manifest.json").read_text())["series"]
+    assert series["reported_tail"] is None
+    assert series["notes"] == ["tail target 1e-08 unreachable at n_max = 40; "
+                               "achieved inf"]
+
+
+def test_non_finite_manifest_value_exits_three(tmp_path, capsys, monkeypatch):
+    """A value that is not finite, and not the overflowed tail bound, ends
+    the run with one error line in place of a manifest strict JSON refuses."""
+    from coltrans import series
+    monkeypatch.setattr(series, "_tail_bound_core", lambda *args: float("nan"))
+    ini = write_ini(tmp_path, BASE_INI)
+    rc = main(["solve", "--config", ini, "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numeric failure: manifest.json: ")
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_out_below_a_regular_file_exits_two(tmp_path, capsys):
     ini = write_ini(tmp_path, BASE_INI)
     (tmp_path / "plain").write_text("")

@@ -1,5 +1,7 @@
 """Eigenvalue placement, norms, orthogonality, root bracketing."""
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -17,12 +19,14 @@ from coltrans import (
     inner_product,
     robin_eigenpair,
 )
-from coltrans import eigensystem
+from coltrans import NumericOverflowError, eigensystem
 from coltrans.eigensystem import (
     DANCKWERTS,
     ROBIN,
     _danckwerts_residual,
+    _phi_matrices,
     half_wave_points,
+    spectrum,
 )
 
 
@@ -286,6 +290,71 @@ def test_bracket_without_sign_change_raises(monkeypatch):
                         lambda kappa, r, ell: np.ones_like(kappa))
     with pytest.raises(BracketingError, match="no sign change for mode 0"):
         danckwerts_spectrum(np.arange(3), UNIT)
+
+
+# -- one mode layer: the spectrum and the phi_n evaluator ---------------------
+
+# the README run's column and the loaded test problem's
+MODE_PARAMS = {
+    "readme": TransportParams(R=1.0, D=0.1, v=1.0, mu=0.0, gamma=0.0, ell=1.0),
+    "loaded": TransportParams(R=1.2, D=0.6, v=1.1, mu=0.4, gamma=0.3, ell=1.4),
+}
+PAIR_OF = {ROBIN: robin_eigenpair, DANCKWERTS: danckwerts_eigenpair}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DANCKWERTS])
+@pytest.mark.parametrize("case", sorted(MODE_PARAMS))
+def test_spectrum_is_the_one_mode_calls_bit_for_bit(case, kind):
+    p = MODE_PARAMS[case]
+    lam, norm = spectrum(kind, np.arange(201), p)
+    pairs = [PAIR_OF[kind](n, p) for n in range(201)]
+    assert lam.shape == norm.shape == (201,)
+    assert _bits(lam) == _bits([q.lam for q in pairs])
+    assert _bits(norm) == _bits([q.norm for q in pairs])
+    assert all(q.kind == kind for q in pairs)
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DANCKWERTS])
+@pytest.mark.parametrize("case", sorted(MODE_PARAMS))
+def test_eval_phi_is_a_column_of_the_evaluator(case, kind):
+    """On an array of points and point by point, values and slopes alike."""
+    p = MODE_PARAMS[case]
+    lam, _ = spectrum(kind, np.arange(201), p)
+    xs = np.r_[np.linspace(0.0, p.ell, 41), 0.37 * p.ell]
+    vals, ders = _phi_matrices(lam, xs, p.r)
+    assert vals.shape == ders.shape == (xs.size, 201)
+    for n in range(201):
+        pair = PAIR_OF[kind](n, p)
+        v, d = eval_phi(pair, xs, p.r)
+        assert _bits(v) == _bits(vals[:, n]) and _bits(d) == _bits(ders[:, n])
+        for k in (0, 13, xs.size - 1):
+            v, d = eval_phi(pair, xs[k], p.r)
+            assert np.ndim(v) == np.ndim(d) == 0
+            assert _bits([v, d]) == _bits([vals[k, n], ders[k, n]])
+
+
+def test_robin_spectrum_takes_e_2r_ell_only_for_mode_zero():
+    """At r ell = 375, e^{2 r ell} overflows: only a request holding n = 0 is
+    refused, and no numpy warning comes first."""
+    p = TransportParams(D=2e-3, v=1.0, ell=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, norm = spectrum(ROBIN, np.arange(1, 4), p)
+        assert np.all(np.isfinite(norm)) and np.all(norm > 0.0)
+        assert _bits(lam) == _bits([robin_eigenpair(n, p).lam for n in (1, 2, 3)])
+        with pytest.raises(NumericOverflowError, match="= 375 is too large"):
+            spectrum(ROBIN, np.arange(0, 4), p)
+
+
+def test_spectrum_refuses_unknown_kinds_and_negative_modes():
+    with pytest.raises(ParameterError, match="unknown eigenpair kind"):
+        spectrum("neumann", np.arange(3), UNIT)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        spectrum(ROBIN, np.array([2, -1]), UNIT)
 
 
 # -- helpers and validation ---------------------------------------------------

@@ -30,7 +30,7 @@ from coltrans import (
     robin_eigenpair,
     tail_bound,
 )
-from coltrans.eigensystem import DANCKWERTS, ROBIN, half_wave_points
+from coltrans.eigensystem import DANCKWERTS, ROBIN, _phi_matrices, half_wave_points
 from coltrans.model import forcing_weights
 from conftest import l2_grid_norm, make_data
 
@@ -283,7 +283,7 @@ def direct_initial_coefficients(sol, monkeypatch):
     def direct(sol, lo, hi, half):
         x = (0.5 * (hi + lo))[:, None] + half[:, None] * series._GL_X
         f = half[:, None] * series._GL_W * np.exp(-r * x) * data.phi.eval(x)
-        return f.ravel() @ series._phi_matrices(sol, x.ravel())[0]
+        return f.ravel() @ _phi_matrices(sol.lam, x.ravel(), r)[0]
 
     with monkeypatch.context() as m:
         m.setattr(series, "_projected", direct)
@@ -819,6 +819,23 @@ def test_coefficient_bound_zero_data():
     data = make_data(exit=SmoothFn.constant(0.0))
     sol = build_solution(data, TruncationPolicy(n_max=12, tail_tol=1e-8), 1.0)
     assert coefficient_bound(sol, 3, 0.8) == 0.0
+
+
+def test_bounds_past_the_double_range_read_inf_without_warnings():
+    """s t_end = 695 keeps the march in range while e^{2 s t} overflows: the
+    tail and coefficient bounds read inf, quietly, and say so in the notes;
+    earlier instants keep their finite bounds."""
+    data = make_data(D=0.1, v=1.0, mu=345.0, g=SmoothFn.constant(1.0),
+                     exit=SmoothFn.constant(0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = build_solution(data, TruncationPolicy(n_max=40), 2.0)
+        assert sol.reported_tail == np.inf
+        assert sol.notes[-1].endswith("achieved inf")
+        assert tail_bound(sol, sol.n_used, 2.0) == np.inf
+        assert coefficient_bound(sol, 5, 2.0) == np.inf
+        assert np.isfinite(tail_bound(sol, sol.n_used, 0.5))
+        assert np.isfinite(coefficient_bound(sol, 5, 0.5))
 
 
 def test_coefficient_bound_decreases_dyadically(loaded_solution):
