@@ -45,7 +45,7 @@ from .errors import (
     QuadratureError,
 )
 from .eigensystem import robin_eigenpair  # unused; the benchmark traces it
-from .exitflux import HalfLineProblem, exit_concentration, resolve_exit
+from .exitflux import exit_curve_defect, resolve_exit
 from .series import _sorted_unique, build_solution, eval_C
 from .verification import (
     FdGrid,
@@ -267,16 +267,11 @@ def _cmd_chain(cfg: RunConfig, out: Path, quiet: bool) -> int:
         _write_breakthrough(seg_dir / "breakthrough.csv", sol, ts)
 
         # interpolation defect of the memoized inlet-for-next-segment curve
-        cE = sol.data.exit
-        knots = np.asarray(cE.knots)
-        probes = 0.5 * (knots[:-1] + knots[1:])
-        probes = probes[:: max(1, probes.size // 16)]
-        exact = exit_concentration(HalfLineProblem.from_data(sol.data), probes)
-        defect = float(np.max(np.abs(cE.eval(probes) - exact)))
+        defect = exit_curve_defect(sol.data)
         reports.append((i, float(L), sol.n_used, defect))
         _say(quiet, f"segment {i}: ell = {L:g}, modes through n = {sol.n_used}, "
                     f"exit-curve interpolation defect {defect:.3g}")
-        g_in = cE
+        g_in = sol.data.exit
 
     # the last segment's curve, at the same instants, so from its memo
     _write_breakthrough(out / "breakthrough.csv", sol, ts)

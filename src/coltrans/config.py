@@ -187,11 +187,10 @@ def _parse_fn(cp, section: str) -> SmoothFn:
         return _checked(SmoothFn.smooth_pulse, f"[{section}]: ", start, stop,
                         level, ramp=ramp)
     if kind == "gaussian":
-        return SmoothFn.exp_pulse(
-            level=_get(cp, section, "level", float, 1.0),
-            center=_get(cp, section, "center"),
-            width=_get(cp, section, "width"),
-        )
+        return _checked(SmoothFn.exp_pulse, f"[{section}]: ",
+                        level=_get(cp, section, "level", float, 1.0),
+                        center=_get(cp, section, "center"),
+                        width=_get(cp, section, "width"))
     if kind == "table":
         knots = _floats(_get(cp, section, "knots", str))
         values = _floats(_get(cp, section, "values", str))

@@ -18,30 +18,21 @@ odd reflection plus a Duhamel boundary integral:
               - 2 (D/R) int_{t0}^{t} K_x(x, (D/R)(t-tau)) G(tau) dtau,
 
 th = (D/R)(t - t0), K the Gauss-Weierstrass kernel.  Everything here works
-with u e^{-s t} so no intermediate ever exceeds the data scale; the sign
-convention keeps the Duhamel term positive for positive boundary data.
+with u e^{-s t} so no intermediate ever exceeds the data scale, and only
+`exit_concentration` takes e^{r ell}; the sign convention keeps the
+Duhamel term positive for positive boundary data.
 
-Quadrature.  The two parts are evaluated for a whole array of instants at
-once (`exit_concentration` takes an array of t; `exit_curve` passes its
-grid in one call).
-
-On a uniform grid t0 + h (1, ..., M), which is what `exit_curve` passes,
-and M <= `_LAG_ROWS`, the Duhamel part is one lag convolution
-(`_lag_part`), by product integration (Linz, *Analytical and Numerical
-Methods for Volterra Equations*, SIAM 1985; Atkinson, *The Numerical
-Solution of Integral Equations of the Second Kind*, CUP 1997).  Its cost
-grows like M^2, the per-row rule's like M, hence the cap.  In u = t - tau
-its kernel k(u) = x/(2 sqrt(pi D/R)) e^{-a/u - s u} u^{-3/2},
-a = x^2/(4 D/R), depends on the lag alone.  g - gamma/mu is sampled at
-the 10 Gauss-Legendre nodes of each grid interval and interpolated
-there, and the kernel's moments against that Lagrange basis are integrated once per lag m, on
-panels halved until two passes agree (`_lag_moments`); row i is then
-sum_q sum_j G[j, q] W[i - j - 1, q], one np.convolve per node.  An interval
-that holds an inlet knot strictly inside is cut there, and each piece is
-added with its own samples and moments.  The path is refused, and the
-per-row rule below takes the grid, when the moments do not settle or when
-the last two Legendre coefficients of some interval's samples exceed the
-tolerance: data that the samples do not resolve.
+Quadrature.  Both parts take a whole array of instants at once.  On a
+uniform grid t0 + h (1, ..., M), which is what `exit_curve` passes, and
+M <= `_LAG_ROWS`, the Duhamel part is one lag convolution (`_lag_part`),
+by product integration (Linz, *Analytical and Numerical Methods for
+Volterra Equations*, SIAM 1985; Atkinson, *The Numerical Solution of
+Integral Equations of the Second Kind*, CUP 1997).  Its cost grows like
+M^2, the per-row rule's like M, hence the cap.  Both rules integrate one
+kernel k(u) of the lag u = t - tau (`_kernel`) against g - gamma/mu
+(`HalfLineProblem.shifted`).  Where the lag path's checks fail (samples
+that miss the data, moments that do not settle), the per-row rule below
+takes the grid.
 
 Any other instants take the per-row rule.  Each instant is one row of
 panel cuts:
@@ -51,21 +42,16 @@ panel cuts:
   x +- 2 sqrt(th) eta meets a kink of the extended initial state (every
   `zeta_knots` entry, clipped to the range); the initial part always
   takes this rule;
-- the Duhamel part, in sigma = sqrt(t - tau), is split at 0, at the
-  kernel peak x / (2 sqrt(D/R)) and at rungs 16, 256, ... times it, at
+- the Duhamel part, in sigma = sqrt(t - tau), integrates
+  2 sigma k(sigma^2) (g(t - sigma^2) - gamma/mu) and is split at 0, at
+  the peak x / (2 sqrt(D/R)) and at rungs 16, 256, ... times it, at
   sqrt(t - k) for every inlet knot k in (t0, t), and at sqrt(t - t0).
 
-Every gap between neighbouring cuts holds four panels with a 10-point
-Gauss-Legendre rule each.  Past the kernel peak the sigma-integrand decays
-like 1/sigma^2, so there the panels are graded geometrically toward the
-peak (each panel's ends at most a factor 2 apart); elsewhere they are
-uniform.  All nodes of a chunk of gaps are evaluated in one numpy call,
-chunks being sized to 256 KB per temporary.  The value returned is
-the same rule on the panels halved, and its distance from the rule on the
-whole panels is the row's error estimate.  A row whose estimate exceeds
-the tolerance (`_TOL`, absolute and relative) is redone on the same cuts
-with twice the panels per gap, up to 8 doublings, then `QuadratureError`:
-QUADPACK's interval subdivision (Piessens et al., 1983), made uniform.
+Every gap between neighbouring cuts holds four panels of a 10-point
+Gauss-Legendre rule, graded geometrically past the Duhamel peak, and a
+row whose estimate, the rule on halved panels against the whole ones,
+misses `_TOL` is redone with twice the panels (`_panel_rule`): QUADPACK's
+interval subdivision (Piessens et al., 1983), made uniform.
 
 mu = 0 with gamma != 0 admits no equilibrium shift and is rejected.
 """
@@ -89,6 +75,7 @@ __all__ = [
     "exit_curve",
     "resolve_exit",
     "exit_concentration_large_t",
+    "exit_curve_defect",
     "N_GRID",
 ]
 
@@ -96,6 +83,7 @@ N_GRID = 512  # default instants of a computed exit curve's grid, ends included
 N_GRID_MIN = 8  # fewest instants an exit curve's grid may have
 
 _TOL = 1e-11  # the closure's quadrature tolerance, absolute and relative
+_TINY = np.finfo(float).tiny
 _ETA_CUT = 9.0  # exp(-81) ~ 6e-36: nothing beyond survives double precision
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _PANELS = 4                 # panels per gap between cuts in the coarse rule
@@ -201,10 +189,32 @@ class HalfLineProblem:
         x = np.asarray(x, dtype=float)
         return (self.phi_flux(x) - self.gm) * np.exp(-self.params.r * x)
 
+    def shifted(self, tau):
+        """g - gm at tau, also where g returns one value for all instants."""
+        tau = np.asarray(tau, dtype=float)
+        return np.broadcast_to(self.g.eval(tau), tau.shape) - self.gm
+
     def boundary_scaled(self, tau, t):
         """G(tau) e^{-s t} = (g - gm) e^{s (tau - t)}; never exceeds the data."""
         tau = np.asarray(tau, dtype=float)
-        return (self.g.eval(tau) - self.gm) * np.exp(self.params.s * (tau - t))
+        return self.shifted(tau) * np.exp(self.params.s * (tau - t))
+
+
+def _kernel(p: TransportParams, x: float):
+    """(k, a): k(u) = x/(2 sqrt(pi kap)) e^{-a/u - s u} u^{-3/2}, a = x^2/(4 kap).
+
+    kap = D/R.  The Duhamel part at t is the integral of k(u) (g - gm)(t - u)
+    over the lags u in (0, t - t0).
+    """
+    kap = p.D / p.R
+    a = x * x / (4.0 * kap)
+    pref = x / (2.0 * np.sqrt(np.pi * kap))
+
+    def k(u):
+        # u^{3/2} underflows to 0 below u ~ 1e-205, where e^{-a/u} is 0: not 0/0
+        return pref * np.exp(-a / u - p.s * u) / np.maximum(u * np.sqrt(u), _TINY)
+
+    return k, a
 
 
 def _panel_rule(integrand, cuts, tol, *, graded_from=None, panels=_PANELS):
@@ -280,21 +290,19 @@ def _initial_part(hp: HalfLineProblem, x: float, ts, tol: float):
     return (direct - image) * np.exp(-p.s * (ts - hp.t0))
 
 
-def _boundary_part(params: TransportParams, g: SmoothFn, gm: float, x: float,
-                   t0: float, ts, tol: float):
+def _boundary_part(hp: HalfLineProblem, x: float, ts, tol: float):
     """Duhamel integral, scaled by e^{-s t}, via sigma = sqrt(t - tau).
 
-    The substitution regularizes the kernel: the integrand is a smooth bump
-    peaking at sigma = x / (2 sqrt(D/R)) and decaying like 1/sigma^2 past
-    it, so the panels beyond the peak are graded geometrically.
+    The substitution regularizes the kernel: the integrand
+    2 sigma k(sigma^2) (g - gm) is a smooth bump peaking at
+    sigma = x / (2 sqrt(D/R)) and decaying like 1/sigma^2 past it, so the
+    panels beyond the peak are graded geometrically.
     """
-    p = params
-    kap = p.D / p.R
-    a = x * x / (4.0 * kap)
+    kern, a = _kernel(hp.params, x)
     peak = np.sqrt(a)
-    smax = np.sqrt(ts - t0)
-    knots = np.asarray(g.knots, dtype=float)
-    knots = knots[(knots > t0) & (knots < ts.max())]
+    smax = np.sqrt(ts - hp.t0)
+    knots = np.asarray(hp.g.knots, dtype=float)
+    knots = knots[(knots > hp.t0) & (knots < ts.max())]
     lags = np.sqrt(np.maximum(ts[:, None] - knots, 0.0))
     # rungs at peak 16^j keep each graded panel's ends within a factor 2
     top = max(0, int(np.ceil(np.log(smax.max() / peak) / np.log(16.0))))
@@ -306,10 +314,9 @@ def _boundary_part(params: TransportParams, g: SmoothFn, gm: float, x: float,
 
     def integrand(sigma, row):
         s2 = sigma * sigma
-        return np.exp(-a / s2 - p.s * s2) / s2 * (g.eval(ts[row] - s2) - gm)
+        return 2.0 * sigma * kern(s2) * hp.shifted(ts[row] - s2)
 
-    val = _panel_rule(integrand, cuts, tol, graded_from=peak)
-    return (x / np.sqrt(np.pi * kap)) * val
+    return _panel_rule(integrand, cuts, tol, graded_from=peak)
 
 
 def _grid_step(t0: float, ts):
@@ -350,48 +357,36 @@ def _lag_moments(kern, h: float, lo: float, hi: float, lags: int, tol: float):
     return None
 
 
-def _lag_part(params: TransportParams, g: SmoothFn, gm: float, x: float,
-              t0: float, h: float, M: int, tol: float):
+def _lag_part(hp: HalfLineProblem, x: float, h: float, M: int, tol: float):
     """Duhamel integral, scaled by e^{-s t}, at t0 + h (1, ..., M): one lag convolution.
 
-    In u = t - tau the integrand is k(u) (g(t - u) - gm), with the kernel
-    k(u) = x/(2 sqrt(pi D/R)) e^{-a/u - s u} u^{-3/2} depending on the lag
-    alone.  g - gm is sampled at the 10-point rule's nodes of each grid
-    interval j and interpolated there, so row i is
-    sum_q sum_j G[j, q] W[i - j - 1, q] (`_lag_moments`), one np.convolve
-    per node.  An interval holding an inlet knot inside, by more than
-    1e-9 of its width, is cut at it, and each piece is added with its own
-    samples and moments.  None when a check fails: moments that do not
-    settle, or samples whose last two Legendre coefficients exceed
+    In u = t - tau the integrand is k(u) (g(t - u) - gm), the kernel k
+    (`_kernel`) depending on the lag alone.  g - gm is sampled at the
+    10-point rule's nodes of each grid interval j and interpolated there,
+    so row i is sum_q sum_j G[j, q] W[i - j - 1, q] (`_lag_moments`), one
+    np.convolve per node.  An interval holding an inlet knot inside, by
+    more than 1e-9 of its width, is cut at it, and each piece is added with
+    its own samples and moments.  None when a check fails: moments that do
+    not settle, or samples whose last two Legendre coefficients exceed
     tol max(1, |g - gm|).
     """
-    p = params
-    kap = p.D / p.R
-    a = x * x / (4.0 * kap)
-    pref = x / (2.0 * np.sqrt(np.pi * kap))
-
-    def kern(u):
-        return pref * np.exp(-a / u - p.s * u) / (u * np.sqrt(u))
-
-    def sample(tau):  # g - gm at tau, also where g returns one value for all
-        return np.broadcast_to(g.eval(tau), tau.shape) - gm
-
-    ends = t0 + h * np.arange(M + 1)
-    knots = np.asarray(g.knots, dtype=float)
-    knots = knots[(knots > t0) & (knots < ends[-1])]
+    kern, _ = _kernel(hp.params, x)
+    ends = hp.t0 + h * np.arange(M + 1)
+    knots = np.asarray(hp.g.knots, dtype=float)
+    knots = knots[(knots > hp.t0) & (knots < ends[-1])]
     holder = np.searchsorted(ends, knots, side="right") - 1
     # where a knot sits in its interval; one within rounding of an end is on it
     pos = (knots - ends[holder]) / h
     inside = (pos > 1e-9) & (pos < 1.0 - 1e-9)
     pos, holder = pos[inside], holder[inside]
     node = 0.5 * (1.0 + _GL_X)
-    G = sample(ends[:-1, None] + h * node)
+    G = hp.shifted(ends[:-1, None] + h * node)
     G[holder] = 0.0
     pieces = []  # (interval, lo, hi, samples) of the cut intervals
     for j in _sorted_unique(holder).astype(int).tolist():
         cuts = _sorted_unique(np.r_[0.0, pos[holder == j], 1.0])
         for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-            pieces.append((j, lo, hi, sample(ends[j] + h * (lo + (hi - lo) * node))))
+            pieces.append((j, lo, hi, hp.shifted(ends[j] + h * (lo + (hi - lo) * node))))
     samples = [G] + [q for *_, q in pieces]
     scale = tol * max(1.0, *(float(np.max(np.abs(q), initial=0.0)) for q in samples))
     if any(np.max(np.abs(q @ _LEG_TAIL).sum(axis=-1), initial=0.0) > scale
@@ -432,10 +427,9 @@ def _u_scaled(hp: HalfLineProblem, x: float, ts, tol: float):
         out[~start] = hp.boundary_scaled(later, later)
     elif later.size:
         h = _grid_step(hp.t0, later)
-        part = None if h is None else _lag_part(hp.params, hp.g, hp.gm, x, hp.t0,
-                                                 h, later.size, tol)
+        part = None if h is None else _lag_part(hp, x, h, later.size, tol)
         if part is None:
-            part = _boundary_part(hp.params, hp.g, hp.gm, x, hp.t0, later, tol)
+            part = _boundary_part(hp, x, later, tol)
         if not hp.at_rest:
             part = _initial_part(hp, x, later, tol) + part
         out[~start] = part
@@ -500,15 +494,27 @@ def exit_concentration_large_t(params: TransportParams, g: SmoothFn, t: float,
                                *, tol: float = 1e-12) -> float:
     """Boundary-value exit concentration: all initial information dropped.
 
-    Valid once the column has forgotten its initial state.  The Duhamel
-    history is truncated where e^{s (tau - t)} falls below tol, which always
-    terminates because s >= v^2 / (4 D R) > 0; g must be evaluable there.
+    Valid once the column has forgotten its initial state.  The problem is
+    re-posed at rest (phi the constant gamma/mu) at t - horizon, where
+    e^{s (tau - t)} falls below tol, which always terminates because
+    s >= v^2 / (4 D R) > 0; g must be evaluable there.
     """
     p = params
-    scale = _exp_r_ell(p)
-    gm = _equilibrium_level(p)
-    kap = p.D / p.R
-    horizon = max(np.log(1.0 / tol) / p.s, 9.0 * p.ell * p.ell / (4.0 * kap))
-    t = float(t)
-    u_scaled = _boundary_part(p, g, gm, p.ell, t - horizon, np.array([t]), _TOL)[0]
-    return float(u_scaled * scale + gm)
+    horizon = max(np.log(1.0 / tol) / p.s, 9.0 * p.ell * p.ell / (4.0 * (p.D / p.R)))
+    rest = ProblemData(params=p, phi=SmoothFn.constant(_equilibrium_level(p)), g=g,
+                       t0=float(t) - horizon)
+    return float(exit_concentration(HalfLineProblem.from_data(rest), t))
+
+
+def exit_curve_defect(data: ProblemData) -> float:
+    """Largest gap between a computed exit curve and the closure between its knots.
+
+    The probes are the midpoints of every k-th interval of the curve's grid,
+    k = max(1, (n - 1) // 16) for n knots: 17 probes on the default grid.
+    """
+    curve = data.require_exit()
+    knots = np.asarray(curve.knots)
+    probes = 0.5 * (knots[:-1] + knots[1:])
+    probes = probes[:: max(1, probes.size // 16)]
+    exact = exit_concentration(HalfLineProblem.from_data(data), probes)
+    return float(np.max(np.abs(curve.eval(probes) - exact)))

@@ -247,7 +247,7 @@ class SmoothFn:
     def exp_pulse(cls, level: float, center: float, width: float) -> "SmoothFn":
         """Gaussian-shaped pulse level * exp(-((t - center)/width)^2)."""
         if width <= 0.0:
-            raise ParameterError("pulse width must be positive")
+            raise ParameterError("gaussian width must be positive")
         level, center, width = float(level), float(center), float(width)
 
         def f(t):

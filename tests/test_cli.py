@@ -1,5 +1,6 @@
 """Command line behavior: outputs, manifests, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ import coltrans
 from coltrans import TransportParams, danckwerts_eigenpair, robin_eigenpair
 from coltrans import cli
 from coltrans.cli import main
+from coltrans.config import load_config
+from coltrans.exitflux import exit_curve_defect, resolve_exit
 
 BASE_INI = """\
 [params]
@@ -242,6 +245,24 @@ def test_exit_n_grid_grids_every_chain_segment(tmp_path):
         assert coarse != (outs[64] / seg / "breakthrough.csv").read_bytes()
 
 
+def test_chain_report_defects_are_exitflux_defects(tmp_path):
+    """Each segment's reported defect is `exit_curve_defect` of its resolved data."""
+    ini = write_ini(tmp_path, CHAIN_INI.replace("lengths = 1.0", "lengths = 0.5 0.3 0.5"))
+    out = tmp_path / "res"
+    assert main(["chain", "--config", ini, "--out", str(out), "--quiet"]) == 0
+    lines = (out / "chain_report.txt").read_text().splitlines()[:-1]
+    reported = [float(line.rsplit("defect = ", 1)[1]) for line in lines]
+    cfg = load_config(ini)
+    want, g_in = [], cfg.data.g
+    for L in cfg.chain.lengths:
+        params = dataclasses.replace(cfg.data.params, ell=L)
+        data = resolve_exit(dataclasses.replace(cfg.data, params=params, g=g_in),
+                            cfg.t_end, n_grid=cfg.exit_n_grid)
+        want.append(exit_curve_defect(data))
+        g_in = data.exit
+    assert reported == want and len(want) == 3 and all(d > 0.0 for d in want)
+
+
 def test_chain_needs_its_section(tmp_path, capsys):
     ini = write_ini(tmp_path, BASE_INI)
     out = tmp_path / "o"
@@ -375,6 +396,10 @@ CONFIG_DEFECTS = {
     "zero length": (with_lines(BASE_INI, "chain", "lengths = 0"),
                     "[chain]: lengths must be positive"),
     "no section header": ("D = 0.1\n" + BASE_INI, "cannot read "),
+    "gaussian of zero width": (
+        BASE_INI.replace("kind = constant\nvalue = 1.0",
+                         "kind = gaussian\ncenter = 0.5\nwidth = 0"),
+        "[g]: gaussian width must be positive"),
 }
 
 

@@ -506,6 +506,39 @@ def test_readme_pulse_exit_curve_is_one_lag_convolution(monkeypatch):
     assert rows == [] and lags == [1]
 
 
+@pytest.mark.parametrize("ts, paths", [(np.linspace(0.0, 2.0, 512), ([1], [])),
+                                       (np.array([0.3, 0.9, 1.2, 1.9]), ([], [1]))])
+def test_both_duhamel_paths_integrate_the_one_kernel(ts, paths, monkeypatch):
+    """Doubling `_kernel`'s k doubles the README pulse's exit on the lag path
+    (its 512-point grid) and on the per-row rule (instants off any grid)."""
+    hp = HalfLineProblem.from_data(make_data(g=SmoothFn.smooth_pulse(0.1, 0.6, 1.0)))
+    plain = exit_concentration(hp, ts)
+    real = exitflux._kernel
+
+    def doubled(p, x):
+        k, a = real(p, x)
+        return (lambda u: 2.0 * k(u)), a
+
+    monkeypatch.setattr(exitflux, "_kernel", doubled)
+    lags = _count(monkeypatch, "_lag_part")
+    rows = _count(monkeypatch, "_boundary_part")
+    got = exit_concentration(hp, ts)
+    assert (lags, rows) == paths and hp.at_rest and hp.gm == 0.0
+    assert np.max(plain) > 0.1
+    # doubling is exact in binary floating point, and no check here decides otherwise
+    assert np.array_equal(got, 2.0 * plain)
+
+
+@pytest.mark.parametrize("ts", [[1e-250], np.linspace(0.0, 1e-250, 9)[1:]])
+def test_instants_within_1e_205_of_t0_read_zero(ts):
+    """There u^{3/2} underflows with e^{-a/u}: the kernel reads 0, not 0/0, on
+    the per-row rule (one instant) and on the lag path (a grid)."""
+    hp = HalfLineProblem.from_data(make_data(g=SmoothFn.constant(1.0)))
+    with np.errstate(divide="raise", invalid="raise"):
+        got = exit_concentration(hp, np.asarray(ts))
+    assert np.array_equal(got, np.zeros(len(ts)))
+
+
 @pytest.mark.parametrize("ts", [[0.3, 0.9, 1.2, 1.9], [1.5], np.linspace(0.0, 2.0, 9) ** 2])
 def test_instants_off_a_uniform_grid_take_the_per_row_rule(ts, monkeypatch):
     lags = _count(monkeypatch, "_lag_part")
