@@ -9,10 +9,10 @@ injected concentration g(t), the outlet the concentration C_E(t) of the
 medium just past the column.  When C_E is not measured it is computed from
 a semi-infinite companion problem in flux form.
 
-Entry points: `build_solution` for the eigenfunction series,
-`resolve_exit` / `exit_curve` for the exit closure, `fd_solve` and
-`mass_balance` for independent checks, `danckwerts_solve` for the
-zero-gradient outlet variant, and the `coltrans` command line tool.
+Entry points: `build_solution` for the eigenfunction series under either
+outlet closure (`kind=DANCKWERTS` for zero gradient), `spectrum` for its
+modes, `resolve_exit` / `exit_curve` for the exit closure, `fd_solve` and
+`mass_balance` for independent checks, and the `coltrans` command line tool.
 """
 
 from .errors import (
@@ -37,11 +37,10 @@ from .eigensystem import (
     ROBIN,
     EigenPair,
     danckwerts_eigenpair,
-    danckwerts_eigenvalue,
-    danckwerts_spectrum,
     eval_phi,
     inner_product,
     robin_eigenpair,
+    spectrum,
 )
 from .series import (
     SeriesSolution,
@@ -62,7 +61,6 @@ from .exitflux import (
     exit_concentration,
     exit_concentration_large_t,
     exit_curve,
-    heat_kernel,
     resolve_exit,
 )
 from .verification import (
@@ -74,7 +72,6 @@ from .verification import (
     danckwerts_comparison,
     danckwerts_error,
     danckwerts_outlet_mismatch,
-    danckwerts_solve,
     fd_convergence_order,
     fd_solve,
     mass_balance,

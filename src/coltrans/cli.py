@@ -44,13 +44,12 @@ from .errors import (
     ParameterError,
     QuadratureError,
 )
-from .eigensystem import robin_eigenpair  # unused; the benchmark traces it
+from .eigensystem import DANCKWERTS, robin_eigenpair  # robin_eigenpair: the benchmark traces it
 from .exitflux import exit_curve_defect, resolve_exit
 from .series import _sorted_unique, build_solution, eval_C
 from .verification import (
     FdGrid,
     danckwerts_comparison,
-    danckwerts_solve,
     fd_convergence_order,
     fd_solve,
     mass_balance,
@@ -225,7 +224,7 @@ def _cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
 def _cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
     robin = _series(cfg, cfg.data)
     data = robin.data
-    danck = danckwerts_solve(data, cfg.policy, cfg.t_end)
+    danck = build_solution(data, cfg.policy, cfg.t_end, kind=DANCKWERTS)
     report = danckwerts_comparison(robin, danck)
 
     cE = data.require_exit()

@@ -41,12 +41,9 @@ __all__ = [
     "EigenPair",
     "spectrum",
     "robin_eigenpair",
-    "danckwerts_spectrum",
-    "danckwerts_eigenvalue",
     "danckwerts_eigenpair",
     "eval_phi",
     "inner_product",
-    "half_wave_points",
 ]
 
 def quad(*args, **kwargs):
@@ -140,16 +137,6 @@ def danckwerts_eigenpair(n: int, params: TransportParams) -> EigenPair:
     return EigenPair(n, *map(float, spectrum(DANCKWERTS, n, params)), DANCKWERTS)
 
 
-def danckwerts_eigenvalue(n: int, params: TransportParams) -> float:
-    """n-th zero-gradient-exit eigenvalue: one entry of `spectrum`."""
-    return float(spectrum(DANCKWERTS, n, params)[0])
-
-
-def danckwerts_spectrum(n, params: TransportParams):
-    """Zero-gradient-exit eigenvalues and squared norms: `spectrum` of that kind."""
-    return spectrum(DANCKWERTS, n, params)
-
-
 def _kappas(lam: np.ndarray) -> np.ndarray:
     """kappa_n = sqrt(lambda_n) of the cos-sin modes: all but a negative lambda_0."""
     return np.sqrt(lam[1:] if lam[0] < 0.0 else lam)
@@ -218,21 +205,6 @@ def eval_phi(pair: EigenPair, x, r: float):
         co, si = np.cos(kap * x), np.sin(kap * x)
         phi, dphi = _cos_sin(kap, r, co, si), _cos_sin_slope(kap, r, co, si)
     return phi[()], dphi[()]
-
-
-def half_wave_points(pair: EigenPair, params: TransportParams) -> tuple:
-    """Interior half-period marks of an oscillatory mode on (0, ell).
-
-    Used to split quadrature panels once a mode oscillates enough that a
-    single adaptive pass would alias it; the tests fence their per-mode
-    reference quadratures with it.
-    """
-    if pair.kind == ROBIN and pair.n == 0:
-        return ()
-    kappa = np.sqrt(pair.lam)
-    step = np.pi / kappa
-    k = int(np.floor(params.ell / step))
-    return tuple(j * step for j in range(1, k + 1) if 0.0 < j * step < params.ell)
 
 
 def inner_product(f, h, a: float, b: float, *, abs_tol: float = 1e-10,

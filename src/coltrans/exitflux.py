@@ -69,7 +69,6 @@ from .model import (ProblemData, SmoothFn, TransportParams, _exp_r_ell, _gl_basi
 
 __all__ = [
     "HalfLineProblem",
-    "heat_kernel",
     "eval_u",
     "exit_concentration",
     "exit_curve",
@@ -99,20 +98,6 @@ _LAG_ROWS = 7000
 # the rule's nodes: samples @ _LEG_TAIL
 _LEG_TAIL = (np.polynomial.legendre.legvander(_GL_X, _GL_X.size - 1)[:, -2:]
              * _GL_W[:, None] * (np.arange(_GL_X.size - 2, _GL_X.size) + 0.5))
-
-
-def heat_kernel(xi, theta):
-    """Gauss-Weierstrass kernel and its spatial derivative.
-
-    K(xi, theta) = exp(-xi^2 / (4 theta)) / sqrt(4 pi theta),
-    K_x = -(xi / (2 theta)) K.  theta must be positive.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0):
-        raise ParameterError("heat kernel needs theta > 0")
-    xi = np.asarray(xi, dtype=float)
-    K = np.exp(-(xi * xi) / (4.0 * theta)) / np.sqrt(4.0 * np.pi * theta)
-    return K, -(xi / (2.0 * theta)) * K
 
 
 def _equilibrium_level(params: TransportParams) -> float:
@@ -193,11 +178,6 @@ class HalfLineProblem:
         """g - gm at tau, also where g returns one value for all instants."""
         tau = np.asarray(tau, dtype=float)
         return np.broadcast_to(self.g.eval(tau), tau.shape) - self.gm
-
-    def boundary_scaled(self, tau, t):
-        """G(tau) e^{-s t} = (g - gm) e^{s (tau - t)}; never exceeds the data."""
-        tau = np.asarray(tau, dtype=float)
-        return self.shifted(tau) * np.exp(self.params.s * (tau - t))
 
 
 def _kernel(p: TransportParams, x: float):
@@ -424,7 +404,7 @@ def _u_scaled(hp: HalfLineProblem, x: float, ts, tol: float):
     out[start] = hp.initial_scaled(x)
     later = ts[~start]
     if x == 0.0:
-        out[~start] = hp.boundary_scaled(later, later)
+        out[~start] = hp.shifted(later)  # G(t) e^{-s t} = g - gm
     elif later.size:
         h = _grid_step(hp.t0, later)
         part = None if h is None else _lag_part(hp, x, h, later.size, tol)
@@ -436,23 +416,12 @@ def _u_scaled(hp: HalfLineProblem, x: float, ts, tol: float):
     return out
 
 
-def eval_u(hp: HalfLineProblem, x: float, t: float, *, scaled: bool = True,
-           tol: float = _TOL) -> float:
-    """Companion heat solution u(x, t), by default folded by e^{-s t}.
-
-    scaled=False multiplies the overflow-prone e^{s t} back in.
-    """
+def eval_u(hp: HalfLineProblem, x: float, t: float, *, tol: float = _TOL) -> float:
+    """Companion heat solution u(x, t) folded by e^{-s t}, which never overflows."""
     x, t = float(x), float(t)
     if x < 0.0:
         raise ParameterError("the companion problem lives on x >= 0")
-    out = float(_u_scaled(hp, x, np.array([t]), tol)[0])
-    if not scaled:
-        out = out * np.exp(hp.params.s * t)
-        if not np.isfinite(out):
-            raise ParameterError(
-                f"unscaled u overflows at t = {t:.6g}; keep scaled=True"
-            )
-    return out
+    return float(_u_scaled(hp, x, np.array([t]), tol)[0])
 
 
 def exit_concentration(hp: HalfLineProblem, t):

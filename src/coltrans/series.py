@@ -569,8 +569,8 @@ def coefficient_bound(sol: SeriesSolution, n: int, t: float) -> float:
     The tail selection sums these with the eigenfunction sup factor
     (1 + r / sqrt(lambda_n)).  When mu = 0 the negative mode's divisor
     2 mu / R vanishes and a direct sup bound over the integrand replaces
-    the first term (noted on the solution at build time).  Past the
-    double range (s t above about 354) it is inf (`_bound`).
+    the first term (noted on the solution at build time).  Past the double
+    range (s t above about 354) forced data give inf (`_bound`).
     """
     pos = sol._pos(n)
     t = float(t)
@@ -584,7 +584,7 @@ def coefficient_bound(sol: SeriesSolution, n: int, t: float) -> float:
         term1 = _direct_zero_mode_bound(sol, t)
     else:
         ff = float(sol._ff_cum(min(t, sol.t_end)))
-        term1 = (np.exp(2.0 * s * t) - initial) / (rate * norm) * ff
+        term1 = (np.exp(2.0 * s * t) - initial) / (rate * norm) * ff if ff else 0.0
     return _bound(term1 + term2)
 
 
@@ -604,10 +604,10 @@ def tail_bound(sol: SeriesSolution, N: int, t: float) -> float:
 def _tail_bound_core(p, kind: str, t0: float, ff: float, base_sq: float,
                      tail_tol: float, N: int, t: float) -> float:
     """`tail_bound` from explicit parts; ff is int_{t0}^{t} int_0^ell F^2.
-    Past the double range, where e^{2 s t} overflows, it is inf (`_bound`)."""
+    Past the double range, where e^{2 s t} overflows, forced data give inf (`_bound`)."""
     r, ell, s = p.r, p.ell, p.s
     dr = p.D / p.R
-    e2st = np.exp(2.0 * s * t)
+    e2st = np.exp(2.0 * s * t) if ff else 0.0  # not inf * 0 past the double range
     norm_floor = 0.25 * ell if kind == DANCKWERTS else 0.5 * ell
     n = np.arange(N + 1, N + 2001)
     lam, norm = spectrum(ROBIN, n, p)
@@ -761,9 +761,13 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
     """Assemble a series solution over [t0, t_end].
 
     For the Robin kind `data` must be resolved (exit concentration
-    present).  For the Danckwerts kind the lift and forcing see a zero exit
-    concentration; any given exit curve is kept for audits.  Both
-    summations run over n = 0..N.
+    present).  The Danckwerts kind is the zero-gradient outlet closure
+    C_x(ell, t) = 0: the column feeds back its own exit value, and the lift
+    and forcing see a zero exit concentration.  Its sum starts at the slow
+    root n = 0 of the complete family and matches `fd_solve(...,
+    kind=DANCKWERTS)`; a given exit curve is kept only for audits, whose
+    residuals are reported, never asserted small.  Both summations run
+    over n = 0..N.
     """
     if kind not in (ROBIN, DANCKWERTS):
         raise ParameterError(f"unknown series kind {kind!r}")

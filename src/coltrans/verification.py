@@ -1,8 +1,9 @@
 """Independent checks: finite differences, mass balance, Danckwerts error.
 
-Nothing here reuses the series machinery's analysis; the finite-difference
-oracle discretizes the original equation directly so that agreement between
-the two is evidence rather than tautology.
+The finite-difference oracle and the balance audits reuse none of the
+series machinery's analysis, so that agreement with them is evidence rather
+than tautology: the oracle discretizes the original equation directly.  The
+Danckwerts diagnostics compare two series, flux-data and zero-gradient.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "BalanceReport",
     "mass_balance",
     "mass_balance_fd",
-    "danckwerts_solve",
     "DanckwertsReport",
     "danckwerts_comparison",
     "DanckwertsGap",
@@ -59,9 +59,6 @@ class FdResult:
     t: np.ndarray     # (nt + 1,)
     C: np.ndarray     # (nt + 1, nx)
     data: ProblemData
-
-    def at(self, k: int) -> np.ndarray:
-        return self.C[k]
 
 
 def _operator_diagonals(data: ProblemData, h: float, nx: int, t: np.ndarray,
@@ -348,29 +345,12 @@ def mass_balance_fd(fdres: FdResult) -> BalanceReport:
                   fdres.C[2:-2], w)
 
 
-def danckwerts_solve(data: ProblemData, policy: TruncationPolicy,
-                     t_end: float) -> SeriesSolution:
-    """Series solution under the zero-gradient outlet closure.
-
-    The lift and forcing see a zero exit concentration, and the outlet
-    carries v C - D C_x = v C(ell, t), that is C_x(ell, t) = 0: the column
-    feeds back its own computed exit value instead of measured data.  The
-    summation runs over the complete Danckwerts family from the slow root
-    n = 0, so the series solves the zero-gradient problem and matches
-    `fd_solve(..., kind=DANCKWERTS)`.  Audit residuals against real exit
-    data are reported, never asserted small; a given exit curve, if any,
-    is kept purely for those audits.
-    """
-    return build_solution(data, policy, t_end, kind=DANCKWERTS)
-
-
 @dataclass(frozen=True)
 class DanckwertsReport:
     """Pointwise gap between the flux-data solution and the Danckwerts one."""
 
     times: np.ndarray
     sup_diff: np.ndarray        # sup_x |C - C_D| per audited time
-    exit_mismatch: np.ndarray   # C_E(t) - C_D(ell, t), the outlet books' gap
     gamma_over_mu: float | None
 
     @property
@@ -397,10 +377,8 @@ def danckwerts_comparison(robin_sol: SeriesSolution, danck_sol: SeriesSolution,
     xs = np.linspace(0.0, p.ell, nx)
     diff = eval_C(robin_sol, xs, times) - eval_C(danck_sol, xs, times)
     sup = np.max(np.abs(diff), axis=1)
-    mism = _exit_gap(danck_sol, times)
     gm = p.gamma / p.mu if p.mu > 0.0 else None
-    return DanckwertsReport(times=times, sup_diff=sup, exit_mismatch=mism,
-                            gamma_over_mu=gm)
+    return DanckwertsReport(times=times, sup_diff=sup, gamma_over_mu=gm)
 
 
 class DanckwertsGap(NamedTuple):
@@ -446,19 +424,15 @@ def danckwerts_error(data: ProblemData, t: float, L_large: float, *,
     return DanckwertsGap(e_d=e_d, lower_bound=lb)
 
 
-def _exit_gap(danck_sol: SeriesSolution, t):
-    """C_E(t) - C_D(ell, t): the problem's exit data minus the series outlet."""
-    cE = danck_sol.data.require_exit()
-    return cE.eval(t) - eval_C(danck_sol, danck_sol.data.params.ell, t)
-
-
 def danckwerts_outlet_mismatch(danck_sol: SeriesSolution, times) -> np.ndarray:
     """v (C_E - C_D(ell, .)): what a mass balance against the true exit sees.
 
     A Danckwerts run closes its own books at truncation level, forced or
     not, so auditing it against the problem's real exit concentration
     turns the balance residual into this comparative diagnostic rather
-    than a pass/fail test.  It is v times `DanckwertsReport.exit_mismatch`.
+    than a pass/fail test.
     """
     times = np.asarray(times, dtype=float)
-    return danck_sol.data.params.v * _exit_gap(danck_sol, times)
+    cE = danck_sol.data.require_exit()
+    p = danck_sol.data.params
+    return p.v * (cE.eval(times) - eval_C(danck_sol, p.ell, times))

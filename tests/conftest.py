@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coltrans import (
+    ROBIN,
     ProblemData,
     SmoothFn,
     TransportParams,
@@ -72,3 +73,17 @@ def l2_grid_norm(values, xs):
     """Trapezoid L2 norm of sampled values over the grid xs."""
     v = np.asarray(values, dtype=float)
     return float(np.sqrt(np.trapezoid(v * v, np.asarray(xs, dtype=float))))
+
+
+def half_wave_points(pair, params) -> tuple:
+    """Interior half-period marks of an oscillatory mode on (0, ell).
+
+    The tests fence their per-mode reference quadratures with them, so that
+    a single adaptive pass does not alias an oscillating mode.
+    """
+    if pair.kind == ROBIN and pair.n == 0:
+        return ()
+    kappa = np.sqrt(pair.lam)
+    step = np.pi / kappa
+    k = int(np.floor(params.ell / step))
+    return tuple(j * step for j in range(1, k + 1) if 0.0 < j * step < params.ell)

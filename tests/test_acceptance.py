@@ -8,12 +8,12 @@ import pytest
 from scipy.special import erfc
 
 from coltrans import (
+    DANCKWERTS,
     FdGrid,
     SmoothFn,
     TransportParams,
     TruncationPolicy,
     build_solution,
-    danckwerts_eigenvalue,
     danckwerts_error,
     eval_C,
     eval_C_x,
@@ -25,12 +25,13 @@ from coltrans import (
     mass_balance,
     resolve_exit,
     robin_eigenpair,
+    spectrum,
     tail_bound,
 )
 from coltrans.cli import main
-from coltrans.eigensystem import _danckwerts_residual, half_wave_points
+from coltrans.eigensystem import _danckwerts_residual
 from coltrans.exitflux import HalfLineProblem
-from conftest import make_data
+from conftest import half_wave_points, make_data
 
 BASE_INI = """\
 [params]
@@ -99,12 +100,12 @@ def test_criterion_2_danckwerts_roots_bracketed_and_asymptotic():
             p = TransportParams(R=1.0, D=1.0 / (2.0 * r), v=1.0, mu=0.0,
                                 gamma=0.0, ell=ell)
             for n in range(1, 21):
-                lam = danckwerts_eigenvalue(n, p)
+                lam = spectrum(DANCKWERTS, n, p)[0]
                 assert (n * np.pi / ell) ** 2 < lam < ((n + 1) * np.pi / ell) ** 2
                 kappa = np.sqrt(lam)
                 scale = kappa * kappa + r * r + 2.0 * r * kappa
                 assert abs(_danckwerts_residual(kappa, r, ell)) <= 1e-9 * scale
-            ratio = danckwerts_eigenvalue(20, p) * ell ** 2 / (20 ** 2 * np.pi ** 2)
+            ratio = spectrum(DANCKWERTS, 20, p)[0] * ell ** 2 / (20 ** 2 * np.pi ** 2)
             # the tangent equation's roots obey ratio = 1 + 4a/N^2
             # - (4a^2 + 4a^3/3)/N^4 + O(N^-6) with a = r ell, N = n pi
             a, N = r * ell, 20 * np.pi

@@ -502,6 +502,24 @@ def test_tail_bound_past_the_double_range_is_written_as_null(tmp_path):
                                "achieved inf"]
 
 
+def test_unforced_tail_past_the_double_range_is_written_as_a_number(tmp_path):
+    """The same run unforced (phi = 1, g = C_E = 0): e^{2 s t} overflows but
+    multiplies no forcing, so the manifest holds a finite tail and 8 modes."""
+    text = (TAIL_PAST_RANGE_INI.replace("value = 1.0", "value = 0.0")
+            .replace("kind = computed\nn_grid = 64", "kind = constant\nvalue = 0.0")
+            + "\n[phi]\nkind = constant\nvalue = 1.0\n")
+    ini = write_ini(tmp_path, text)
+    src = str(Path(coltrans.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "coltrans", "solve", "--config", ini,
+                          "--out", str(tmp_path / "o"), "--quiet"],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"))
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    series = _strict_json((tmp_path / "o" / "manifest.json").read_text())["series"]
+    assert series["n_used"] == 8 and series["notes"] == []
+    assert 0.0 < series["reported_tail"] <= 1e-8
+
+
 def test_non_finite_manifest_value_exits_three(tmp_path, capsys, monkeypatch):
     """A value that is not finite, and not the overflowed tail bound, ends
     the run with one error line in place of a manifest strict JSON refuses."""

@@ -13,8 +13,6 @@ from coltrans import (
     QuadratureError,
     TransportParams,
     danckwerts_eigenpair,
-    danckwerts_eigenvalue,
-    danckwerts_spectrum,
     eval_phi,
     inner_product,
     robin_eigenpair,
@@ -25,9 +23,9 @@ from coltrans.eigensystem import (
     ROBIN,
     _danckwerts_residual,
     _phi_matrices,
-    half_wave_points,
     spectrum,
 )
+from conftest import half_wave_points
 
 
 def params_for(r, ell):
@@ -186,7 +184,7 @@ def test_danckwerts_roots_bracketed_with_small_residual(r, ell):
     p = params_for(r, ell)
     prev = 0.0
     for n in range(1, 21):
-        lam = danckwerts_eigenvalue(n, p)
+        lam = spectrum(DANCKWERTS, n, p)[0]
         lo = (n * np.pi / ell) ** 2
         hi = ((n + 1) * np.pi / ell) ** 2
         assert lo < lam < hi
@@ -214,7 +212,7 @@ def test_danckwerts_eigenvalue_against_scan_oracle():
         else:
             lo, flo = mid, fm
     lam_oracle = (0.5 * (lo + hi)) ** 2
-    assert danckwerts_eigenvalue(1, params_for(r, ell)) == pytest.approx(
+    assert spectrum(DANCKWERTS, 1, params_for(r, ell))[0] == pytest.approx(
         lam_oracle, rel=1e-12)
 
 
@@ -233,7 +231,7 @@ def test_danckwerts_norm_against_quadrature():
 
 def test_omitted_root_location_and_identity():
     p = params_for(1.0, 1.0)
-    lam = danckwerts_eigenvalue(0, p)
+    lam = spectrum(DANCKWERTS, 0, p)[0]
     assert 0.0 < lam < (np.pi / p.ell) ** 2
     kappa = np.sqrt(lam)
     assert abs(_danckwerts_residual(kappa, p.r, p.ell)) <= 1e-10
@@ -253,21 +251,21 @@ def test_omitted_root_is_the_only_slow_root():
     crossings = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     assert crossings.size == 1
     bracket = (ks[crossings[0]], ks[crossings[0] + 1])
-    kappa = np.sqrt(danckwerts_eigenvalue(0, p))
+    kappa = np.sqrt(spectrum(DANCKWERTS, 0, p)[0])
     assert bracket[0] <= kappa <= bracket[1]
 
 
 def test_comparison_family_skips_the_slow_mode():
     p = params_for(1.0, 1.0)
-    slow = danckwerts_eigenvalue(0, p)
-    assert danckwerts_eigenvalue(1, p) > (np.pi / p.ell) ** 2 > slow
+    slow = spectrum(DANCKWERTS, 0, p)[0]
+    assert spectrum(DANCKWERTS, 1, p)[0] > (np.pi / p.ell) ** 2 > slow
 
 
 @pytest.mark.parametrize("r, ell", [(0.5, 1.0), (5.0, 2.0), (1e-6, 3.0), (300.0, 1.0)])
 def test_danckwerts_roots_to_the_last_bits(r, ell):
     """Bisection to adjacent doubles leaves kappa within an ulp of the root,
     so lambda = kappa^2 within 6e-16 relative."""
-    lam, _ = danckwerts_spectrum(np.arange(201), params_for(r, ell))
+    lam, _ = spectrum(DANCKWERTS, np.arange(201), params_for(r, ell))
     with mp.workdps(30):
         for n in (0, 1, 2, 17, 100, 200):
             k = mp.findroot(lambda k: (k * k - r * r) * mp.sin(k * ell)
@@ -277,19 +275,19 @@ def test_danckwerts_roots_to_the_last_bits(r, ell):
 
 def test_danckwerts_spectrum_is_the_one_mode_calls():
     p = params_for(1.3, 1.7)
-    lam, norm = danckwerts_spectrum(np.arange(41), p)
+    lam, norm = spectrum(DANCKWERTS, np.arange(41), p)
     assert lam.shape == norm.shape == (41,)
     for n in range(41):
         pair = danckwerts_eigenpair(n, p)
         assert (pair.lam, pair.norm) == (lam[n], norm[n])
-        assert danckwerts_eigenvalue(n, p) == lam[n]
+        assert spectrum(DANCKWERTS, n, p)[0] == lam[n]
 
 
 def test_bracket_without_sign_change_raises(monkeypatch):
     monkeypatch.setattr(eigensystem, "_danckwerts_residual",
                         lambda kappa, r, ell: np.ones_like(kappa))
     with pytest.raises(BracketingError, match="no sign change for mode 0"):
-        danckwerts_spectrum(np.arange(3), UNIT)
+        spectrum(DANCKWERTS, np.arange(3), UNIT)
 
 
 # -- one mode layer: the spectrum and the phi_n evaluator ---------------------
@@ -380,7 +378,7 @@ def test_eigenpair_validation():
     with pytest.raises(ParameterError):
         robin_eigenpair(-1, UNIT)
     with pytest.raises(ParameterError):
-        danckwerts_eigenvalue(-1, UNIT)
+        spectrum(DANCKWERTS, -1, UNIT)
 
 
 def test_inner_product_validation_and_failure():

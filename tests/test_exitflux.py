@@ -15,7 +15,6 @@ from coltrans import (
     exit_concentration,
     exit_concentration_large_t,
     exit_curve,
-    heat_kernel,
     resolve_exit,
 )
 from coltrans import exitflux
@@ -32,29 +31,6 @@ def erfc_pair(p, t):
     return 0.5 * (a + b)
 
 
-# -- kernel -------------------------------------------------------------------
-
-def test_heat_kernel_values():
-    for th in (0.04, 0.5, 3.0):
-        K0, Kx0 = heat_kernel(0.0, th)
-        assert K0 == pytest.approx(1.0 / np.sqrt(4.0 * np.pi * th), rel=1e-14)
-        assert Kx0 == 0.0
-        xi = np.linspace(-14.0 * np.sqrt(th), 14.0 * np.sqrt(th), 4001)
-        K, Kx = heat_kernel(xi, th)
-        assert np.trapezoid(K, xi) == pytest.approx(1.0, abs=1e-12)
-        dK = np.gradient(K, xi)
-        assert np.max(np.abs(dK - Kx)) <= 1e-4 * np.max(np.abs(Kx))
-        Km, _ = heat_kernel(-xi, th)
-        assert np.array_equal(K, Km)
-
-
-def test_heat_kernel_rejects_bad_theta():
-    with pytest.raises(ParameterError):
-        heat_kernel(0.5, 0.0)
-    with pytest.raises(ParameterError):
-        heat_kernel(np.array([0.1, 0.2]), np.array([1.0, -1.0]))
-
-
 # -- companion solution oracles -----------------------------------------------
 
 def test_half_line_erf_oracle():
@@ -69,7 +45,7 @@ def test_half_line_erf_oracle():
         for t in (0.25, 1.0, 4.0):
             want = np.exp(-p.s * t) * erf(x / (2.0 * np.sqrt(kap * t)))
             assert eval_u(hp, x, t) == pytest.approx(want, rel=1e-9, abs=1e-12)
-    un = eval_u(hp, 1.0, 0.5, scaled=False)
+    un = eval_u(hp, 1.0, 0.5) * np.exp(p.s * 0.5)
     assert un == pytest.approx(erf(1.0 / (2.0 * np.sqrt(kap * 0.5))), rel=1e-9)
 
 
@@ -255,7 +231,7 @@ def test_eval_u_edge_cases(loaded_data):
     assert eval_u(hp, 0.7, 0.0) == pytest.approx(
         float(hp.initial_scaled(0.7)), rel=1e-14)
     assert eval_u(hp, 0.0, 1.3) == pytest.approx(
-        float(hp.boundary_scaled(1.3, 1.3)), rel=1e-14)
+        float(hp.shifted(1.3)), rel=1e-14)
     with pytest.raises(ParameterError):
         eval_u(hp, -0.1, 1.0)
     with pytest.raises(ParameterError):
@@ -272,16 +248,8 @@ def test_solution_continuous_at_start(loaded_data):
 def test_solution_continuous_at_inlet(smoke_data):
     hp = HalfLineProblem.from_data(smoke_data)
     for t in (0.5, 1.5):
-        wall = float(hp.boundary_scaled(t, t))
+        wall = float(hp.shifted(t))
         assert abs(eval_u(hp, 1e-3, t) - wall) <= 0.01
-
-
-def test_unscaled_overflow_is_refused():
-    data = make_data(v=60.0, D=0.1)
-    hp = HalfLineProblem.from_data(data)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ParameterError, match="scaled"):
-            eval_u(hp, 0.5, 1.0, scaled=False)
 
 
 # -- memoized curve and resolution --------------------------------------------

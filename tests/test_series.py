@@ -30,9 +30,9 @@ from coltrans import (
     robin_eigenpair,
     tail_bound,
 )
-from coltrans.eigensystem import DANCKWERTS, ROBIN, _phi_matrices, half_wave_points
+from coltrans.eigensystem import DANCKWERTS, ROBIN, _phi_matrices
 from coltrans.model import forcing_weights
-from conftest import l2_grid_norm, make_data
+from conftest import half_wave_points, l2_grid_norm, make_data
 
 
 def pure_decay_data():
@@ -836,6 +836,21 @@ def test_bounds_past_the_double_range_read_inf_without_warnings():
         assert coefficient_bound(sol, 5, 2.0) == np.inf
         assert np.isfinite(tail_bound(sol, sol.n_used, 0.5))
         assert np.isfinite(coefficient_bound(sol, 5, 0.5))
+
+
+def test_unforced_bounds_stay_finite_past_the_double_range():
+    """The same column with phi = 1 and g = C_E = 0 has int int F^2 = 0, so
+    e^{2 s t}, which overflows, multiplies nothing: the bounds stay finite
+    and the tail target is met at the first candidate."""
+    data = make_data(D=0.1, v=1.0, mu=345.0, phi=SmoothFn.constant(1.0),
+                     exit=SmoothFn.constant(0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = build_solution(data, TruncationPolicy(n_max=40), 2.0)
+        assert sol.n_used == 8 and sol.notes == ()
+        assert 0.0 < sol.reported_tail <= sol.policy.tail_tol
+        assert tail_bound(sol, sol.n_used, 2.0) == sol.reported_tail
+        assert 0.0 < coefficient_bound(sol, 5, 2.0) < np.inf
 
 
 def test_coefficient_bound_decreases_dyadically(loaded_solution):
