@@ -1,16 +1,17 @@
 """Command line front end.
 
-    coltrans solve --config run.ini --out results/
+    coltrans solve --config run.ini --out results/ --nx 101 --nt 81
     coltrans verify --config run.ini
-    coltrans compare-danckwerts --config run.ini
-    coltrans chain --config chain.ini
+    coltrans compare-danckwerts --config run.ini --nt 81
+    coltrans chain --config chain.ini --nt 81
 
 Exit codes: 0 on success (verify FAILURE lines still exit 0; they are
 reported, not fatal), 1 for usage mistakes, 2 for config defects, 3 when
 the numerics refuse (bracketing, quadrature, overflow, bad parameters).
-An out-of-range run option or flag, and a `chain` run without a
-[chain] section or with a measured [exit], is a config defect, found
-before the output directory is made: exit 2 writes nothing.
+A flag the command does not read (`--nx` to any command but `solve`,
+`--nt` to `verify`) is a usage mistake, and an out-of-range option or
+flag, or a `chain` run without [chain] or with a measured [exit], is a
+config defect; both are found before the output directory is made.
 
 Every command builds its series in `_series`, so [exit] n_grid grids
 every computed exit, `chain` segments included, and `solve` and each
@@ -289,17 +290,17 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="coltrans",
                      description="finite-column solute transport solver")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("solve", "concentration profiles and breakthrough curves"),
-        ("verify", "finite-difference and mass-balance audits"),
-        ("compare-danckwerts", "gap against the zero-gradient outlet closure"),
-        ("chain", "linked column segments, exit feeding the next inlet"),
+    for name, helptext, axes in [  # axes: the output samples the command writes
+        ("solve", "concentration profiles and breakthrough curves", "xt"),
+        ("verify", "finite-difference and mass-balance audits", ""),
+        ("compare-danckwerts", "gap against the zero-gradient outlet closure", "t"),
+        ("chain", "linked column segments, exit feeding the next inlet", "t"),
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="INI run file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--nx", type=int, default=None, help="output x samples")
-        p.add_argument("--nt", type=int, default=None, help="output t samples")
+        for axis in axes:
+            p.add_argument(f"--n{axis}", type=int, help=f"output {axis} samples")
         p.add_argument("--modes", type=int, default=None,
                        help="override the mode cap")
         p.add_argument("--tail-tol", type=float, default=None,
@@ -320,7 +321,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         policy = _set(cfg.policy, n_max=args.modes, tail_tol=args.tail_tol)
-        cfg = _set(cfg, nx=args.nx, nt=args.nt, policy=policy)
+        cfg = _set(cfg, nx=vars(args).get("nx"), nt=vars(args).get("nt"), policy=policy)
         if args.command == "chain":
             _chain_checks(cfg)
     except (ConfigError, ParameterError) as exc:

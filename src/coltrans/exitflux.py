@@ -416,12 +416,12 @@ def _u_scaled(hp: HalfLineProblem, x: float, ts, tol: float):
     return out
 
 
-def eval_u(hp: HalfLineProblem, x: float, t: float, *, tol: float = _TOL) -> float:
+def eval_u(hp: HalfLineProblem, x: float, t: float) -> float:
     """Companion heat solution u(x, t) folded by e^{-s t}, which never overflows."""
     x, t = float(x), float(t)
     if x < 0.0:
         raise ParameterError("the companion problem lives on x >= 0")
-    return float(_u_scaled(hp, x, np.array([t]), tol)[0])
+    return float(_u_scaled(hp, x, np.array([t]), _TOL)[0])
 
 
 def exit_concentration(hp: HalfLineProblem, t):
@@ -459,17 +459,16 @@ def resolve_exit(data: ProblemData, t_end: float, *, n_grid: int = N_GRID) -> Pr
     return data.with_exit(curve, computed=True)
 
 
-def exit_concentration_large_t(params: TransportParams, g: SmoothFn, t: float,
-                               *, tol: float = 1e-12) -> float:
+def exit_concentration_large_t(params: TransportParams, g: SmoothFn, t: float) -> float:
     """Boundary-value exit concentration: all initial information dropped.
 
     Valid once the column has forgotten its initial state.  The problem is
     re-posed at rest (phi the constant gamma/mu) at t - horizon, where
-    e^{s (tau - t)} falls below tol, which always terminates because
+    e^{s (tau - t)} falls below 1e-12, which always terminates because
     s >= v^2 / (4 D R) > 0; g must be evaluable there.
     """
     p = params
-    horizon = max(np.log(1.0 / tol) / p.s, 9.0 * p.ell * p.ell / (4.0 * (p.D / p.R)))
+    horizon = max(np.log(1.0 / 1e-12) / p.s, 9.0 * p.ell * p.ell / (4.0 * (p.D / p.R)))
     rest = ProblemData(params=p, phi=SmoothFn.constant(_equilibrium_level(p)), g=g,
                        t0=float(t) - horizon)
     return float(exit_concentration(HalfLineProblem.from_data(rest), t))

@@ -87,7 +87,7 @@ class TransportParams:
                 "gamma != 0 with mu = 0: production has no equilibrium, "
                 "computed exit concentrations are unavailable",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -324,8 +324,8 @@ class SmoothFn:
         return cls(eval=ev, deriv=dv, knots=tuple(knots))
 
 
-def _check_finite_on(fn: SmoothFn, lo: float, hi: float, what: str, n: int = 33):
-    ts = np.linspace(lo, hi, n)
+def _check_finite_on(fn: SmoothFn, lo: float, hi: float, what: str):
+    ts = np.linspace(lo, hi, 33)
     if not (np.all(np.isfinite(fn.eval(ts))) and np.all(np.isfinite(fn.deriv(ts)))):
         raise ParameterError(f"{what} is not finite everywhere on [{lo}, {hi}]")
 

@@ -727,12 +727,11 @@ def eval_C_x(sol: SeriesSolution, x, t):
     return _evaluate(sol, x, t, sol.coefficients(t), slope=True)
 
 
-def eval_large_t(sol: SeriesSolution, x, t: float, *, tol: float = 1e-12,
-                 tau_min: float | None = None):
+def eval_large_t(sol: SeriesSolution, x, t: float, *, tau_min: float | None = None):
     """Pure boundary-value evaluation: the initial term is dropped.
 
     The forcing history is integrated from a finite tau_min chosen so the
-    slowest retained decay factor has shrunk below `tol`; for the Robin
+    slowest retained decay factor has shrunk below 1e-12; for the Robin
     family the negative mode decays like exp(-(mu/R)(t - tau)), so mu = 0
     leaves no horizon criterion and an explicit tau_min is required.  The
     boundary data must be evaluable on [tau_min, t].
@@ -741,14 +740,14 @@ def eval_large_t(sol: SeriesSolution, x, t: float, *, tol: float = 1e-12,
     if tau_min is None:
         first_pos = 1 if sol.kind == ROBIN else 0
         lam_slow = sol.lam[first_pos]
-        gap = np.log(1.0 / tol) * p.R / (p.D * lam_slow)
+        gap = np.log(1.0 / 1e-12) * p.R / (p.D * lam_slow)
         if sol.kind == ROBIN:
             if p.mu == 0.0:
                 raise ParameterError(
                     "mu = 0: the negative mode never forgets its history; "
                     "supply tau_min explicitly"
                 )
-            gap = max(gap, np.log(1.0 / tol) * p.R / p.mu)
+            gap = max(gap, np.log(1.0 / 1e-12) * p.R / p.mu)
         tau_min = t - gap
     if not float(tau_min) < float(t):
         raise ParameterError("tau_min must lie strictly before t")

@@ -204,6 +204,17 @@ lengths = 1.0
 """
 
 
+def test_nt_sets_the_rows_of_compare_and_chain(tmp_path):
+    ini = write_ini(tmp_path, CHAIN_INI.replace("lengths = 1.0", "lengths = 0.5 0.5"))
+    cmp, ch = tmp_path / "cmp", tmp_path / "ch"
+    for command, out in (("compare-danckwerts", cmp), ("chain", ch)):
+        assert main([command, "--config", ini, "--out", str(out), "--quiet",
+                     "--nt", "7"]) == 0
+    for csv in (cmp / "exit_comparison.csv", ch / "segment_1" / "breakthrough.csv",
+                ch / "segment_2" / "breakthrough.csv", ch / "breakthrough.csv"):
+        assert len(read_rows(csv)[1]) == 7
+
+
 def test_single_segment_chain_matches_solve(tmp_path):
     ini = write_ini(tmp_path, CHAIN_INI)
     sv = tmp_path / "sv"
@@ -294,6 +305,21 @@ def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])
     assert exc.value.code == 1
+
+
+# each of these used to be accepted and then ignored
+@pytest.mark.parametrize("command, flag", [("verify", "--nx"), ("verify", "--nt"),
+                                           ("compare-danckwerts", "--nx"),
+                                           ("chain", "--nx")])
+def test_a_flag_the_command_does_not_read_exits_one_and_writes_nothing(
+        tmp_path, capsys, command, flag):
+    ini = write_ini(tmp_path, CHAIN_INI)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", ini, "--out", str(out), "--quiet", flag, "7"])
+    assert exc.value.code == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_errors_exit_two(tmp_path, capsys):

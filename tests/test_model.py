@@ -53,6 +53,13 @@ def test_production_without_decay_warns():
         TransportParams(R=1.0, D=0.1, v=1.0, mu=0.0, gamma=0.5, ell=1.0)
 
 
+def test_production_without_decay_warning_names_its_caller():
+    """The warning used to point into the dataclass's generated __init__ (`<string>`)."""
+    with pytest.warns(UserWarning, match="no equilibrium") as record:
+        TransportParams(R=1.0, D=0.1, v=1.0, mu=0.0, gamma=0.5, ell=1.0)
+    assert [w.filename for w in record] == [__file__]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     R=st.floats(1e-3, 1e3), D=st.floats(1e-3, 1e3), v=st.floats(1e-3, 1e3),
