@@ -14,13 +14,15 @@ process is pinned to the last CPU this one may use, so the two sides see
 the same core.
 
 It prints, per case, each side's median wall time with its quartiles and
-its median peak resident set (VmHWM, read by the child as it ends), how
-many pairs each side won, and each side's median in-process stage times:
-the self time of the `cli` entry points a command reaches (config,
-exit closure, series build, evaluation, FD oracle, balance, writes; a
-stage's calls inside another's count for the inner one only) and the
-whole of `cli.main`.  Stage times come from the child itself, which wraps
-those names from outside the package before it calls `cli.main`.
+how many pairs it won; each side's peak resident set (VmHWM, read by the
+child as it ends) as median and quartiles, its median right after the
+import, and how many pairs it won; and each side's median in-process
+stage times: `from coltrans import cli`, the self time of the `cli` entry
+points a command reaches (config, exit closure, series build, evaluation,
+FD oracle, balance, writes; a stage's calls inside another's count for
+the inner one only) and the whole of `cli.main`.  Stage times come from
+the child itself, which wraps those names from outside the package
+before it calls `cli.main`.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ STAGES = {
     "_write_grid_csv": "write",
     "_write_json": "write",
 }
-STAGE_ORDER = ["config", "exit", "build", "eval", "fd", "balance", "write", "main"]
+STAGE_ORDER = ["import", "config", "exit", "build", "eval", "fd", "balance", "write", "main"]
 
 
 def peak_rss_mb():
@@ -83,11 +85,15 @@ def peak_rss_mb():
 
 
 def child(sidecar: str, argv) -> int:
-    """Run `cli.main(argv)` with the stage names wrapped; write their self times
-    and the process's peak RSS."""
+    """Time the import of `cli`, then run `cli.main(argv)` with the stage names
+    wrapped; write their self times and the process's peak RSS after the
+    import and at the end."""
+    start = time.perf_counter()
     from coltrans import cli
 
     totals = dict.fromkeys(STAGE_ORDER, 0.0)
+    totals["import"] = time.perf_counter() - start
+    totals["import_rss_mb"] = peak_rss_mb()
     stack = []  # [stage, start, time spent in inner stages]
 
     def wrap(fn, stage):
@@ -132,6 +138,12 @@ def quartiles(values):
     return med, q1, q3
 
 
+def wins(values: dict, side: str) -> int:
+    """Pairs in which `side`'s value is below the other side's; ties count for neither."""
+    other = next(s for s in values if s != side)
+    return sum(a < b for a, b in zip(values[side], values[other]))
+
+
 def compare(case: str, roots: dict, tmp: Path) -> list:
     sys.path.insert(0, str(HERE / "perfbench"))
     import workloads
@@ -148,15 +160,18 @@ def compare(case: str, roots: dict, tmp: Path) -> list:
                                    tmp / f"{case}-{side}-{i}", tmp / "sidecar.json")
             walls[side].append(wall)
             stages[side].append(stage)
-    this, other = sides
-    wins = sum(a < b for a, b in zip(walls[this], walls[other]))
+    rss = {side: [r["rss_mb"] for r in stages[side]] for side in sides}
     lines = [f"{case}: {COMMAND[case]}, {PAIRS} interleaved pairs"]
     for side in sides:
         med, q1, q3 = quartiles(walls[side])
-        rss = statistics.median(r["rss_mb"] for r in stages[side])
-        lines.append(f"  wall {side:<8} median {med:.4f} s  (quartiles {q1:.4f}, "
-                     f"{q3:.4f})  peak RSS median {rss:.1f} MiB")
-    lines.append(f"  this faster in {wins} of {PAIRS} pairs")
+        lines.append(f"  wall {side:<8} median {med:.4f} s  (quartiles {q1:.4f}, {q3:.4f})  "
+                     f"faster in {wins(walls, side)} of {PAIRS} pairs")
+    for side in sides:
+        med, q1, q3 = quartiles(rss[side])
+        imported = statistics.median(r["import_rss_mb"] for r in stages[side])
+        lines.append(f"  peak RSS {side:<8} median {med:.2f} MiB  (quartiles {q1:.2f}, "
+                     f"{q3:.2f})  after import {imported:.2f}  "
+                     f"lower in {wins(rss, side)} of {PAIRS} pairs")
     lines.append("  stage medians, ms   " + "".join(f"{s:>9}" for s in STAGE_ORDER))
     for side in sides:
         meds = [1e3 * statistics.median(r[s] for r in stages[side]) for s in STAGE_ORDER]

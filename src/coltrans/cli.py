@@ -9,9 +9,10 @@ Exit codes: 0 on success (verify FAILURE lines still exit 0; they are
 reported, not fatal), 1 for usage mistakes, 2 for config defects, 3 when
 the numerics refuse (bracketing, quadrature, overflow, bad parameters).
 A flag the command does not read (`--nx` to any command but `solve`,
-`--nt` to `verify`) is a usage mistake, and an out-of-range option or
-flag, or a `chain` run without [chain] or with a measured [exit], is a
-config defect; both are found before the output directory is made.
+`--nt` to `verify`), or a prefix of a flag (`--n`, `--mod`), is a usage
+mistake, and an out-of-range option or flag, or a `chain` run without
+[chain] or with a measured [exit], is a config defect; both are found
+before the output directory is made.
 
 Every command builds its series in `_series`, so [exit] n_grid grids
 every computed exit, `chain` segments included, and `solve` and each
@@ -63,6 +64,11 @@ _CSV_ROWS = 1024  # rows per formatted block of a CSV file
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # one spelling per flag: no prefix of one is taken for it, here
+        # or in the subcommand parsers, which are of this class too
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         # usage trouble is exit code 1, not argparse's default 2
         self.print_usage(sys.stderr)

@@ -208,8 +208,9 @@ def eval_phi(pair: EigenPair, x, r: float):
 
 
 def inner_product(f, h, a: float, b: float, *, abs_tol: float = 1e-10,
-                  rel_tol: float = 1e-10, points=None) -> float:
-    """Adaptive QUADPACK quadrature of int_a^b f(x) h(x) dx.
+                  points=None) -> float:
+    """Adaptive QUADPACK quadrature of int_a^b f(x) h(x) dx, to abs_tol or
+    a relative 1e-10.
 
     The reference the tests hold the series' Gauss-Legendre projections to;
     no build calls it.  `points` lists interior abscissae where the
@@ -219,6 +220,7 @@ def inner_product(f, h, a: float, b: float, *, abs_tol: float = 1e-10,
     """
     if not (np.isfinite(a) and np.isfinite(b) and b > a):
         raise ParameterError("need a finite interval with b > a")
+    rel_tol = 1e-10
     cuts = [a, b]
     if points is not None:
         cuts.extend(p for p in points if a < p < b)

@@ -64,8 +64,8 @@ from typing import Callable
 
 from .eigensystem import quad  # unused; the benchmark counts calls through it
 from .errors import FluxTransformError, ParameterError, QuadratureError
-from .model import (ProblemData, SmoothFn, TransportParams, _exp_r_ell, _gl_basis,
-                    _sorted_unique)
+from .model import (_GL10_TAIL, _GL10_W, _GL10_X, ProblemData, SmoothFn, TransportParams,
+                    _exp_r_ell, _gl_basis, _sorted_unique)
 
 __all__ = [
     "HalfLineProblem",
@@ -84,7 +84,7 @@ N_GRID_MIN = 8  # fewest instants an exit curve's grid may have
 _TOL = 1e-11  # the closure's quadrature tolerance, absolute and relative
 _TINY = np.finfo(float).tiny
 _ETA_CUT = 9.0  # exp(-81) ~ 6e-36: nothing beyond survives double precision
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
+_GL_X, _GL_W = _GL10_X, _GL10_W
 _PANELS = 4                 # panels per gap between cuts in the coarse rule
 _DOUBLINGS = 8              # doublings of a missed row's panels before giving up
 _CHUNK_NODES = 1 << 15      # integrand nodes per pass: 256 KB a temporary
@@ -94,10 +94,6 @@ _LAG_LEVELS = 6             # halvings of the lag moments' panels before giving 
 # 7,500 (one CPU of a 2-CPU Xeon host), on a 512-knot table inlet the lag
 # path is still 6x faster at M = 16,384
 _LAG_ROWS = 7000
-# the last two Legendre coefficients of the interpolant through samples at
-# the rule's nodes: samples @ _LEG_TAIL
-_LEG_TAIL = (np.polynomial.legendre.legvander(_GL_X, _GL_X.size - 1)[:, -2:]
-             * _GL_W[:, None] * (np.arange(_GL_X.size - 2, _GL_X.size) + 0.5))
 
 
 def _equilibrium_level(params: TransportParams) -> float:
@@ -197,7 +193,7 @@ def _kernel(p: TransportParams, x: float):
     return k, a
 
 
-def _panel_rule(integrand, cuts, tol, *, graded_from=None, panels=_PANELS):
+def _panel_rule(integrand, cuts, *, graded_from=None, panels=_PANELS):
     """Integral of integrand over [cuts[i, 0], cuts[i, -1]] for every row i.
 
     integrand(z, row) evaluates the rows `row` at the nodes z (the two
@@ -205,7 +201,7 @@ def _panel_rule(integrand, cuts, tol, *, graded_from=None, panels=_PANELS):
     `panels` panels, uniform, or geometric (edges lo (hi/lo)^(k/P)) where
     the gap lies at or beyond graded_from.  The result is the rule on those
     panels halved; its distance from the rule on the whole panels is the
-    row's error estimate.  Rows whose estimate exceeds tol max(1, |value|)
+    row's error estimate.  Rows whose estimate exceeds _TOL max(1, |value|)
     are redone with twice the panels per gap, at most `_DOUBLINGS` times
     before QuadratureError.  Gaps are taken in chunks of about
     _CHUNK_NODES integrand nodes, at any depth.
@@ -234,19 +230,19 @@ def _panel_rule(integrand, cuts, tol, *, graded_from=None, panels=_PANELS):
         sums[g0:g0 + step, 1] = panel[:, panels:].sum(axis=1)
     coarse = np.bincount(row, sums[:, 0], minlength=cuts.shape[0])
     fine = np.bincount(row, sums[:, 1], minlength=cuts.shape[0])
-    missed = np.flatnonzero(~(np.abs(fine - coarse) <= tol * np.maximum(1.0, np.abs(fine))))
+    missed = np.flatnonzero(~(np.abs(fine - coarse) <= _TOL * np.maximum(1.0, np.abs(fine))))
     if missed.size and panels >= _PANELS << _DOUBLINGS:
         c = cuts[missed[0]]
         raise QuadratureError(f"panel rule on [{c[0]:.6g}, {c[-1]:.6g}] did not "
                               f"settle after {_DOUBLINGS} doublings")
     if missed.size:
         fine[missed] = _panel_rule(lambda z, r: integrand(z, missed[r]),
-                                   cuts[missed], tol, graded_from=graded_from,
+                                   cuts[missed], graded_from=graded_from,
                                    panels=2 * panels)
     return fine
 
 
-def _initial_part(hp: HalfLineProblem, x: float, ts, tol: float):
+def _initial_part(hp: HalfLineProblem, x: float, ts):
     """Odd-reflection integral, scaled by e^{-s t}, via eta = (z - x)/(2 sqrt(th))."""
     p = hp.params
     width = 2.0 * np.sqrt((p.D / p.R) * (ts - hp.t0))
@@ -263,14 +259,14 @@ def _initial_part(hp: HalfLineProblem, x: float, ts, tol: float):
                           (knots - shift) / width[:, None],
                           np.full((ts.size, 1), _ETA_CUT)])
         cuts = np.sort(np.clip(cuts, lo[:, None], _ETA_CUT), axis=1)
-        return _panel_rule(integrand, cuts, tol)
+        return _panel_rule(integrand, cuts)
 
     direct = side(np.maximum(-x / width, -_ETA_CUT), x)
     image = side(np.minimum(x / width, _ETA_CUT), -x)
     return (direct - image) * np.exp(-p.s * (ts - hp.t0))
 
 
-def _boundary_part(hp: HalfLineProblem, x: float, ts, tol: float):
+def _boundary_part(hp: HalfLineProblem, x: float, ts):
     """Duhamel integral, scaled by e^{-s t}, via sigma = sqrt(t - tau).
 
     The substitution regularizes the kernel: the integrand
@@ -296,7 +292,7 @@ def _boundary_part(hp: HalfLineProblem, x: float, ts, tol: float):
         s2 = sigma * sigma
         return 2.0 * sigma * kern(s2) * hp.shifted(ts[row] - s2)
 
-    return _panel_rule(integrand, cuts, tol, graded_from=peak)
+    return _panel_rule(integrand, cuts, graded_from=peak)
 
 
 def _grid_step(t0: float, ts):
@@ -309,13 +305,13 @@ def _grid_step(t0: float, ts):
     return h if h > 0.0 and np.all(np.abs(ts - grid) <= slack) else None
 
 
-def _lag_moments(kern, h: float, lo: float, hi: float, lags: int, tol: float):
+def _lag_moments(kern, h: float, lo: float, hi: float, lags: int):
     """W[m, q] = h int_lo^hi k(h (m + 1 - th)) L_q((th - lo)/(hi - lo)) dth, m < lags.
 
     The moments of the kernel against the Lagrange basis of the samples at
     the rule's nodes of [lo, hi], a part of one grid interval, for every lag
     m.  [lo, hi] is cut into 1, 2, 4, ... equal panels of the 10-point
-    rule until two passes agree, sum |difference| <= tol; None if they
+    rule until two passes agree, sum |difference| <= _TOL; None if they
     still do not after `_LAG_LEVELS` halvings.  Lags are taken in chunks
     of about _CHUNK_NODES kernel nodes.
     """
@@ -331,13 +327,13 @@ def _lag_moments(kern, h: float, lo: float, hi: float, lags: int, tol: float):
         step = max(1, _CHUNK_NODES // th.size)
         for i in range(0, lags, step):
             W[i:i + step] = (kern(h * (m[i:i + step] - th)) * wts) @ basis
-        if prev is not None and np.sum(np.abs(W - prev)) <= tol:
+        if prev is not None and np.sum(np.abs(W - prev)) <= _TOL:
             return W
         prev = W
     return None
 
 
-def _lag_part(hp: HalfLineProblem, x: float, h: float, M: int, tol: float):
+def _lag_part(hp: HalfLineProblem, x: float, h: float, M: int):
     """Duhamel integral, scaled by e^{-s t}, at t0 + h (1, ..., M): one lag convolution.
 
     In u = t - tau the integrand is k(u) (g(t - u) - gm), the kernel k
@@ -348,7 +344,7 @@ def _lag_part(hp: HalfLineProblem, x: float, h: float, M: int, tol: float):
     more than 1e-9 of its width, is cut at it, and each piece is added with
     its own samples and moments.  None when a check fails: moments that do
     not settle, or samples whose last two Legendre coefficients exceed
-    tol max(1, |g - gm|).
+    _TOL max(1, |g - gm|).
     """
     kern, _ = _kernel(hp.params, x)
     ends = hp.t0 + h * np.arange(M + 1)
@@ -368,25 +364,25 @@ def _lag_part(hp: HalfLineProblem, x: float, h: float, M: int, tol: float):
         for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
             pieces.append((j, lo, hi, hp.shifted(ends[j] + h * (lo + (hi - lo) * node))))
     samples = [G] + [q for *_, q in pieces]
-    scale = tol * max(1.0, *(float(np.max(np.abs(q), initial=0.0)) for q in samples))
-    if any(np.max(np.abs(q @ _LEG_TAIL).sum(axis=-1), initial=0.0) > scale
+    scale = _TOL * max(1.0, *(float(np.max(np.abs(q), initial=0.0)) for q in samples))
+    if any(np.max(np.abs(q @ _GL10_TAIL).sum(axis=-1), initial=0.0) > scale
            for q in samples):
         return None
-    W = _lag_moments(kern, h, 0.0, 1.0, M, tol)
+    W = _lag_moments(kern, h, 0.0, 1.0, M)
     if W is None:
         return None
     rows = np.zeros(M)
     for k in range(_GL_X.size):
         rows += np.convolve(G[:, k], W[:, k])[:M]
     for j, lo, hi, q in pieces:
-        Wp = _lag_moments(kern, h, lo, hi, M - j, tol)
+        Wp = _lag_moments(kern, h, lo, hi, M - j)
         if Wp is None:
             return None
         rows[j:] += Wp @ q
     return rows
 
 
-def _u_scaled(hp: HalfLineProblem, x: float, ts, tol: float):
+def _u_scaled(hp: HalfLineProblem, x: float, ts):
     """u(x, t) e^{-s t} at each instant of the 1-D array ts.
 
     Past t0 and inside the half line this is the initial part plus the
@@ -407,11 +403,11 @@ def _u_scaled(hp: HalfLineProblem, x: float, ts, tol: float):
         out[~start] = hp.shifted(later)  # G(t) e^{-s t} = g - gm
     elif later.size:
         h = _grid_step(hp.t0, later)
-        part = None if h is None else _lag_part(hp, x, h, later.size, tol)
+        part = None if h is None else _lag_part(hp, x, h, later.size)
         if part is None:
-            part = _boundary_part(hp, x, later, tol)
+            part = _boundary_part(hp, x, later)
         if not hp.at_rest:
-            part = _initial_part(hp, x, later, tol) + part
+            part = _initial_part(hp, x, later) + part
         out[~start] = part
     return out
 
@@ -421,7 +417,7 @@ def eval_u(hp: HalfLineProblem, x: float, t: float) -> float:
     x, t = float(x), float(t)
     if x < 0.0:
         raise ParameterError("the companion problem lives on x >= 0")
-    return float(_u_scaled(hp, x, np.array([t]), _TOL)[0])
+    return float(_u_scaled(hp, x, np.array([t]))[0])
 
 
 def exit_concentration(hp: HalfLineProblem, t):
@@ -429,7 +425,7 @@ def exit_concentration(hp: HalfLineProblem, t):
     p = hp.params
     scale = _exp_r_ell(p)
     ts = np.asarray(t, dtype=float)
-    u = _u_scaled(hp, p.ell, ts.ravel(), _TOL).reshape(ts.shape)
+    u = _u_scaled(hp, p.ell, ts.ravel()).reshape(ts.shape)
     return (u * scale + hp.gm)[()]
 
 

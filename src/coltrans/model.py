@@ -21,8 +21,9 @@ only place that reads the boundary data (`_boundary_data`).  H, its
 partials, the forcing weights on the x-basis {e^{-r x}, cos(pi x/ell), 1},
 their moments against each phi_n, int_0^ell F^2 dx, the moments of
 w(., t0) and the inversion back to C are each written once here; `series`
-only sums weights against moments.  The eigenfunction machinery lives in
-`eigensystem` and `series`.
+only sums weights against moments.  So are the two Gauss-Legendre rules
+that `series` and `exitflux` integrate with, as constants.  The
+eigenfunction machinery lives in `eigensystem` and `series`.
 """
 
 from __future__ import annotations
@@ -182,6 +183,47 @@ def _sorted_unique(values) -> np.ndarray:
     return v[np.concatenate(([True], v[1:] != v[:-1]))] if v.size else v
 
 
+# The Gauss-Legendre rules of `series` (12 points) and `exitflux` (10) on
+# [-1, 1]: the nodes and weights numpy.polynomial.legendre.leggauss returns
+# (numpy 2.4.6), written out so that no run loads numpy.polynomial.
+_GL12_X = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
+    -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GL12_W = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
+    0.20316742672306573, 0.2334925365383546, 0.2491470458134027,
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
+_GL10_X = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+    0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+    0.9739065285171717])
+_GL10_W = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+    0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+    0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+    0.06667134430868814])
+
+
+def _legendre_tail(x, w):
+    """T with samples @ T the last two Legendre coefficients of the
+    interpolant through samples at the nodes x of the rule (x, w).
+
+    P_k at the nodes by the forward three-term recurrence, in the operation
+    order of numpy's legvander, so the two agree bit for bit.
+    """
+    v = [x * 0 + 1, x]
+    for i in range(2, x.size):
+        v.append((v[i - 1] * x * (2 * i - 1) - v[i - 2] * (i - 1)) / i)
+    return np.stack(v[-2:], axis=-1) * w[:, None] * (np.arange(x.size - 2, x.size) + 0.5)
+
+
+_GL10_TAIL = _legendre_tail(_GL10_X, _GL10_W)
+
+
 def _gl_basis(u, x, w):
     """Lagrange basis through the Gauss-Legendre nodes (1 + x_j)/2 of [0, 1].
 
@@ -236,11 +278,27 @@ class SmoothFn:
 
     @classmethod
     def polynomial(cls, coeffs) -> "SmoothFn":
-        """Polynomial sum(c_k t^k) from low-order-first coefficients."""
-        poly = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-        dpoly = poly.deriv()
-        ev, dv = _as_callable_pair(poly, dpoly)
-        const = float(poly.coef[0]) if poly.degree() == 0 else None
+        """Polynomial sum(c_k t^k) from low-order-first coefficients.
+
+        A scalar is the constant polynomial.  Values and slopes are numpy's
+        Polynomial and its deriv() bit for bit: the same 0.0 + 1.0 t map of
+        the argument, the same Horner order, and j c_j for the slope (0 c_0
+        for a constant).
+        """
+        c = np.array(coeffs, dtype=float, ndmin=1)
+        if c.size == 0 or c.ndim != 1:
+            raise ParameterError("polynomial needs a nonempty 1-D list of coefficients")
+        dc = c[1:] * np.arange(1.0, c.size) if c.size > 1 else c * 0
+
+        def horner(coef, t):
+            t = 0.0 + 1.0 * t
+            out = coef[-1] + t * 0
+            for ck in coef[-2::-1]:
+                out = ck + out * t
+            return out
+
+        ev, dv = _as_callable_pair(lambda t: horner(c, t), lambda t: horner(dc, t))
+        const = float(c[0]) if c.size == 1 else None
         return cls(eval=ev, deriv=dv, const_value=const)
 
     @classmethod

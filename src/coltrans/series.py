@@ -64,6 +64,8 @@ from dataclasses import dataclass
 
 from .errors import NumericOverflowError, ParameterError, QuadratureError
 from .model import (
+    _GL12_W,
+    _GL12_X,
     _MAX_EXP,
     ProblemData,
     SmoothFn,
@@ -109,7 +111,7 @@ __all__ = [
 # 12-point Gauss-Legendre rule: the nodes of a march piece, and the panels of
 # the lattice, on which the stiffest retained decay factor varies by at most
 # ~e^4, where this rule holds far more accuracy than the 1e-10 target.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
+_GL_X, _GL_W = _GL12_X, _GL12_W
 _PANELS = 1 << 13  # panels x modes per block of the T0 projection: 64 KB
 _BLOCK = 1 << 15  # modes x nodes per block of the batched march: 256 KB
 _PASS = 1 << 11   # nodes per pass of the march's forcing weights: 16 KB

@@ -322,6 +322,21 @@ def test_a_flag_the_command_does_not_read_exits_one_and_writes_nothing(
     assert not out.exists()
 
 
+# prefixes of a flag used to run as the flag: --n as --nt where --nx is absent
+@pytest.mark.parametrize("command, flags", [("compare-danckwerts", "--n 7"),
+                                            ("chain", "--n 7"),
+                                            ("solve", "--mod 12 --tail 1e-6"),
+                                            ("verify", "--quie")])
+def test_a_prefix_of_a_flag_exits_one_and_writes_nothing(tmp_path, capsys, command, flags):
+    ini = write_ini(tmp_path, CHAIN_INI)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", ini, "--out", str(out), *flags.split()])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flags}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_errors_exit_two(tmp_path, capsys):
     missing = str(tmp_path / "nope.ini")
     assert main(["solve", "--config", missing, "--quiet"]) == 2
@@ -596,64 +611,51 @@ kind = computed
 n_grid = 512
 """
 
-_SCIPY_MODULES = """\
+_LOADED_MODULES = """\
 import json, sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def scipy_modules_after(*lines):
-    """The scipy modules a fresh interpreter holds after running `lines`."""
+@pytest.fixture(scope="module")
+def modules_after(tmp_path_factory):
+    """action -> the modules a fresh interpreter holds after it: the import
+    of `coltrans.cli`, or that and a command on the README run file (for
+    `chain`, split into two segments).  Each action runs once per module."""
+    tmp = tmp_path_factory.mktemp("fresh")
+    readme = write_ini(tmp, README_INI)
+    chain = write_ini(tmp, README_INI + "\n[chain]\nlengths = 0.5 0.5\n", "chain.ini")
     src = str(Path(coltrans.__file__).resolve().parents[1])
-    code = _SCIPY_MODULES.format(body="\n".join(lines))
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    return json.loads(out.stdout.splitlines()[-1])
+    seen = {}
+
+    def after(action):
+        if action not in seen:
+            lines = ["from coltrans import cli"]
+            if action != "import":
+                argv = [action, "--config", chain if action == "chain" else readme,
+                        "--out", str(tmp / action), "--quiet"]
+                lines.append(f"assert cli.main({argv!r}) == 0")
+            code = _LOADED_MODULES.format(body="\n".join(lines))
+            out = subprocess.run([sys.executable, "-c", code], check=True,
+                                 capture_output=True, text=True,
+                                 env=dict(os.environ, PYTHONPATH=src))
+            seen[action] = json.loads(out.stdout.splitlines()[-1])
+        return seen[action]
+
+    return after
 
 
-def test_solve_path_imports_no_scipy(tmp_path):
-    """No command loads scipy: numpy is the only runtime dependency."""
-    readme = write_ini(tmp_path, README_INI)
-    chain = write_ini(tmp_path, README_INI + "\n[chain]\nlengths = 0.5 0.5\n",
-                      "chain.ini")
-
-    def command(name, ini=readme):
-        argv = [name, "--config", ini, "--out", str(tmp_path / name), "--quiet"]
-        return f"from coltrans import cli\nassert cli.main({argv!r}) == 0"
-
-    assert scipy_modules_after("from coltrans import cli") == []
-    assert scipy_modules_after(command("solve")) == []
-    assert scipy_modules_after(command("verify")) == []
-    assert scipy_modules_after(command("compare-danckwerts")) == []
-    assert scipy_modules_after(command("chain", chain)) == []
-
-
-def test_solve_path_imports_no_numpy_ma(tmp_path):
-    """np.unique imports numpy.ma on its first call, about 20 ms of a solve."""
-    ini = write_ini(tmp_path, README_INI)
-    argv = ["solve", "--config", ini, "--out", str(tmp_path / "o"), "--quiet"]
-    code = (f"import sys\nfrom coltrans import cli\nassert cli.main({argv!r}) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
-    src = str(Path(coltrans.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.splitlines()[-1] == "[]"
-
-
-def test_verify_path_imports_no_numpy_ma(tmp_path):
-    """verify picks its comparison levels without np.unique, which loads numpy.ma."""
-    ini = write_ini(tmp_path, README_INI)
-    argv = ["verify", "--config", ini, "--out", str(tmp_path / "o"), "--quiet"]
-    code = (f"import sys\nfrom coltrans import cli\nassert cli.main({argv!r}) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
-    src = str(Path(coltrans.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.splitlines()[-1] == "[]"
+# scipy: numpy is the only runtime dependency.  numpy.ma: np.unique imports
+# it on its first call, about 20 ms of a solve.  numpy.polynomial: nine
+# modules and about 1 MiB of peak memory, for two quadrature rules and a
+# Horner sum.
+@pytest.mark.parametrize("action", ["import", "solve", "verify",
+                                    "compare-danckwerts", "chain"])
+@pytest.mark.parametrize("prefix", ["scipy", "numpy.ma", "numpy.polynomial"])
+def test_a_fresh_run_loads_no_module_it_does_not_need(modules_after, prefix, action):
+    parts = prefix.split(".")
+    assert [m for m in modules_after(action) if m.split(".")[:len(parts)] == parts] == []
 
 
 # -- CSV writer ---------------------------------------------------------------

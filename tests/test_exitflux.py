@@ -153,10 +153,10 @@ def refinements(monkeypatch):
     passes = []
     real = exitflux._panel_rule
 
-    def counted(integrand, cuts, tol, **kwargs):
+    def counted(integrand, cuts, **kwargs):
         if kwargs.get("panels", exitflux._PANELS) > exitflux._PANELS:
             passes.append((cuts.shape[0], kwargs["panels"]))
-        return real(integrand, cuts, tol, **kwargs)
+        return real(integrand, cuts, **kwargs)
 
     monkeypatch.setattr(exitflux, "_panel_rule", counted)
     return passes
@@ -541,9 +541,9 @@ def test_unsettled_lag_moments_fall_back_to_the_per_row_rule(unsettled, monkeypa
     else:
         real = exitflux._lag_moments
 
-        def pieces_unsettled(kern, h, lo, hi, lags, tol):
+        def pieces_unsettled(kern, h, lo, hi, lags):
             whole = (lo, hi) == (0.0, 1.0)
-            return real(kern, h, lo, hi, lags, tol) if whole else None
+            return real(kern, h, lo, hi, lags) if whole else None
 
         monkeypatch.setattr(exitflux, "_lag_moments", pieces_unsettled)
     rows = _count(monkeypatch, "_boundary_part")

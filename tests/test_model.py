@@ -18,6 +18,7 @@ from coltrans import (
     invert,
     lift_H,
 )
+from coltrans import model
 from coltrans.model import _forcing_sq
 from conftest import make_data
 
@@ -89,6 +90,58 @@ def test_polynomial_factory():
     assert f.deriv(0.5) == pytest.approx(5.0, rel=1e-15)
     assert f.const_value is None
     assert SmoothFn.polynomial([4.0]).const_value == 4.0
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 2.0, 3.0], [4.0], [-5.0], [-0.0], 2.5,
+                                    [0.0, -0.0], [-0.0, 1.0, -0.0],
+                                    [0.0, 0.0, 2.0384, -2.912, 1.04],
+                                    [0.36, -1.21, 0.0, 0.66, -1.29, 0.4, 0.43]])
+def test_polynomial_is_numpys_polynomial_bit_for_bit(coeffs):
+    """Horner after Polynomial's 0.0 + 1.0 t map: -0.0 reads as 0.0, and the
+    slope of a constant c_0 is 0 c_0, -0.0 for c_0 < 0."""
+    want = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
+    slope = want.deriv()
+    got = SmoothFn.polynomial(coeffs)
+    ts = np.array([-0.0, 0.0, 1.0, -1.0, 0.3, -2.7, 1e3, -1e-300, 12.5])
+    for t in [ts, ts.reshape(3, 3), *ts, *ts.tolist()]:
+        arg = np.asarray(t, dtype=float)
+        assert _bits(got.eval(t)) == _bits(want(arg))
+        assert _bits(got.deriv(t)) == _bits(slope(arg))
+    assert got.const_value == (float(want.coef[0]) if want.degree() == 0 else None)
+
+
+@pytest.mark.parametrize("coeffs", [[], [[1.0, 2.0]], np.zeros((2, 2)), np.zeros(0)])
+def test_polynomial_refuses_empty_or_nested_coefficients(coeffs):
+    with pytest.raises(ValueError):
+        SmoothFn.polynomial(coeffs)
+
+
+@pytest.mark.parametrize("n", [12, 10])
+def test_gauss_legendre_tables_are_the_rules(n):
+    """The written-out rules: leggauss's values to within 2 ulp (another
+    LAPACK may round differently), symmetric, and exact on x^k, k < 2n."""
+    x, w = {12: (model._GL12_X, model._GL12_W), 10: (model._GL10_X, model._GL10_W)}[n]
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.all(np.abs(x - ref_x) <= 2.0 * np.spacing(np.abs(ref_x)))
+    assert np.all(np.abs(w - ref_w) <= 2.0 * np.spacing(ref_w))
+    assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    for k in range(2 * n):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(w @ x ** k - exact) <= 1e-15
+
+
+def test_legendre_tail_is_legvanders_bit_for_bit():
+    x, w = model._GL10_X, model._GL10_W
+    want = (np.polynomial.legendre.legvander(x, x.size - 1)[:, -2:]
+            * w[:, None] * (np.arange(x.size - 2, x.size) + 0.5))
+    assert _bits(model._GL10_TAIL) == _bits(want)
+    # samples of a degree-7 polynomial have no P_8 or P_9 part
+    assert np.max(np.abs((x ** 7 - 3.0 * x ** 2) @ model._GL10_TAIL)) <= 1e-14
 
 
 def test_exp_pulse_shape():
