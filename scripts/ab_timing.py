@@ -16,13 +16,20 @@ the same core.
 It prints, per case, each side's median wall time with its quartiles and
 how many pairs it won; each side's peak resident set (VmHWM, read by the
 child as it ends) as median and quartiles, its median right after the
-import, and how many pairs it won; and each side's median in-process
-stage times: `from coltrans import cli`, the self time of the `cli` entry
-points a command reaches (config, exit closure, series build, evaluation,
-FD oracle, balance, writes; a stage's calls inside another's count for
-the inner one only) and the whole of `cli.main`.  Stage times come from
-the child itself, which wraps those names from outside the package
-before it calls `cli.main`.
+import, and how many pairs it won; each side's median VmHWM at the exit
+of each stage, the largest over the stage's calls, which shows the stage
+that holds the peak; and each side's median in-process stage times:
+`from coltrans import cli`, the self time of the `cli` entry points a
+command reaches (config, exit closure, series build, evaluation, FD
+oracle, balance, writes; a stage's calls inside another's count for the
+inner one only) and the whole of `cli.main`.  Stage times and
+high-water marks come from the child itself, which wraps those names
+from outside the package before it calls `cli.main`.
+
+VmHWM moves with the length of the command line and of the environment,
+so each side runs its checkout through a link of the same length
+(its `PYTHONPATH`) and writes to output directories whose names are of
+equal length.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ STAGES = {
     "_write_json": "write",
 }
 STAGE_ORDER = ["import", "config", "exit", "build", "eval", "fd", "balance", "write", "main"]
+TAGS = {"this": "t", "against": "a"}  # side -> the tag of its paths, one letter each
 
 
 def peak_rss_mb():
@@ -86,14 +94,16 @@ def peak_rss_mb():
 
 def child(sidecar: str, argv) -> int:
     """Time the import of `cli`, then run `cli.main(argv)` with the stage names
-    wrapped; write their self times and the process's peak RSS after the
-    import and at the end."""
+    wrapped; write their self times, the process's peak RSS at each stage's
+    exit (`hwm_mb`, the import and `main` included) and after the import
+    and at the end."""
     start = time.perf_counter()
     from coltrans import cli
 
     totals = dict.fromkeys(STAGE_ORDER, 0.0)
     totals["import"] = time.perf_counter() - start
     totals["import_rss_mb"] = peak_rss_mb()
+    hwm = totals["hwm_mb"] = {"import": totals["import_rss_mb"]}
     stack = []  # [stage, start, time spent in inner stages]
 
     def wrap(fn, stage):
@@ -103,6 +113,7 @@ def child(sidecar: str, argv) -> int:
             try:
                 return fn(*args, **kwargs)
             finally:
+                hwm[stage] = max(hwm.get(stage, 0.0), peak_rss_mb())
                 name, start, inner = stack.pop()
                 spent = time.perf_counter() - start
                 totals[name] += spent - inner
@@ -118,7 +129,7 @@ def child(sidecar: str, argv) -> int:
         return cli.main(argv)
     finally:
         totals["main"] = time.perf_counter() - start
-        totals["rss_mb"] = peak_rss_mb()
+        totals["rss_mb"] = hwm["main"] = peak_rss_mb()
         Path(sidecar).write_text(json.dumps(totals))
 
 
@@ -157,7 +168,7 @@ def compare(case: str, roots: dict, tmp: Path) -> list:
     for i in range(PAIRS):
         for side in sides if i % 2 == 0 else sides[::-1]:
             wall, stage = run_once(roots[side], COMMAND[case], ini,
-                                   tmp / f"{case}-{side}-{i}", tmp / "sidecar.json")
+                                   tmp / f"{case}-{TAGS[side]}-{i}", tmp / "sidecar.json")
             walls[side].append(wall)
             stages[side].append(stage)
     rss = {side: [r["rss_mb"] for r in stages[side]] for side in sides}
@@ -172,6 +183,11 @@ def compare(case: str, roots: dict, tmp: Path) -> list:
         lines.append(f"  peak RSS {side:<8} median {med:.2f} MiB  (quartiles {q1:.2f}, "
                      f"{q3:.2f})  after import {imported:.2f}  "
                      f"lower in {wins(rss, side)} of {PAIRS} pairs")
+    lines.append("  stage high-water, MiB" + "".join(f"{s:>9}" for s in STAGE_ORDER))
+    for side in sides:
+        meds = [statistics.median(r["hwm_mb"].get(s, float("nan")) for r in stages[side])
+                for s in STAGE_ORDER]
+        lines.append(f"  {side:<21}" + "".join(f"{m:9.2f}" for m in meds))
     lines.append("  stage medians, ms   " + "".join(f"{s:>9}" for s in STAGE_ORDER))
     for side in sides:
         meds = [1e3 * statistics.median(r[s] for r in stages[side]) for s in STAGE_ORDER]
@@ -187,10 +203,13 @@ def main(argv=None) -> int:
     ap.add_argument("--against", required=True, help="checkout to compare with")
     args = ap.parse_args(argv)
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})  # children inherit it
-    roots = {"this": HERE, "against": Path(args.against).resolve()}
     with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        roots = {"this": tmp / TAGS["this"], "against": tmp / TAGS["against"]}
+        roots["this"].symlink_to(HERE, target_is_directory=True)
+        roots["against"].symlink_to(Path(args.against).resolve(), target_is_directory=True)
         for case in CASES:
-            print("\n".join(compare(case, roots, Path(tmp))), flush=True)
+            print("\n".join(compare(case, roots, tmp)), flush=True)
     return 0
 
 

@@ -161,12 +161,14 @@ def _cos_sin_slope(kap, r: float, co, si):
     return -kap * si + r * co
 
 
-def _phi_combine(lam: np.ndarray, r: float, e, co, si) -> np.ndarray:
+def _phi_combine(lam: np.ndarray, r: float, e, co, si, out=None) -> np.ndarray:
     """phi_n from its parts e^{r x} (None without a negative lambda_0),
     cos(kappa_n x) and sin(kappa_n x), modes on the last axis; linear in
-    the parts, so sums of them give sums of phi_n."""
+    the parts, so sums of them give sums of phi_n.  Formed in `out` when
+    given, whose cos-sin columns may be `si` itself."""
     kap = _kappas(lam)
-    out = np.empty(np.shape(co)[:-1] + (lam.size,))
+    if out is None:
+        out = np.empty(np.shape(co)[:-1] + (lam.size,))
     start = lam.size - kap.size
     if start:
         out[..., 0] = e
@@ -176,22 +178,27 @@ def _phi_combine(lam: np.ndarray, r: float, e, co, si) -> np.ndarray:
 
 def _phi_matrices(lam: np.ndarray, x, r: float, slope: bool = True):
     """phi_n and phi_n' (None without `slope`) at the points x, a column per
-    eigenvalue in `lam`; phi'(0) = r phi(0) is met with phi(0) = 1."""
+    eigenvalue in `lam`; phi'(0) = r phi(0) is met with phi(0) = 1.
+
+    phi_n takes two points x modes buffers: its own, whose cos-sin columns
+    hold kappa_n x, then its sine, then phi_n, and the cosine.  phi_n' is
+    formed from the sine before phi_n overwrites it.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     kap = _kappas(lam)
     start = lam.size - kap.size
     e, de = _exp_mode(x, r) if start else (None, None)
-    arg = x[:, None] * kap[None, :]
-    co = np.cos(arg)
-    si = np.sin(arg, out=arg)  # arg is spent: one nodes x modes array less
-    vals = _phi_combine(lam, r, e, co, si)
-    if not slope:
-        return vals, None
-    ders = np.empty_like(vals)
-    if start:
-        ders[:, 0] = de
-    ders[:, start:] = _cos_sin_slope(kap, r, co, si)
-    return vals, ders
+    vals = np.empty((x.size, lam.size))
+    si = np.multiply(x[:, None], kap[None, :], out=vals[:, start:])
+    co = np.cos(si)
+    np.sin(si, out=si)
+    ders = None
+    if slope:
+        ders = np.empty_like(vals)
+        if start:
+            ders[:, 0] = de
+        ders[:, start:] = _cos_sin_slope(kap, r, co, si)
+    return _phi_combine(lam, r, e, co, si, out=vals), ders
 
 
 def eval_phi(pair: EigenPair, x, r: float):

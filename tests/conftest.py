@@ -1,5 +1,7 @@
 """Shared fixtures: small resolved problems reused across the suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,17 @@ def l2_grid_norm(values, xs):
     """Trapezoid L2 norm of sampled values over the grid xs."""
     v = np.asarray(values, dtype=float)
     return float(np.sqrt(np.trapezoid(v * v, np.asarray(xs, dtype=float))))
+
+
+def traced_peak(fn):
+    """fn's result and the peak of what it allocated on top of the live heap, MiB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def half_wave_points(pair, params) -> tuple:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,36 @@ def test_verify_failures_still_exit_zero(tmp_path):
                  "--modes", "2"]) == 0
     text = (out / "verify_summary.txt").read_text()
     assert "FAIL" in text
+
+
+def test_verify_drops_the_oracle_before_the_series(tmp_path, monkeypatch):
+    """The CN history and the refinement ladder are done with, and the
+    history gone, when the series is built: the two are never live at once."""
+    real_fd_solve, real_order, real_build = (
+        cli.fd_solve, cli.fd_convergence_order, cli.build_solution)
+    oracle, ladder, built = [], [], []
+
+    def fd_solve(*args, **kwargs):
+        result = real_fd_solve(*args, **kwargs)
+        oracle.append(weakref.ref(result))
+        return result
+
+    def fd_convergence_order(*args, **kwargs):
+        ladder.append(True)
+        return real_order(*args, **kwargs)
+
+    def build_solution(*args, **kwargs):
+        assert len(oracle) == 1 and oracle[0]() is None
+        assert ladder == [True]
+        built.append(True)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fd_solve", fd_solve)
+    monkeypatch.setattr(cli, "fd_convergence_order", fd_convergence_order)
+    monkeypatch.setattr(cli, "build_solution", build_solution)
+    ini = write_ini(tmp_path, VERIFY_INI)
+    assert main(["verify", "--config", ini, "--out", str(tmp_path / "res"), "--quiet"]) == 0
+    assert len(oracle) == 1 and built == [True]
 
 
 # -- compare-danckwerts -------------------------------------------------------

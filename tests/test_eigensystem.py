@@ -25,7 +25,7 @@ from coltrans.eigensystem import (
     _phi_matrices,
     spectrum,
 )
-from conftest import half_wave_points
+from conftest import half_wave_points, traced_peak
 
 
 def params_for(r, ell):
@@ -333,6 +333,18 @@ def test_eval_phi_is_a_column_of_the_evaluator(case, kind):
             v, d = eval_phi(pair, xs[k], p.r)
             assert np.ndim(v) == np.ndim(d) == 0
             assert _bits([v, d]) == _bits([vals[k, n], ders[k, n]])
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DANCKWERTS])
+def test_phi_values_take_two_point_by_mode_buffers(kind):
+    """phi_n at the 257 points of a mass-balance row and 201 modes takes two
+    such arrays, 0.39 MiB each, and ufunc buffers: a third array breaks 1.1."""
+    p = MODE_PARAMS["loaded"]
+    lam, _ = spectrum(kind, np.arange(201), p)
+    xs = np.linspace(0.0, p.ell, 257)
+    (vals, ders), peak = traced_peak(lambda: _phi_matrices(lam, xs, p.r, slope=False))
+    assert vals.shape == (257, 201) and ders is None
+    assert peak < 1.1
 
 
 def test_robin_spectrum_takes_e_2r_ell_only_for_mode_zero():

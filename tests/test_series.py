@@ -32,7 +32,7 @@ from coltrans import (
 )
 from coltrans.eigensystem import DANCKWERTS, ROBIN, _phi_matrices
 from coltrans.model import forcing_weights
-from conftest import half_wave_points, l2_grid_norm, make_data
+from conftest import half_wave_points, l2_grid_norm, make_data, traced_peak
 
 
 def pure_decay_data():
@@ -649,28 +649,15 @@ def _loaded_verify_data():
                      exit=SmoothFn.exp_pulse(0.4, 1.6, 0.4))
 
 
-def _traced_peak(fn):
-    """fn's result and the peak of what it allocated on top of the live heap, MiB."""
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        return out, (tracemalloc.get_traced_memory()[1] - base) / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 def test_march_memory_stays_within_its_blocks():
     """The build and the 165 mass-balance instants of `verify` on the loaded
     problem peak no higher than the per-node march did (1.62 and 1.21 MiB)."""
-    sol, build_peak = _traced_peak(
+    sol, build_peak = traced_peak(
         lambda: build_solution(_loaded_verify_data(), TruncationPolicy(), 2.5))
     ht = 2.5 / 2000.0
     times = np.linspace(2.5 * ht, 2.5 - 2.5 * ht, 33)
     instants = (times[:, None] + np.arange(-2, 3) * ht).ravel()
-    _, eval_peak = _traced_peak(lambda: sol.coefficients(instants))
+    _, eval_peak = traced_peak(lambda: sol.coefficients(instants))
     assert build_peak <= 1.7 and eval_peak <= 1.3
 
 
