@@ -14,11 +14,12 @@ process is pinned to the last CPU this one may use, so the two sides see
 the same core.
 
 It prints, per case, each side's median wall time with its quartiles and
-how many pairs it won; each side's peak resident set (VmHWM, read by the
-child as it ends) as median and quartiles, its median right after the
-import, and how many pairs it won; each side's median VmHWM at the exit
-of each stage, the largest over the stage's calls, which shows the stage
-that holds the peak; and each side's median in-process stage times:
+how many pairs it won; each side's peak resident set (the largest VmHWM
+the child read, after the import, at each stage's exit and as it ends) as
+median and quartiles, its median right after the import, and how many
+pairs it won; each side's median VmHWM at the exit of each stage, the
+largest over the stage's calls, which shows the stage that holds the
+peak; and each side's median in-process stage times:
 `from coltrans import cli`, the self time of the `cli` entry points a
 command reaches (config, exit closure, series build, evaluation, FD
 oracle, balance, writes; a stage's calls inside another's count for the
@@ -95,8 +96,8 @@ def peak_rss_mb():
 def child(sidecar: str, argv) -> int:
     """Time the import of `cli`, then run `cli.main(argv)` with the stage names
     wrapped; write their self times, the process's peak RSS at each stage's
-    exit (`hwm_mb`, the import and `main` included) and after the import
-    and at the end."""
+    exit (`hwm_mb`, the import and `main` included), after the import, and
+    the largest of those reads (`rss_mb`)."""
     start = time.perf_counter()
     from coltrans import cli
 
@@ -129,7 +130,10 @@ def child(sidecar: str, argv) -> int:
         return cli.main(argv)
     finally:
         totals["main"] = time.perf_counter() - start
-        totals["rss_mb"] = hwm["main"] = peak_rss_mb()
+        hwm["main"] = peak_rss_mb()
+        # a later VmHWM read can be lower than an earlier one, so the peak
+        # is the largest read: after the import, at each stage's exit, now
+        totals["rss_mb"] = max(hwm.values())
         Path(sidecar).write_text(json.dumps(totals))
 
 

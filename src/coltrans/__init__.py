@@ -27,8 +27,6 @@ from .model import (
     ProblemData,
     SmoothFn,
     TransportParams,
-    forcing_F,
-    initial_w,
     invert,
     lift_H,
 )
@@ -36,8 +34,6 @@ from .eigensystem import (
     DANCKWERTS,
     ROBIN,
     EigenPair,
-    danckwerts_eigenpair,
-    eval_phi,
     inner_product,
     robin_eigenpair,
     spectrum,
@@ -46,13 +42,10 @@ from .series import (
     SeriesSolution,
     TruncationPolicy,
     build_solution,
-    coefficient,
     coefficient_bound,
     eval_C,
     eval_C_x,
     eval_large_t,
-    eval_w,
-    initial_coefficient,
     project_forcing,
     tail_bound,
 )
@@ -71,7 +64,6 @@ from .verification import (
     FdResult,
     danckwerts_comparison,
     danckwerts_error,
-    danckwerts_outlet_mismatch,
     fd_convergence_order,
     fd_solve,
     mass_balance,

@@ -41,8 +41,6 @@ __all__ = [
     "EigenPair",
     "spectrum",
     "robin_eigenpair",
-    "danckwerts_eigenpair",
-    "eval_phi",
     "inner_product",
 ]
 
@@ -132,11 +130,6 @@ def robin_eigenpair(n: int, params: TransportParams) -> EigenPair:
     return EigenPair(n, *map(float, spectrum(ROBIN, n, params)), ROBIN)
 
 
-def danckwerts_eigenpair(n: int, params: TransportParams) -> EigenPair:
-    """Mode n of the zero-gradient-exit family: one entry of `spectrum`."""
-    return EigenPair(n, *map(float, spectrum(DANCKWERTS, n, params)), DANCKWERTS)
-
-
 def _kappas(lam: np.ndarray) -> np.ndarray:
     """kappa_n = sqrt(lambda_n) of the cos-sin modes: all but a negative lambda_0."""
     return np.sqrt(lam[1:] if lam[0] < 0.0 else lam)
@@ -154,11 +147,6 @@ def _cos_sin(kap, r: float, co, si, out=None):
     out = np.multiply(si, r / kap, out=out)
     out += co
     return out
-
-
-def _cos_sin_slope(kap, r: float, co, si):
-    """phi' = r cos - kappa sin of a cos-sin mode, from the same parts."""
-    return -kap * si + r * co
 
 
 def _phi_combine(lam: np.ndarray, r: float, e, co, si, out=None) -> np.ndarray:
@@ -181,8 +169,9 @@ def _phi_matrices(lam: np.ndarray, x, r: float, slope: bool = True):
     eigenvalue in `lam`; phi'(0) = r phi(0) is met with phi(0) = 1.
 
     phi_n takes two points x modes buffers: its own, whose cos-sin columns
-    hold kappa_n x, then its sine, then phi_n, and the cosine.  phi_n' is
-    formed from the sine before phi_n overwrites it.
+    hold kappa_n x, then its sine, then phi_n, and the cosine.  phi_n' =
+    -kappa sin + r cos takes a third: its -kappa sin is formed there before
+    phi_n overwrites the sine, and r cos is added in place of the cosine.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     kap = _kappas(lam)
@@ -197,21 +186,12 @@ def _phi_matrices(lam: np.ndarray, x, r: float, slope: bool = True):
         ders = np.empty_like(vals)
         if start:
             ders[:, 0] = de
-        ders[:, start:] = _cos_sin_slope(kap, r, co, si)
-    return _phi_combine(lam, r, e, co, si, out=vals), ders
-
-
-def eval_phi(pair: EigenPair, x, r: float):
-    """Eigenfunction value and slope at x, a column of `_phi_matrices` bit for
-    bit: its formulas, on scalars for the tests' point-by-point QUADPACK."""
-    x = np.asarray(x, dtype=float)
-    if pair.lam < 0.0:
-        phi, dphi = _exp_mode(x, r)
-    else:
-        kap = np.sqrt(pair.lam)
-        co, si = np.cos(kap * x), np.sin(kap * x)
-        phi, dphi = _cos_sin(kap, r, co, si), _cos_sin_slope(kap, r, co, si)
-    return phi[()], dphi[()]
+        np.multiply(si, -kap, out=ders[:, start:])
+    _phi_combine(lam, r, e, co, si, out=vals)
+    if slope:
+        co *= r
+        ders[:, start:] += co
+    return vals, ders
 
 
 def inner_product(f, h, a: float, b: float, *, abs_tol: float = 1e-10,

@@ -69,7 +69,6 @@ from .model import (_GL10_TAIL, _GL10_W, _GL10_X, ProblemData, SmoothFn, Transpo
 
 __all__ = [
     "HalfLineProblem",
-    "eval_u",
     "exit_concentration",
     "exit_curve",
     "resolve_exit",
@@ -410,14 +409,6 @@ def _u_scaled(hp: HalfLineProblem, x: float, ts):
             part = _initial_part(hp, x, later) + part
         out[~start] = part
     return out
-
-
-def eval_u(hp: HalfLineProblem, x: float, t: float) -> float:
-    """Companion heat solution u(x, t) folded by e^{-s t}, which never overflows."""
-    x, t = float(x), float(t)
-    if x < 0.0:
-        raise ParameterError("the companion problem lives on x >= 0")
-    return float(_u_scaled(hp, x, np.array([t]))[0])
 
 
 def exit_concentration(hp: HalfLineProblem, t):

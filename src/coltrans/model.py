@@ -47,8 +47,6 @@ __all__ = [
     "lift_H",
     "lift_H_x",
     "forcing_weights",
-    "forcing_F",
-    "initial_w",
     "invert",
 ]
 
@@ -479,33 +477,6 @@ def forcing_weights(data: ProblemData, t):
     t = np.asarray(t, dtype=float)
     b, c = _cos_and_const_weights(p, *_boundary_data(data, t))
     return np.full_like(t, p.gamma / p.R), b, c
-
-
-def forcing_F(data: ProblemData, x, t):
-    """Forcing of the transformed heat problem, split by data source.
-
-    Returns (F, F1, F2) where F1 carries the production and influent terms,
-    F2 the effluent terms, and F = F1 + F2 equals
-    (gamma/R) e^{-r x} - (s H + H_t) + (D/R) H_xx.
-    """
-    p = data.params
-    x = np.asarray(x, dtype=float)
-    cosx = np.cos(np.pi * x / p.ell)
-    ge, gd, ce, cd = _boundary_data(data, t)
-    b1, c1 = _cos_and_const_weights(p, ge, gd, 0.0, 0.0)
-    b2, c2 = _cos_and_const_weights(p, 0.0, 0.0, ce, cd)
-    F1 = (p.gamma / p.R) * np.exp(-p.r * x) + b1 * cosx + c1
-    F2 = b2 * cosx + c2
-    return (F1 + F2)[()], F1[()], F2[()]
-
-
-def initial_w(data: ProblemData, x):
-    """Initial value of the transformed unknown, e^{s t0}(e^{-r x} phi - H)."""
-    p = data.params
-    x = np.asarray(x, dtype=float)
-    H0, _, _ = lift_H(data, x, data.t0)
-    out = np.exp(p.s * data.t0) * (np.exp(-p.r * x) * data.phi.eval(x) - H0)
-    return out[()]
 
 
 def _mode_moments(kind: str, lam: np.ndarray, params) -> np.ndarray:

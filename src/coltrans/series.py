@@ -98,11 +98,8 @@ __all__ = [
     "SeriesSolution",
     "build_solution",
     "project_forcing",
-    "initial_coefficient",
-    "coefficient",
     "coefficient_bound",
     "tail_bound",
-    "eval_w",
     "eval_C",
     "eval_C_x",
     "eval_large_t",
@@ -652,16 +649,6 @@ def project_forcing(sol: SeriesSolution, n: int, tau):
     return out[()] if isinstance(out, np.ndarray) else out
 
 
-def initial_coefficient(sol: SeriesSolution, n: int) -> float:
-    """T_n(t0), the initial data projected on mode n."""
-    return float(sol.T0[sol._pos(n)])
-
-
-def coefficient(sol: SeriesSolution, n: int, t: float) -> float:
-    """T_n(t), marched from the dense grid on the shared dyadic lattice."""
-    return float(sol.coefficients(t)[sol._pos(n)])
-
-
 def _sums(mat: np.ndarray, T: np.ndarray) -> np.ndarray:
     """One row mat @ T[:, k] per instant k, from T of shape (modes,) + shape(t).
 
@@ -677,12 +664,6 @@ def _shaped(out: np.ndarray, x, t):
     """(instants, points) rows as np.shape(t) + np.shape(x); a float for two scalars."""
     out = out.reshape(np.shape(t) + np.shape(x))
     return float(out) if out.ndim == 0 else out
-
-
-def eval_w(sol: SeriesSolution, x, t):
-    """Transformed solution w(x, t) = sum T_n(t) phi_n(x), one row per instant."""
-    vals, _ = _phi_matrices(sol.lam, x, sol.data.params.r, slope=False)
-    return _shaped(_sums(vals, sol.coefficients(t)), x, t)
 
 
 def _evaluate(sol: SeriesSolution, x, t, T: np.ndarray, slope: bool = False):

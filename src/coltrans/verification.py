@@ -30,7 +30,6 @@ __all__ = [
     "danckwerts_comparison",
     "DanckwertsGap",
     "danckwerts_error",
-    "danckwerts_outlet_mismatch",
 ]
 
 BALANCE_NX = 257     # default nodes of the series balance audit's Simpson rule
@@ -229,13 +228,13 @@ def fd_convergence_order(data: ProblemData, t_end: float,
     are max-norm gaps at the final time on the coarse nodes.  Smooth,
     compatible data should give an order near 2.
     """
-    solves = []
+    finals = []  # copies, so that each solve's history goes before the next
     for k in range(3):
         g = FdGrid(nx=(grid.nx - 1) * 2**k + 1, nt=grid.nt * 2**k)
-        solves.append(fd_solve(data, t_end, g))
-    c0 = solves[0].C[-1]
-    c1 = solves[1].C[-1][::2]
-    c2 = solves[2].C[-1][::4]
+        finals.append(fd_solve(data, t_end, g).C[-1].copy())
+    c0 = finals[0]
+    c1 = finals[1][::2]
+    c2 = finals[2][::4]
     e1 = float(np.max(np.abs(c0 - c1)))
     e2 = float(np.max(np.abs(c1 - c2)))
     if e2 == 0.0:
@@ -423,17 +422,3 @@ def danckwerts_error(data: ProblemData, t: float, L_large: float, *,
               float(eval_C(danck, x_exit, t)[0]))
     lb = abs(p.gamma / p.mu) if p.mu > 0.0 else None
     return DanckwertsGap(e_d=e_d, lower_bound=lb)
-
-
-def danckwerts_outlet_mismatch(danck_sol: SeriesSolution, times) -> np.ndarray:
-    """v (C_E - C_D(ell, .)): what a mass balance against the true exit sees.
-
-    A Danckwerts run closes its own books at truncation level, forced or
-    not, so auditing it against the problem's real exit concentration
-    turns the balance residual into this comparative diagnostic rather
-    than a pass/fail test.
-    """
-    times = np.asarray(times, dtype=float)
-    cE = danck_sol.data.require_exit()
-    p = danck_sol.data.params
-    return p.v * (cE.eval(times) - eval_C(danck_sol, p.ell, times))

@@ -17,7 +17,6 @@ from coltrans import (
     danckwerts_error,
     eval_C,
     eval_C_x,
-    eval_phi,
     exit_concentration,
     fd_convergence_order,
     fd_solve,
@@ -32,6 +31,7 @@ from coltrans.cli import main
 from coltrans.eigensystem import _danckwerts_residual
 from coltrans.exitflux import HalfLineProblem
 from conftest import half_wave_points, make_data
+from reference import eval_phi
 
 BASE_INI = """\
 [params]

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import coltrans
-from coltrans import TransportParams, danckwerts_eigenpair, robin_eigenpair
+from coltrans import TransportParams, robin_eigenpair
 from coltrans import cli
 from coltrans.cli import main
 from coltrans.config import load_config
 from coltrans.exitflux import exit_curve_defect, resolve_exit
+from reference import danckwerts_pair
 
 BASE_INI = """\
 [params]
@@ -224,7 +225,7 @@ def test_eigenvalues_are_the_solutions_own(tmp_path):
     assert len(eig) == 41
     for n, lam, lam_d in eig:
         assert lam == robin_eigenpair(int(n), p).lam
-        assert lam_d == danckwerts_eigenpair(int(n), p).lam
+        assert lam_d == danckwerts_pair(int(n), p).lam
 
 
 # -- chain --------------------------------------------------------------------

