@@ -64,9 +64,7 @@ STAGES = {
     "load_config": "config",
     "resolve_exit": "exit",
     "exit_curve_defect": "exit",
-    "exit_concentration": "exit",  # the chain's probe in checkouts older than exit_curve_defect
     "build_solution": "build",
-    "danckwerts_solve": "build",  # the Danckwerts build in checkouts older than kind=DANCKWERTS
     "eval_C": "eval",
     "danckwerts_comparison": "eval",
     "fd_solve": "fd",

@@ -18,7 +18,7 @@ boundary data and F collects the forcing that the substitution produces.
 This module owns the parameter set, the smooth-function wrapper used for
 phi, g and C_E, and the lift/forcing/initial-condition algebra: it is the
 only place that reads the boundary data (`_boundary_data`).  H, its
-partials, the forcing weights on the x-basis {e^{-r x}, cos(pi x/ell), 1},
+slope H_x, the forcing weights on the x-basis {e^{-r x}, cos(pi x/ell), 1},
 their moments against each phi_n, int_0^ell F^2 dx, the moments of
 w(., t0) and the inversion back to C are each written once here; `series`
 only sums weights against moments.  So are the two Gauss-Legendre rules
@@ -434,23 +434,21 @@ def _boundary_data(data: ProblemData, t):
 
 
 def lift_H(data: ProblemData, x, t):
-    """Lifting function and the partials the forcing needs.
+    """Lifting function H at (x, t), broadcasting over array input.
 
-    Returns (H, H_t, H_xx) at (x, t), broadcasting over array input.
     H interpolates the boundary data so that w = (C e^{-r x} - H) e^{s t}
     satisfies homogeneous flux conditions:
 
         H(0,t) = 2 g(t),   H(ell,t) = 2 e^{-r ell} C_E(t),
         H_x = 0 at both faces.
+
+    Its partials H_t and H_xx enter only the forcing, which
+    `forcing_weights` writes in closed form.
     """
     p = data.params
-    x = np.asarray(x, dtype=float)
-    cosx = np.cos(np.pi * x / p.ell)
-    ge, gd, ce, cd = _boundary_data(data, t)
-    H = (1.0 + cosx) * ge + (1.0 - cosx) * ce
-    H_t = (1.0 + cosx) * gd + (1.0 - cosx) * cd
-    H_xx = (np.pi / p.ell) ** 2 * (ce - ge) * cosx
-    return H[()], H_t[()], H_xx[()]
+    cosx = np.cos(np.pi * np.asarray(x, dtype=float) / p.ell)
+    ge, _, ce, _ = _boundary_data(data, t)
+    return ((1.0 + cosx) * ge + (1.0 - cosx) * ce)[()]
 
 
 def lift_H_x(data: ProblemData, x, t):

@@ -538,7 +538,7 @@ def _base_sq_integral(data: ProblemData, pieces: int) -> float:
 
     def square(lo, hi, _half):
         x, wts = _gl_nodes(lo, hi)
-        H0, _, _ = lift_H(data, x, data.t0)
+        H0 = lift_H(data, x, data.t0)
         return wts @ (np.exp(-p.r * x) * data.phi.eval(x) - H0) ** 2
 
     return float(_settled(data, pieces, square, "base-square integral"))
@@ -682,7 +682,7 @@ def _evaluate(sol: SeriesSolution, x, t, T: np.ndarray, slope: bool = False):
     step = max(1, _POINTS // max(1, xs.size))
     for i in range(0, ts.size, step):
         tb, Tb = ts[i:i + step, None], T[:, i:i + step]
-        H, _, _ = lift_H(sol.lift_data, xs, tb)
+        H = lift_H(sol.lift_data, xs, tb)
         C = invert(_sums(vals, Tb), H, xs, tb, p.r, p.s)
         if slope:
             Hx = lift_H_x(sol.lift_data, xs, tb)

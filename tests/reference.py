@@ -62,7 +62,7 @@ def initial_w(data, x):
     """Initial value of the transformed unknown, e^{s t0}(e^{-r x} phi - H)."""
     p = data.params
     x = np.asarray(x, dtype=float)
-    H0, _, _ = lift_H(data, x, data.t0)
+    H0 = lift_H(data, x, data.t0)
     out = np.exp(p.s * data.t0) * (np.exp(-p.r * x) * data.phi.eval(x) - H0)
     return out[()]
 

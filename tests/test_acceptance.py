@@ -1,6 +1,7 @@
 """Acceptance criteria: one test per contract line, stated tolerances."""
 
 import json
+import math
 import time
 
 import numpy as np
@@ -78,7 +79,18 @@ def test_criterion_1_eigensystem_residuals_orthogonality_norms():
             (r * r + lam) * ell / (2.0 * lam), rel=1e-10)
 
     def fn(pair):
-        return lambda x: eval_phi(pair, x, r)[0]
+        # phi_n by math on the pair's own lambda_n: eval_phi's formulas
+        # without numpy's per-call cost, checked against it below
+        if pair.lam < 0.0:
+            return lambda x: math.exp(r * x)
+        kap = math.sqrt(pair.lam)
+        q = r / kap
+        return lambda x: math.cos(kap * x) + q * math.sin(kap * x)
+
+    for pair in pairs:
+        phi = fn(pair)
+        for x in (0.0, 0.37, ell):
+            assert phi(x) == pytest.approx(eval_phi(pair, x, r)[0], rel=1e-14, abs=1e-14)
 
     for i in range(26):
         for j in range(i + 1, 26):

@@ -288,8 +288,8 @@ def test_lift_endpoint_values():
     data = lift_case()
     p = data.params
     for t in (0.0, 0.7, 2.1):
-        H0, _, _ = lift_H(data, 0.0, t)
-        He, _, _ = lift_H(data, p.ell, t)
+        H0 = lift_H(data, 0.0, t)
+        He = lift_H(data, p.ell, t)
         assert H0 == pytest.approx(2.0 * data.g.eval(t), rel=1e-15)
         want = 2.0 * np.exp(-p.r * p.ell) * data.exit.eval(t)
         assert He == pytest.approx(want, rel=1e-14)
@@ -301,41 +301,40 @@ def test_lift_flat_at_both_faces():
     h = 1e-4
     for t in (0.0, 1.1):
         # one-sided second-order slopes at each face
-        Ha = np.array([lift_H(data, xq, t)[0] for xq in (0.0, h, 2 * h)])
+        Ha = lift_H(data, np.array([0.0, h, 2 * h]), t)
         slope0 = (-3 * Ha[0] + 4 * Ha[1] - Ha[2]) / (2 * h)
-        Hb = np.array([lift_H(data, p.ell - xq, t)[0] for xq in (0.0, h, 2 * h)])
+        Hb = lift_H(data, p.ell - np.array([0.0, h, 2 * h]), t)
         slope1 = (3 * Hb[0] - 4 * Hb[1] + Hb[2]) / (2 * h)
         scale = 1.0 + abs(Ha[0]) + abs(Hb[0])
         assert abs(slope0) <= 1e-6 * scale
         assert abs(slope1) <= 1e-6 * scale
 
 
-def test_lift_midpoint_and_partials():
-    data = make_data(D=0.5, v=1.0, g=SmoothFn.constant(1.0),
-                     exit=SmoothFn.constant(0.0))
-    H, H_t, H_xx = lift_H(data, 0.5, 0.9)
-    assert H == pytest.approx(1.0, rel=1e-15)
-    assert H_t == 0.0
-    assert H_xx == pytest.approx(0.0, abs=1e-15)
+def test_forcing_weights_solve_the_lift_equation(loaded_data):
+    """F = a e^{-r x} + b cos(pi x/ell) + c is what the substitution leaves,
+    (gamma/R) e^{-r x} - (s H + H_t) + (D/R) H_xx, with H_t and H_xx central
+    differences of lift_H."""
+    mid = make_data(D=0.5, v=1.0, g=SmoothFn.constant(1.0),
+                    exit=SmoothFn.constant(0.0))
+    assert lift_H(mid, 0.5, 0.9) == pytest.approx(1.0, rel=1e-15)
 
-
-def test_lift_time_partial_consistent():
-    data = lift_case()
-    h = 1e-5
-    for (x, t) in [(0.2, 0.5), (0.9, 1.7)]:
-        _, H_t, _ = lift_H(data, x, t)
-        fd = (lift_H(data, x, t + h)[0] - lift_H(data, x, t - h)[0]) / (2 * h)
-        assert H_t == pytest.approx(fd, abs=1e-8)
-
-
-def test_lift_second_space_partial_consistent():
-    data = lift_case()
-    h = 1e-4
-    for (x, t) in [(0.3, 0.4), (0.8, 1.2)]:
-        _, _, H_xx = lift_H(data, x, t)
-        fd = (lift_H(data, x + h, t)[0] - 2 * lift_H(data, x, t)[0]
-              + lift_H(data, x - h, t)[0]) / (h * h)
-        assert H_xx == pytest.approx(fd, abs=1e-5)
+    # the loaded exit is a table, C^1 only: its instants sit mid-interval,
+    # clear of the inlet ramps' knots
+    knots = np.asarray(loaded_data.exit.knots)
+    loaded_ts = 0.5 * (knots[[20, 70, 140, 230]] + knots[[21, 71, 141, 231]])
+    dt, dx = 1e-5, 1e-4
+    for data, ts in ((lift_case(), (0.0, 0.4, 1.7)), (loaded_data, loaded_ts)):
+        p = data.params
+        x = np.linspace(0.0, p.ell, 9)
+        for t in ts:
+            a, b, c = model.forcing_weights(data, t)
+            F = a * np.exp(-p.r * x) + b * np.cos(np.pi * x / p.ell) + c
+            H = lift_H(data, x, t)
+            H_t = (lift_H(data, x, t + dt) - lift_H(data, x, t - dt)) / (2 * dt)
+            H_xx = (lift_H(data, x + dx, t) - 2 * H + lift_H(data, x - dx, t)) / (dx * dx)
+            want = (p.gamma / p.R) * np.exp(-p.r * x) - (p.s * H + H_t) + (p.D / p.R) * H_xx
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(F - want)) <= 1e-6 * scale
 
 
 # -- forcing decomposition ---------------------------------------------------

@@ -172,7 +172,7 @@ def reference_initial_coefficient(sol, n):
     data, pair = sol.lift_data, sol.pairs[n]
     p = data.params
     # H(., t0) is A + B cos(pi x / ell), fixed by its values at the faces
-    h0, hl = lift_H(data, np.array([0.0, p.ell]), data.t0)[0]
+    h0, hl = lift_H(data, np.array([0.0, p.ell]), data.t0)
 
     def w0(x):
         H = 0.5 * (h0 + hl) + 0.5 * (h0 - hl) * np.cos(np.pi * x / p.ell)
@@ -242,7 +242,7 @@ def test_base_square_integral_on_a_table_phi_makes_no_quadpack_call(monkeypatch)
     p = data.params
 
     def base(x):
-        return np.exp(-p.r * x) * phi.eval(x) - lift_H(data, x, data.t0)[0]
+        return np.exp(-p.r * x) * phi.eval(x) - lift_H(data, x, data.t0)
 
     ref = inner_product(base, base, 0.0, p.ell, points=phi.knots[1:-1],
                         abs_tol=1e-12)
@@ -318,7 +318,7 @@ def test_knot_free_phi_keeps_the_linspace_cuts(loaded_data):
     cuts, prev = np.linspace(0.0, p.ell, pieces + 1), None
     while True:
         x, wts = series._gl_nodes(cuts[:-1], cuts[1:])
-        H0 = lift_H(loaded_data, x, loaded_data.t0)[0]
+        H0 = lift_H(loaded_data, x, loaded_data.t0)
         val = wts @ (np.exp(-p.r * x) * loaded_data.phi.eval(x) - H0) ** 2
         if prev is not None and abs(val - prev) <= 1e-10 * max(1.0, abs(val)):
             break
