@@ -310,14 +310,60 @@ def test_lift_flat_at_both_faces():
         assert abs(slope1) <= 1e-6 * scale
 
 
+def _forcing_at(data, x, t):
+    p = data.params
+    a, b, c = model.forcing_weights(data, t)
+    return a * np.exp(-p.r * x) + b * np.cos(np.pi * x / p.ell) + c
+
+
+def test_lift_midpoint_and_partials():
+    data = make_data(D=0.5, v=1.0, g=SmoothFn.constant(1.0),
+                     exit=SmoothFn.constant(0.0))
+    dt, dx = 1e-5, 1e-4
+    H = lift_H(data, 0.5, 0.9)
+    H_t = (lift_H(data, 0.5, 0.9 + dt) - lift_H(data, 0.5, 0.9 - dt)) / (2 * dt)
+    H_xx = (lift_H(data, 0.5 + dx, 0.9) - 2 * H
+            + lift_H(data, 0.5 - dx, 0.9)) / (dx * dx)
+    assert H == pytest.approx(1.0, rel=1e-15)
+    assert H_t == 0.0
+    assert H_xx == pytest.approx(0.0, abs=1e-6)
+
+
+def test_lift_time_partial_consistent():
+    """Boundary values that vanish at t with nonzero slopes: H = H_xx = 0
+    there, so the forcing less (gamma/R) e^{-r x} is -H_t alone."""
+    h = 1e-5
+    for (x, t) in [(0.2, 0.5), (0.9, 1.7)]:
+        data = make_data(D=0.5, v=1.0, mu=0.2, gamma=0.3, ell=1.3,
+                         g=SmoothFn.polynomial([-0.5 * t, 0.5]),
+                         exit=SmoothFn.polynomial([0.2 * t * t, 0.0, -0.2]))
+        p = data.params
+        assert lift_H(data, np.array([0.0, x, p.ell]), t) == pytest.approx(0.0, abs=1e-15)
+        fd = (lift_H(data, x, t + h) - lift_H(data, x, t - h)) / (2 * h)
+        assert fd != 0.0
+        time_part = (p.gamma / p.R) * np.exp(-p.r * x) - _forcing_at(data, x, t)
+        assert time_part == pytest.approx(fd, abs=1e-8)
+
+
+def test_lift_second_space_partial_consistent():
+    """Constant boundary data: H_t = 0, so the forcing less
+    (gamma/R) e^{-r x} - s H is (D/R) H_xx alone."""
+    data = make_data(D=0.5, v=1.0, mu=0.2, gamma=0.3, ell=1.3,
+                     g=SmoothFn.constant(1.5), exit=SmoothFn.constant(0.4))
+    p = data.params
+    h = 1e-4
+    for (x, t) in [(0.3, 0.4), (0.8, 1.2)]:
+        H = lift_H(data, x, t)
+        fd = (lift_H(data, x + h, t) - 2 * H + lift_H(data, x - h, t)) / (h * h)
+        space_part = (_forcing_at(data, x, t) - (p.gamma / p.R) * np.exp(-p.r * x)
+                      + p.s * H) * p.R / p.D
+        assert space_part == pytest.approx(fd, abs=1e-5)
+
+
 def test_forcing_weights_solve_the_lift_equation(loaded_data):
     """F = a e^{-r x} + b cos(pi x/ell) + c is what the substitution leaves,
     (gamma/R) e^{-r x} - (s H + H_t) + (D/R) H_xx, with H_t and H_xx central
     differences of lift_H."""
-    mid = make_data(D=0.5, v=1.0, g=SmoothFn.constant(1.0),
-                    exit=SmoothFn.constant(0.0))
-    assert lift_H(mid, 0.5, 0.9) == pytest.approx(1.0, rel=1e-15)
-
     # the loaded exit is a table, C^1 only: its instants sit mid-interval,
     # clear of the inlet ramps' knots
     knots = np.asarray(loaded_data.exit.knots)
@@ -327,8 +373,7 @@ def test_forcing_weights_solve_the_lift_equation(loaded_data):
         p = data.params
         x = np.linspace(0.0, p.ell, 9)
         for t in ts:
-            a, b, c = model.forcing_weights(data, t)
-            F = a * np.exp(-p.r * x) + b * np.cos(np.pi * x / p.ell) + c
+            F = _forcing_at(data, x, t)
             H = lift_H(data, x, t)
             H_t = (lift_H(data, x, t + dt) - lift_H(data, x, t - dt)) / (2 * dt)
             H_xx = (lift_H(data, x + dx, t) - 2 * H + lift_H(data, x - dx, t)) / (dx * dx)
