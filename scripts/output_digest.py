@@ -29,6 +29,10 @@ only` when only one checkout writes the file):
 
     python3 scripts/output_digest.py --against ../parent
 
+Under a `text differs` line it prints the first line where the two files
+differ, as `- line <n>: ...` from the `--against` checkout and
+`+ line <n>: ...` from this one.
+
 With `--against` the exit status is 1 when any file reads `text differs`
 or `on one side only`, so the comparison can serve as a gate; it is 0
 when every file is identical or differs in its numbers only.
@@ -116,6 +120,14 @@ def difference(old: bytes, new: bytes) -> str:
     return f"{max(abs(y - x) for x, y in pairs) / scale:.3e}"
 
 
+def first_differing_lines(old: bytes, new: bytes) -> list:
+    """The first line that differs between the two files, from each side."""
+    a, b = old.decode().split("\n"), new.decode().split("\n")
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return [f"    {sign} line {i + 1}: {lines[i] if i < len(lines) else '(end of file)'}"
+            for sign, lines in (("-", a), ("+", b))]
+
+
 def main(argv=None):
     args = parse_args(argv)
     names = args.workload or workloads.NAMES
@@ -130,7 +142,11 @@ def main(argv=None):
             ref = outputs(Path(args.against).resolve(), names, tmp / "old")
             keys = list(ref) + [key for key in files if key not in ref]
             verdicts = [difference(ref.get(key), files.get(key)) for key in keys]
-            lines = [f"{verdict}  {key}" for verdict, key in zip(verdicts, keys)]
+            lines = []
+            for verdict, key in zip(verdicts, keys):
+                lines.append(f"{verdict}  {key}")
+                if verdict == "text differs":
+                    lines += first_differing_lines(ref[key], files[key])
             status = int(any(verdict in MISMATCH for verdict in verdicts))
     print("\n".join(lines))
     return status

@@ -20,8 +20,9 @@ segment write `breakthrough.csv` in `_write_breakthrough`: a one-segment
 chain is a `solve`.
 
 All outputs are deterministic: no timestamps, sorted JSON keys, LF line
-endings, CSV cells printed with %.17g and manifest floats as Python's
-shortest round-trip repr.  Running the same config twice gives
+endings (every file goes through `_write_text`), CSV cells printed with
+%.17g (every CSV goes through `_write_csv`) and manifest floats as
+Python's shortest round-trip repr.  Running the same config twice gives
 byte-identical files.
 """
 
@@ -75,62 +76,49 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _write_text(path: Path, chunks):
+    """Each string of `chunks` in turn, to path, with LF line endings."""
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(chunks)
+
+
 def _write_json(path: Path, payload: dict):
     """payload as strict JSON; a value that is not finite ends the run."""
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericOverflowError(f"{path.name}: {exc}") from None
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text + "\n")
+    _write_text(path, [text + "\n"])
 
 
-def _write_csv(path: Path, header: str, rows):
-    """header, then each row's cells as %.17g, comma-separated.
+def _write_csv(path: Path, header: str, keys, tails, values):
+    """header, then for each i the lines keys[i] + keys[i].join(tails)
+    filled by % from the doubles values[i]; `_table` and `_grid` make the parts.
 
-    Rows are taken in blocks of `_CSV_ROWS` and each block is one
-    %-format of its lines, written at once, so memory stays bounded.
+    Each tail holds one line's end, so a table has one and a grid one per
+    x.  The lines are filled in blocks of about `_CSV_ROWS`, each block one
+    string, so memory stays bounded.
     """
-    _write_blocks(path, header, _row_blocks(rows))
+    values = np.asarray(values, dtype=float)
+    step = max(1, _CSV_ROWS // len(tails))
+    blocks = ("".join((key + key.join(tails)) % tuple(row)
+                      for key, row in zip(keys[i:i + step], values[i:i + step].tolist()))
+              for i in range(0, len(keys), step))
+    _write_text(path, itertools.chain([header + "\n"], blocks))
 
 
-def _write_grid_csv(path: Path, header: str, ts, xs, values):
-    """The rows (t, x, C) of a (t, x) grid, t slowest, as `_write_csv` writes them.
-
-    Same bytes, with each distinct t and x formatted once per file and
-    only C once per cell (`_grid_blocks`).
-    """
-    _write_blocks(path, header, _grid_blocks(ts, xs, values))
+def _table(*columns):
+    """`_write_csv`'s parts for a table: one line per row, each cell %.17g."""
+    values = np.column_stack(columns)
+    return [""] * len(values), [",".join(["%.17g"] * values.shape[1]) + "\n"], values
 
 
-def _write_blocks(path: Path, header: str, blocks):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for text in blocks:
-            fh.write(text)
-
-
-def _row_blocks(rows):
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, _CSV_ROWS)):
-        cells = np.asarray(block, dtype=float)
-        line = ",".join(["%.17g"] * cells.shape[1]) + "\n"
-        yield line * len(block) % tuple(cells.ravel().tolist())
-
-
-def _grid_blocks(ts, xs, values):
-    """The lines t,x,C of a (t, x) grid, in blocks of whole instants of about `_CSV_ROWS` rows.
-
-    An instant's lines are one %-format of its C values into a template
-    that holds its t and every x, each formatted once.
-    """
-    ts = ["%.17g" % t for t in np.asarray(ts, dtype=float).tolist()]
+def _grid(ts, xs):
+    """`_write_csv`'s keys and tails for the lines t,x,C of a (t, x) grid,
+    t slowest, with each t and x formatted once."""
+    keys = ["%.17g" % t for t in np.asarray(ts, dtype=float).tolist()]
     tails = ["," + "%.17g" % x + ",%.17g\n" for x in np.asarray(xs, dtype=float).tolist()]
-    values = np.asarray(values, dtype=float).reshape(len(ts), len(tails))
-    step = max(1, _CSV_ROWS // max(1, len(tails)))
-    for i in range(0, len(ts) if tails else 0, step):
-        yield "".join((t + t.join(tails)) % tuple(row)
-                      for t, row in zip(ts[i:i + step], values[i:i + step].tolist()))
+    return keys, tails
 
 
 def _say(quiet: bool, msg: str):
@@ -147,8 +135,8 @@ def _series(cfg: RunConfig, data):
 def _write_breakthrough(path: Path, sol, ts):
     """breakthrough.csv: C at the exit face and the exit data C_E, at each t."""
     data = sol.data
-    rows = zip(ts, eval_C(sol, data.params.ell, ts), data.require_exit().eval(ts))
-    _write_csv(path, "t,C_exit,C_flux_exit", rows)
+    _write_csv(path, "t,C_exit,C_flux_exit",
+               *_table(ts, eval_C(sol, data.params.ell, ts), data.require_exit().eval(ts)))
 
 
 def _cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
@@ -157,7 +145,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
     ts = np.linspace(data.t0, cfg.t_end, cfg.nt)
     xs = np.linspace(0.0, data.params.ell, cfg.nx)
 
-    _write_grid_csv(out / "profile.csv", "t,x,C", ts, xs, eval_C(sol, xs, ts))
+    _write_csv(out / "profile.csv", "t,x,C", *_grid(ts, xs), eval_C(sol, xs, ts))
     # same instants, so the coefficients come from the solution's memo
     _write_breakthrough(out / "breakthrough.csv", sol, ts)
 
@@ -210,7 +198,7 @@ def _cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
                               cfg.t_end, n_times=vo.n_times)
 
     _write_csv(out / "balance.csv", "t,residual,relative",
-               zip(series_bal.times, series_bal.residual, series_bal.relative))
+               *_table(series_bal.times, series_bal.residual, series_bal.relative))
 
     checks = [
         ("series vs finite differences (max)", sup, vo.compare_tol),
@@ -226,10 +214,8 @@ def _cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
                  f"(gaps {e1:.3g} -> {e2:.3g})")
     lines.append(f"info  kept modes through n = {sol.n_used}, "
                  f"reported tail bound {sol.reported_tail:.3g}")
-    text = "\n".join(lines) + "\n"
-    with open(out / "verify_summary.txt", "w", newline="\n") as fh:
-        fh.write(text)
-    _say(quiet, text.rstrip())
+    _write_text(out / "verify_summary.txt", [line + "\n" for line in lines])
+    _say(quiet, "\n".join(lines))
     _say(quiet, f"wrote balance.csv, verify_summary.txt to {out}")
     return 0
 
@@ -244,13 +230,13 @@ def _cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
     ell = data.params.ell
     ts = np.linspace(data.t0, cfg.t_end, cfg.nt)
     cr, cd = eval_C(robin, ell, ts), eval_C(danck, ell, ts)
-    rows = zip(ts, cr, cd, cE.eval(ts), np.abs(cr - cd))
     _write_csv(out / "exit_comparison.csv",
-               "t,C_exit,C_exit_danckwerts,C_flux_exit,exit_gap", rows)
+               "t,C_exit,C_exit_danckwerts,C_flux_exit,exit_gap",
+               *_table(ts, cr, cd, cE.eval(ts), np.abs(cr - cd)))
 
     n = min(robin.n_used, danck.n_used) + 1
     _write_csv(out / "eigenvalues.csv", "n,lambda,lambda_danckwerts",
-               zip(range(n), robin.lam[:n], danck.lam[:n]))
+               *_table(np.arange(n), robin.lam[:n], danck.lam[:n]))
 
     gm = f"{report.gamma_over_mu:.6g}" if report.gamma_over_mu is not None else "n/a"
     _say(quiet, f"max sup-norm gap {report.max_sup:.6g}, "
@@ -287,12 +273,12 @@ def _cmd_chain(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
     # the last segment's curve, at the same instants, so from its memo
     _write_breakthrough(out / "breakthrough.csv", sol, ts)
-    with open(out / "chain_report.txt", "w", newline="\n") as fh:
-        for i, L, n_used, defect in reports:
-            fh.write(f"segment {i}: ell = {L:.17g}, modes through n = {n_used}, "
-                     f"exit interpolation defect = {defect:.17g}\n")
-        fh.write(f"segments = {len(reports)}, combined exit written from "
+    lines = [f"segment {i}: ell = {L:.17g}, modes through n = {n_used}, "
+             f"exit interpolation defect = {defect:.17g}\n"
+             for i, L, n_used, defect in reports]
+    lines.append(f"segments = {len(reports)}, combined exit written from "
                  f"segment {len(reports)}\n")
+    _write_text(out / "chain_report.txt", lines)
     _say(quiet, f"wrote per-segment outputs, breakthrough.csv, "
                 f"chain_report.txt to {out}")
     return 0

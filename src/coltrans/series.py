@@ -544,16 +544,6 @@ def _base_sq_integral(data: ProblemData, pieces: int) -> float:
     return float(_settled(data, pieces, square, "base-square integral"))
 
 
-def _direct_zero_mode_bound(sol: SeriesSolution, t: float) -> float:
-    """Sup-based bound for the n = 0 term when mu = 0 removes the divisor."""
-    taus = np.linspace(sol.t0, t, 257)
-    f0 = project_forcing(sol, 0, taus)
-    p = sol.data.params
-    beta0 = sol.beta[0]
-    expo = p.s * taus - beta0 * (t - taus)
-    return (t - sol.t0) * float(np.max(np.abs(f0 * np.exp(expo))))
-
-
 def _bound(value) -> float:
     """A bound as a float: inf past the double range, where inf - inf or
     0 inf made it nan."""
@@ -563,36 +553,36 @@ def _bound(value) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def coefficient_bound(sol: SeriesSolution, n: int, t: float) -> float:
-    """Schwarz-type a-priori bound on |T_n(t)| as printed for the family.
+    """Schwarz-type a-priori bound B on the square of T_n(t): |T_n(t)| <= sqrt(2 B).
 
-    The tail selection sums these with the eigenfunction sup factor
-    (1 + r / sqrt(lambda_n)).  When mu = 0 the negative mode's divisor
-    2 mu / R vanishes and a direct sup bound over the integrand replaces
-    the first term (noted on the solution at build time).  Past the double
-    range (s t above about 354) forced data give inf (`_bound`).
+    B = e^{2 s t} (1 - e^{-rho dt}) / rho * int int F^2 / <phi_n, phi_n>
+    plus the initial data's term, with rho = 2 (s + beta_n) and
+    dt = t - t0.  The ratio, taken with expm1, tends to dt as rho -> 0, and
+    is dt where rho is 0: so the negative mode at mu = 0, whose rho is 0
+    up to rounding, gets one value whichever way rho rounds.  Past the
+    double range (s t above about 354) forced data give inf (`_bound`).
     """
     pos = sol._pos(n)
     t = float(t)
-    p = sol.data.params
-    s, norm = p.s, sol.norms[pos]
-    beta = (p.D / p.R) * sol.lam[pos]
-    initial = np.exp(2.0 * beta * (sol.t0 - t) + 2.0 * s * sol.t0)
-    term2 = initial * sol._base_sq / norm
-    rate = 2.0 * (s + beta)
-    if rate <= 0.0:
-        term1 = _direct_zero_mode_bound(sol, t)
-    else:
-        ff = float(sol._ff_cum(min(t, sol.t_end)))
-        term1 = (np.exp(2.0 * s * t) - initial) / (rate * norm) * ff if ff else 0.0
+    s, norm, beta = sol.data.params.s, sol.norms[pos], sol.beta[pos]
+    dt = t - sol.t0
+    term2 = np.exp(-2.0 * beta * dt + 2.0 * s * sol.t0) * sol._base_sq / norm
+    rho = 2.0 * (s + beta)
+    ratio = -np.expm1(-rho * dt) / rho if rho else dt
+    ff = float(sol._ff_cum(min(t, sol.t_end)))
+    term1 = np.exp(2.0 * s * t) * ratio * ff / norm if ff else 0.0
     return _bound(term1 + term2)
 
 
 def tail_bound(sol: SeriesSolution, N: int, t: float) -> float:
-    """Upper bound on sum_{n > N} |T_n|(1 + r / sqrt(lambda_n)).
+    """Upper bound on (1/2) sum_{n > N} T_n(t)^2 (1 + r / sqrt(lambda_n)).
 
-    Uses the explicit Robin eigenvalues (a valid lower bound on the
-    Danckwerts ones, hence an upper bound on the terms) plus a closed-form
-    integral-test remainder beyond an explicit window.
+    Sums per-mode Schwarz terms, each at least `coefficient_bound` and so
+    at least T_n^2 / 2, times the eigenfunction sup factor.  These are
+    squares: with |T_n| <= sqrt(2 B_n) ~ 1/n, a sum of |T_n| would not
+    converge.  Uses the explicit Robin eigenvalues (a valid lower bound on
+    the Danckwerts ones, hence an upper bound on the terms) plus a
+    closed-form integral-test remainder beyond an explicit window.
     """
     ff = float(sol._ff_cum(min(t, sol.t_end)))
     return _tail_bound_core(sol.data.params, sol.kind, sol.t0, ff, sol._base_sq,
@@ -767,8 +757,6 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
     lift_data = data if kind == ROBIN else data.with_exit(SmoothFn.constant(0.0))
 
     notes = []
-    if kind == ROBIN and p.mu == 0.0:
-        notes.append("mu = 0: n = 0 coefficient bound uses the direct sup fallback")
 
     # base_sq first: data near the double range overflow its square before F^2
     base_sq = _base_sq_integral(lift_data, policy.n_max)

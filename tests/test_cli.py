@@ -701,6 +701,7 @@ def per_cell_csv(path, header, rows):
 
 
 def _csv_cases():
+    """case -> the columns of a table."""
     rng = np.random.default_rng(7)
     lam = np.cumsum(rng.uniform(0.5, 9.0, 9))
     edge = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.2e-308,
@@ -712,23 +713,22 @@ def _csv_cases():
     scale = 10.0 ** rng.integers(-20, 20, (ts.size, xs.size))
     grid = rng.standard_normal((ts.size, xs.size)) * scale
     return {
-        "edge-values": lambda: edge_rows,
-        "eigenvalues": lambda: zip(range(lam.size), lam, lam * 1.01),
-        "no-rows": lambda: [],
-        "profile-rows": lambda: ((t, x, c) for t, row in zip(ts, grid)
-                                 for x, c in zip(xs, row)),
+        "edge-values": list(zip(*edge_rows)),
+        "eigenvalues": (np.arange(lam.size), lam, lam * 1.01),
+        "no-rows": ([], [], []),
+        "profile-rows": (np.repeat(ts, xs.size), np.tile(xs, ts.size), grid.ravel()),
     }
 
 
 @pytest.mark.parametrize("block", [None, 1, 3])
 @pytest.mark.parametrize("case", sorted(_csv_cases()))
 def test_csv_writer_matches_the_per_cell_writer(tmp_path, monkeypatch, case, block):
-    """Bytes equal to the per-cell writer's, whatever the block size."""
+    """A table's bytes equal the per-cell writer's, whatever the block size."""
     if block is not None:
         monkeypatch.setattr(cli, "_CSV_ROWS", block)
-    rows = _csv_cases()[case]
-    cli._write_csv(tmp_path / "new.csv", "a,b,c", rows())
-    per_cell_csv(tmp_path / "old.csv", "a,b,c", rows())
+    columns = _csv_cases()[case]
+    cli._write_csv(tmp_path / "new.csv", "a,b,c", *cli._table(*columns))
+    per_cell_csv(tmp_path / "old.csv", "a,b,c", zip(*columns))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -749,11 +749,30 @@ def _grid_cases():
 @pytest.mark.parametrize("block", [None, 1, 7, 1 << 20])
 @pytest.mark.parametrize("case", sorted(_grid_cases()))
 def test_grid_writer_matches_the_row_writer(tmp_path, monkeypatch, case, block):
-    """profile.csv's grid writer gives the bytes of the same (t, x, C) rows."""
+    """profile.csv's lines (t, x, C) of a (t, x) grid are the per-cell writer's bytes."""
     if block is not None:
         monkeypatch.setattr(cli, "_CSV_ROWS", block)
     ts, xs, grid = _grid_cases()[case]
-    cli._write_grid_csv(tmp_path / "grid.csv", "t,x,C", ts, xs, grid)
+    cli._write_csv(tmp_path / "grid.csv", "t,x,C", *cli._grid(ts, xs), grid)
     rows = ((t, x, c) for t, row in zip(ts, grid) for x, c in zip(xs, row))
-    cli._write_csv(tmp_path / "rows.csv", "t,x,C", rows)
+    per_cell_csv(tmp_path / "rows.csv", "t,x,C", rows)
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "compare-danckwerts", "chain"])
+def test_every_csv_goes_through_the_one_writer(tmp_path, monkeypatch, command):
+    """Each CSV a command writes is written by `cli._write_csv`, the layer
+    the benchmark's tracer times as cli.write."""
+    written = []
+    write = cli._write_csv
+
+    def traced(path, *args):
+        written.append(Path(path).relative_to(out).as_posix())
+        return write(path, *args)
+
+    monkeypatch.setattr(cli, "_write_csv", traced)
+    ini = write_ini(tmp_path, VERIFY_INI + "\n[chain]\nlengths = 0.5 0.5\n")
+    out = tmp_path / "res"
+    assert main([command, "--config", ini, "--out", str(out), "--quiet"]) == 0
+    csvs = sorted(p.relative_to(out).as_posix() for p in out.rglob("*.csv"))
+    assert csvs and sorted(written) == csvs

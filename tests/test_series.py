@@ -840,13 +840,39 @@ def test_coefficient_bound_decreases_dyadically(loaded_solution):
     assert all(a > b for a, b in zip(blocks, blocks[1:]))
 
 
-def test_zero_decay_bound_fallback(smoke_solution):
-    assert any("direct sup fallback" in note for note in smoke_solution.notes)
-    b = coefficient_bound(smoke_solution, 0, 1.5)
-    assert np.isfinite(b) and b > 0.0
-    T0 = abs(float(smoke_solution.coefficients(1.5)[0]))
-    # fallback terms: first is a direct sup, second is squared energy
-    assert T0 <= b + np.sqrt(b)
+# mu = 0 and R = 1, so rho_0 = 2 (s + beta_0) is 0 in exact arithmetic;
+# rounded, it is 0, +8.9e-16 and -8.9e-16 for these three columns
+@pytest.mark.parametrize("D, v, sign", [(0.1, 1.0, 0.0),
+                                        (0.11944723618090453, 1.3, 1.0),
+                                        (0.11944723618090453, 1.0, -1.0)])
+def test_zero_rate_bound_is_the_schwarz_limit(D, v, sign):
+    """At mu = 0 the n = 0 bound is the Schwarz formula's rho -> 0 limit,
+    e^{2 s t} (t - t0) int int F^2 / <phi_0, phi_0> plus the initial term,
+    however rho_0 rounds, and sqrt(2 B) contains |T_0|."""
+    data = resolve_exit(make_data(D=D, v=v, g=SmoothFn.constant(1.0)), 2.0, n_grid=256)
+    sol = build_solution(data, TruncationPolicy(n_max=160), 2.0)
+    s, beta, norm = data.params.s, sol.beta[0], sol.norms[0]
+    assert np.sign(2.0 * (s + beta)) == sign  # the rounding this case covers
+    for t in (0.3, 0.7, 1.5, 2.0):
+        initial = np.exp(-2.0 * beta * t) * sol._base_sq / norm
+        want = np.exp(2.0 * s * t) * t * float(sol._ff_cum(t)) / norm + initial
+        B = coefficient_bound(sol, 0, t)
+        assert B == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert abs(float(sol.coefficients(t)[0])) <= np.sqrt(2.0 * B)
+
+
+@pytest.mark.parametrize("name", ["smoke_solution", "loaded_solution"])
+def test_tail_bound_contains_the_tail(request, name):
+    """tail_bound(N) >= (1/2) sum_{N < n <= n_used} T_n^2 (1 + r / sqrt(lambda_n)):
+    each of its terms is at least a coefficient bound, which holds T_n^2 / 2."""
+    sol = request.getfixturevalue(name)
+    r = sol.data.params.r
+    lam = sol.lam
+    for N in (20, 80):
+        for t in (0.7, 2.0):
+            T = sol.coefficients(t)[N + 1:]
+            tail = 0.5 * np.sum(T * T * (1.0 + r / np.sqrt(lam[N + 1:])))
+            assert tail <= tail_bound(sol, N, t)
 
 
 def test_tail_bound_halves_with_doubling(loaded_solution):
