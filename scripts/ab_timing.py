@@ -72,7 +72,6 @@ STAGES = {
     "mass_balance": "balance",
     "mass_balance_fd": "balance",
     "_write_csv": "write",
-    "_write_grid_csv": "write",
     "_write_json": "write",
 }
 STAGE_ORDER = ["import", "config", "exit", "build", "eval", "fd", "balance", "write", "main"]

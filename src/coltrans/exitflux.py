@@ -5,20 +5,20 @@ the exit face.  Treating the medium as if it continued past x = ell, the
 flux-form concentration C_F = C - (D/v) C_x obeys the same transport
 equation on the half line with Dirichlet inlet data C_F(0, t) = g(t) and
 initial state phi - (D/v) phi'.  Shifting by the equilibrium gamma/mu and
-substituting C_F = u e^{r x - s t} + gamma/mu turns this into the plain
-heat equation
+substituting C_F = u e^{r x - s (t - t0)} + gamma/mu, on the clock of
+`model`, turns this into the plain heat equation
 
     u_t = (D/R) u_xx,   u(0, t) = G(t),   u(x, t0) = Phi(x),
 
-with G(t) = (g(t) - gamma/mu) e^{s t} and
-Phi(x) = (phi(x) - (D/v) phi'(x) - gamma/mu) e^{-r x + s t0}, solved by
+with G(t) = (g(t) - gamma/mu) e^{s (t - t0)} and
+Phi(x) = (phi(x) - (D/v) phi'(x) - gamma/mu) e^{-r x}, solved by
 odd reflection plus a Duhamel boundary integral:
 
     u(x, t) = int_0^inf [K(x-z, th) - K(x+z, th)] Phi(z) dz
               - 2 (D/R) int_{t0}^{t} K_x(x, (D/R)(t-tau)) G(tau) dtau,
 
 th = (D/R)(t - t0), K the Gauss-Weierstrass kernel.  Everything here works
-with u e^{-s t} so no intermediate ever exceeds the data scale, and only
+with u e^{-s (t - t0)}, so no intermediate exceeds the data scale, and only
 `exit_concentration` takes e^{r ell}; the sign convention keeps the
 Duhamel term positive for positive boundary data.
 
@@ -165,7 +165,7 @@ class HalfLineProblem:
                    at_rest=data.phi.const_value == gm)
 
     def initial_scaled(self, x):
-        """Phi e^{-s t0}: the initial heat state without the e^{s t0} factor."""
+        """Phi = (phi_F - gm) e^{-r x}: the initial heat state, at elapsed time 0."""
         x = np.asarray(x, dtype=float)
         return (self.phi_flux(x) - self.gm) * np.exp(-self.params.r * x)
 
@@ -242,7 +242,7 @@ def _panel_rule(integrand, cuts, *, graded_from=None, panels=_PANELS):
 
 
 def _initial_part(hp: HalfLineProblem, x: float, ts):
-    """Odd-reflection integral, scaled by e^{-s t}, via eta = (z - x)/(2 sqrt(th))."""
+    """Odd-reflection integral, scaled by e^{-s (t - t0)}, via eta = (z - x)/(2 sqrt(th))."""
     p = hp.params
     width = 2.0 * np.sqrt((p.D / p.R) * (ts - hp.t0))
     knots = np.asarray(hp.zeta_knots, dtype=float)
@@ -266,7 +266,7 @@ def _initial_part(hp: HalfLineProblem, x: float, ts):
 
 
 def _boundary_part(hp: HalfLineProblem, x: float, ts):
-    """Duhamel integral, scaled by e^{-s t}, via sigma = sqrt(t - tau).
+    """Duhamel integral, scaled by e^{-s (t - t0)}, via sigma = sqrt(t - tau).
 
     The substitution regularizes the kernel: the integrand
     2 sigma k(sigma^2) (g - gm) is a smooth bump peaking at
@@ -333,7 +333,7 @@ def _lag_moments(kern, h: float, lo: float, hi: float, lags: int):
 
 
 def _lag_part(hp: HalfLineProblem, x: float, h: float, M: int):
-    """Duhamel integral, scaled by e^{-s t}, at t0 + h (1, ..., M): one lag convolution.
+    """Duhamel integral, scaled by e^{-s (t - t0)}, at t0 + h (1, ..., M): a convolution.
 
     In u = t - tau the integrand is k(u) (g(t - u) - gm), the kernel k
     (`_kernel`) depending on the lag alone.  g - gm is sampled at the
@@ -382,7 +382,7 @@ def _lag_part(hp: HalfLineProblem, x: float, h: float, M: int):
 
 
 def _u_scaled(hp: HalfLineProblem, x: float, ts):
-    """u(x, t) e^{-s t} at each instant of the 1-D array ts.
+    """u(x, t) e^{-s (t - t0)} at each instant of the 1-D array ts.
 
     Past t0 and inside the half line this is the initial part plus the
     Duhamel part.  The Duhamel part at the instants of a uniform grid
@@ -399,7 +399,7 @@ def _u_scaled(hp: HalfLineProblem, x: float, ts):
     out[start] = hp.initial_scaled(x)
     later = ts[~start]
     if x == 0.0:
-        out[~start] = hp.shifted(later)  # G(t) e^{-s t} = g - gm
+        out[~start] = hp.shifted(later)  # G(t) e^{-s (t - t0)} = g - gm
     elif later.size:
         h = _grid_step(hp.t0, later)
         part = None if h is None else _lag_part(hp, x, h, later.size)

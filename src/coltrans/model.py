@@ -11,10 +11,12 @@ closed by flux (third-type) conditions at both faces,
     v C(ell,t) - D C_x(ell,t) = v C_E(t),
 
 where g is the influent flux concentration and C_E the effluent flux
-concentration.  The substitution C = (w + e^{s t} H) e^{r x - s t} with
+concentration.  The substitution w = (C e^{-r x} - H) e^{s (t - t0)} with
 r = v/(2D) and s = (v^2/(4D) + mu)/R turns this into a heat problem for w
 with homogeneous boundaries; H is the lifting function that absorbs the
 boundary data and F collects the forcing that the substitution produces.
+The clock starts at t0, as the exit closure's does: shifting t0 and the
+data by Delta shifts the solution by Delta and changes nothing else.
 This module owns the parameter set, the smooth-function wrapper used for
 phi, g and C_E, and the lift/forcing/initial-condition algebra: it is the
 only place that reads the boundary data (`_boundary_data`).  H, its
@@ -436,7 +438,7 @@ def _boundary_data(data: ProblemData, t):
 def lift_H(data: ProblemData, x, t):
     """Lifting function H at (x, t), broadcasting over array input.
 
-    H interpolates the boundary data so that w = (C e^{-r x} - H) e^{s t}
+    H interpolates the boundary data so that w = (C e^{-r x} - H) e^{s (t - t0)}
     satisfies homogeneous flux conditions:
 
         H(0,t) = 2 g(t),   H(ell,t) = 2 e^{-r ell} C_E(t),
@@ -545,16 +547,15 @@ def _initial_moments(data: ProblemData, moments, phi_moments=None):
     phi_moments = data.phi.const_value * Ie if phi_moments is None else phi_moments
     g0, _, c0, _ = _boundary_data(data, data.t0)
     # H(x, t0) = (g0 + c0) + (g0 - c0) cos(pi x / ell)
-    raw = phi_moments - (g0 + c0) * I1 - (g0 - c0) * Ic
-    return np.exp(data.params.s * data.t0) * raw
+    return phi_moments - (g0 + c0) * I1 - (g0 - c0) * Ic
 
 
 def invert(w, H, x, t, r: float, s: float):
     """Map transformed values back to concentration.
 
-    Algebraically C = (w + e^{s t} H) e^{r x - s t}; evaluated as
-    w e^{r x - s t} + H e^{r x} so that large s t cannot overflow through
-    the intermediate e^{s t}.
+    t is the elapsed time t - t0 of the transform's clock.  Algebraically
+    C = (w + e^{s t} H) e^{r x - s t}; evaluated as w e^{r x - s t} + H e^{r x}
+    so that large s t cannot overflow through the intermediate e^{s t}.
     """
     w = np.asarray(w, dtype=float)
     H = np.asarray(H, dtype=float)

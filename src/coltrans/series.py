@@ -3,19 +3,18 @@
 Separation of variables gives w(x,t) = sum_n T_n(t) phi_n(x) where each
 coefficient obeys
 
-    T_n' + (D/R) lambda_n T_n = e^{s t} f_n(t),
+    T_n' + beta_n T_n = e^{s (t - t0)} f_n(t),   beta_n = (D/R) lambda_n,
     f_n(t) = <F(.,t), phi_n> / <phi_n, phi_n>,
 
 so that
 
-    T_n(t) = int_{t0}^{t} e^{-(D/R) lambda_n (t - tau)} e^{s tau} f_n(tau) dtau
-             + e^{-(D/R) lambda_n (t - t0)} T_n(t0).
+    T_n(t) = int_{t0}^{t} e^{-beta_n (t - tau)} e^{s (tau - t0)} f_n(tau) dtau
+             + e^{-beta_n (t - t0)} T_n(t0).
 
-With d = t - tau and beta_n = (D/R) lambda_n the integrand is evaluated as
-e^{s t} e^{-(s + beta_n) d} f_n(t - d).  s + beta_n >= mu/R >= 0 for every
-mode of both families (the negative mode has s + beta_0 = mu/R), so each
-kernel e^{-(s + beta_n) d} lies in [0, 1] and no term exceeds e^{s t}.  The
-other split, e^{s tau} e^{-beta_n d}, overflows for the negative mode.
+With d = t - tau the integrand is e^{s (t - t0)} e^{-(s + beta_n) d} f_n(t - d).
+s + beta_n >= mu/R >= 0 for every mode of both families (the negative mode
+has s + beta_0 = mu/R), so each kernel e^{-(s + beta_n) d} lies in [0, 1] and
+no term exceeds e^{s (t - t0)}; the other split overflows for that mode.
 
 The modes are `eigensystem`'s: one `spectrum` call gives the kept
 eigenvalues and norms, and every phi_n is formed there.  The lift is
@@ -118,7 +117,13 @@ _DENSE_STEPS = 512  # the build marches steps of about (t_end - t0) / 512
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """How many modes to keep: n_max, or fewer once the tail bound meets tail_tol."""
+    """How many modes to keep: n_max, or fewer once the tail bound meets tail_tol.
+
+    tail_tol is compared with `tail_bound` at t_end, a bound on
+    (1/2) sum T_n^2 (1 + r/sqrt(lambda_n)) in the transform's units, so it
+    grows like e^{2 s (t_end - t0)} with the run's length.  Forced data
+    never meet it, and there n_max decides.
+    """
 
     n_max: int = 200
     tail_tol: float = 1e-8
@@ -346,10 +351,10 @@ def _march(sol: SeriesSolution, T_from, t_from, t_to):
 
     T_from broadcasts against (modes, steps), the shape returned; None
     means no initial term, so nothing is decayed.  The forcing integral is
-    e^{s t_k} int_0^w e^{-(s + beta) d} f(t_k - d) dd, with w = t_k - t_from[k].
-    s + beta >= mu/R >= 0 for every mode, so each kernel lies in [0, 1]
-    and no term exceeds e^{s t_k}.  Each step is cut into pieces
-    (`_pieces`); a piece at offset o and of width w adds
+    e^{s (t_k - t0)} int_0^w e^{-(s + beta) d} f(t_k - d) dd, with
+    w = t_k - t_from[k].  s + beta >= mu/R >= 0 for every mode, so each
+    kernel lies in [0, 1] and no term exceeds e^{s (t_k - t0)}.  Each step
+    is cut into pieces (`_pieces`); a piece at offset o and of width w adds
     e^{-(s + beta) o} (q @ W(w)), where q holds the forcing weights at the
     12 nodes of the piece and W(w) (`_width_moments`) integrates the kernel
     exactly against their Lagrange basis.  The pieces are taken in order of
@@ -364,10 +369,10 @@ def _march(sol: SeriesSolution, T_from, t_from, t_to):
     s = sol.data.params.s
     beta = sol.beta
     moving = t_to != t_from
-    over = np.flatnonzero(moving & (s * t_to > _MAX_EXP))
+    over = np.flatnonzero(moving & (s * (t_to - sol.t0) > _MAX_EXP))
     if over.size:
         raise NumericOverflowError(
-            f"exp(s t) overflows at t = {t_to[over[0]]:.6g} (s = {s:.6g}); "
+            f"exp(s (t - t0)) overflows at t = {t_to[over[0]]:.6g} (s = {s:.6g}); "
             "rescale time or shorten the horizon"
         )
     T = np.zeros((beta.size, t_to.size))
@@ -401,7 +406,7 @@ def _march(sol: SeriesSolution, T_from, t_from, t_to):
         far = o > 0.0
         if far.any():
             v[far] *= np.exp(np.multiply.outer(-o[far], kappa))
-        v *= np.exp(s * t_to[ks])[:, None]
+        v *= np.exp(s * (t_to[ks] - sol.t0))[:, None]
         sk = np.sort(ks)
         if np.all(sk[1:] != sk[:-1]):
             T[:, ks] += v.T
@@ -555,22 +560,22 @@ def _bound(value) -> float:
 def coefficient_bound(sol: SeriesSolution, n: int, t: float) -> float:
     """Schwarz-type a-priori bound B on the square of T_n(t): |T_n(t)| <= sqrt(2 B).
 
-    B = e^{2 s t} (1 - e^{-rho dt}) / rho * int int F^2 / <phi_n, phi_n>
+    B = e^{2 s dt} (1 - e^{-rho dt}) / rho * int int F^2 / <phi_n, phi_n>
     plus the initial data's term, with rho = 2 (s + beta_n) and
     dt = t - t0.  The ratio, taken with expm1, tends to dt as rho -> 0, and
     is dt where rho is 0: so the negative mode at mu = 0, whose rho is 0
     up to rounding, gets one value whichever way rho rounds.  Past the
-    double range (s t above about 354) forced data give inf (`_bound`).
+    double range (s dt above about 354) forced data give inf (`_bound`).
     """
     pos = sol._pos(n)
     t = float(t)
     s, norm, beta = sol.data.params.s, sol.norms[pos], sol.beta[pos]
     dt = t - sol.t0
-    term2 = np.exp(-2.0 * beta * dt + 2.0 * s * sol.t0) * sol._base_sq / norm
+    term2 = np.exp(-2.0 * beta * dt) * sol._base_sq / norm
     rho = 2.0 * (s + beta)
     ratio = -np.expm1(-rho * dt) / rho if rho else dt
     ff = float(sol._ff_cum(min(t, sol.t_end)))
-    term1 = np.exp(2.0 * s * t) * ratio * ff / norm if ff else 0.0
+    term1 = np.exp(2.0 * s * dt) * ratio * ff / norm if ff else 0.0
     return _bound(term1 + term2)
 
 
@@ -585,18 +590,19 @@ def tail_bound(sol: SeriesSolution, N: int, t: float) -> float:
     closed-form integral-test remainder beyond an explicit window.
     """
     ff = float(sol._ff_cum(min(t, sol.t_end)))
-    return _tail_bound_core(sol.data.params, sol.kind, sol.t0, ff, sol._base_sq,
-                            sol.policy.tail_tol, N, t)
+    return _tail_bound_core(sol.data.params, sol.kind, ff, sol._base_sq,
+                            sol.policy.tail_tol, N, t - sol.t0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _tail_bound_core(p, kind: str, t0: float, ff: float, base_sq: float,
-                     tail_tol: float, N: int, t: float) -> float:
-    """`tail_bound` from explicit parts; ff is int_{t0}^{t} int_0^ell F^2.
-    Past the double range, where e^{2 s t} overflows, forced data give inf (`_bound`)."""
+def _tail_bound_core(p, kind: str, ff: float, base_sq: float,
+                     tail_tol: float, N: int, dt: float) -> float:
+    """`tail_bound` from explicit parts at the elapsed time dt = t - t0; ff is
+    int_{t0}^{t} int_0^ell F^2.  Past the double range, where e^{2 s dt}
+    overflows, forced data give inf (`_bound`)."""
     r, ell, s = p.r, p.ell, p.s
     dr = p.D / p.R
-    e2st = np.exp(2.0 * s * t) if ff else 0.0  # not inf * 0 past the double range
+    e2st = np.exp(2.0 * s * dt) if ff else 0.0  # not inf * 0 past the double range
     norm_floor = 0.25 * ell if kind == DANCKWERTS else 0.5 * ell
     n = np.arange(N + 1, N + 2001)
     lam, norm = spectrum(ROBIN, n, p)
@@ -604,7 +610,7 @@ def _tail_bound_core(p, kind: str, t0: float, ff: float, base_sq: float,
     if kind != ROBIN:
         norm = norm_floor
     term1 = e2st * ff / (2.0 * (s + beta) * norm)
-    term2 = np.exp(2.0 * beta * (t0 - t) + 2.0 * s * t0) * base_sq / norm
+    term2 = np.exp(-2.0 * beta * dt) * base_sq / norm
     # the window ends at the first term under the stop test; cumsum adds
     # left to right, so the sum is the one a term-by-term loop would make
     stop = np.flatnonzero(term1 + term2 < 1e-4 * tail_tol / np.maximum(1, n))
@@ -618,16 +624,10 @@ def _tail_bound_core(p, kind: str, t0: float, ff: float, base_sq: float,
     B = dr * (np.pi / ell) ** 2
     A = e2st * ff / (2.0 * norm_floor)
     rem1 = A * (1.0 + r * ell / (M * np.pi)) * (
-        np.pi / 2.0 - np.arctan(M * np.sqrt(B / s))
-    ) / np.sqrt(s * B)
+        np.pi / 2.0 - np.arctan(M * np.sqrt(B / s))) / np.sqrt(s * B)
     lamM = ((M + 1) * np.pi / ell) ** 2
-    rem2 = (
-        np.exp(2.0 * dr * lamM * (t0 - t) + 2.0 * s * t0)
-        * base_sq
-        / norm_floor
-        * (1.0 + r * ell / np.pi)
-        * 2.0
-    )
+    rem2 = (np.exp(-2.0 * dr * lamM * dt) * base_sq / norm_floor
+            * (1.0 + r * ell / np.pi) * 2.0)
     return _bound(total + rem1 + rem2)
 
 
@@ -673,10 +673,10 @@ def _evaluate(sol: SeriesSolution, x, t, T: np.ndarray, slope: bool = False):
     for i in range(0, ts.size, step):
         tb, Tb = ts[i:i + step, None], T[:, i:i + step]
         H = lift_H(sol.lift_data, xs, tb)
-        C = invert(_sums(vals, Tb), H, xs, tb, p.r, p.s)
+        C = invert(_sums(vals, Tb), H, xs, tb - sol.t0, p.r, p.s)
         if slope:
             Hx = lift_H_x(sol.lift_data, xs, tb)
-            C = invert(_sums(ders, Tb), Hx, xs, tb, p.r, p.s) + p.r * C
+            C = invert(_sums(ders, Tb), Hx, xs, tb - sol.t0, p.r, p.s) + p.r * C
         bad = ~np.all(np.isfinite(C), axis=1)
         if bad.any():
             raise NumericOverflowError(
@@ -749,10 +749,9 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
     if not t_end > data.t0:
         raise ParameterError("t_end must exceed t0")
     p = data.params
-    if p.s * t_end > _MAX_EXP:
-        raise NumericOverflowError(
-            f"exp(s t_end) overflows (s t_end = {p.s * t_end:.3g})"
-        )
+    st = p.s * (t_end - data.t0)
+    if st > _MAX_EXP:
+        raise NumericOverflowError(f"exp(s (t_end - t0)) overflows (s (t_end - t0) = {st:.3g})")
 
     lift_data = data if kind == ROBIN else data.with_exit(SmoothFn.constant(0.0))
 
@@ -767,8 +766,8 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
     ff_end = float(ff_cum(t_end))
 
     def tail_at(n):
-        return _tail_bound_core(p, kind, data.t0, ff_end, base_sq,
-                                policy.tail_tol, n, t_end)
+        return _tail_bound_core(p, kind, ff_end, base_sq, policy.tail_tol, n,
+                                t_end - data.t0)
 
     cands = [8 << k for k in range(policy.n_max.bit_length()) if 8 << k < policy.n_max]
     N = next((n for n in cands + [policy.n_max] if tail_at(n) <= policy.tail_tol), policy.n_max)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from coltrans import (
     ROBIN,
@@ -14,6 +15,11 @@ from coltrans import (
     build_solution,
     resolve_exit,
 )
+
+# Every run, CI included, draws the same examples, and none is replayed from
+# a local example database; a build can take longer than Hypothesis' deadline.
+settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
+settings.load_profile("reproducible")
 
 
 def make_data(R=1.0, D=0.1, v=1.0, mu=0.0, gamma=0.0, ell=1.0,

@@ -59,16 +59,16 @@ def forcing_F(data, x, t):
 
 
 def initial_w(data, x):
-    """Initial value of the transformed unknown, e^{s t0}(e^{-r x} phi - H)."""
+    """Initial value of the transformed unknown, e^{-r x} phi - H at t0."""
     p = data.params
     x = np.asarray(x, dtype=float)
     H0 = lift_H(data, x, data.t0)
-    out = np.exp(p.s * data.t0) * (np.exp(-p.r * x) * data.phi.eval(x) - H0)
+    out = np.exp(-p.r * x) * data.phi.eval(x) - H0
     return out[()]
 
 
 def eval_u(hp, x: float, t: float) -> float:
-    """Companion heat solution u(x, t) folded by e^{-s t}, which never overflows."""
+    """Companion heat solution u(x, t) folded by e^{-s (t - t0)}, which never overflows."""
     x, t = float(x), float(t)
     if x < 0.0:
         raise ParameterError("the companion problem lives on x >= 0")

@@ -1,5 +1,7 @@
-"""scripts/ab_timing.py: the child's peak is the largest VmHWM it read."""
+"""scripts/ab_timing.py: the child's peak is the largest VmHWM it read, and each
+stage it wraps is a name of `coltrans.cli`."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -31,6 +33,14 @@ n_max = 40
 """
 
 
+def load_ab_timing():
+    """scripts/ab_timing.py as a module."""
+    spec = importlib.util.spec_from_file_location("ab_timing", SCRIPT)
+    ab_timing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_timing)
+    return ab_timing
+
+
 def test_child_reports_the_largest_high_water_it_read(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text(TINY_RUN)
@@ -49,14 +59,11 @@ def test_child_keeps_an_earlier_high_water_that_a_later_read_undercuts(
         tmp_path, monkeypatch):
     """VmHWM can read lower later in the same process; here every read is
     lower than the one before, so the peak is the read after the import."""
-    import importlib.util
     import itertools
 
     from coltrans import cli
 
-    spec = importlib.util.spec_from_file_location("ab_timing", SCRIPT)
-    ab_timing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab_timing)
+    ab_timing = load_ab_timing()
     for attr in ab_timing.STAGES:  # the child wraps these; restore them after
         if hasattr(cli, attr):
             monkeypatch.setattr(cli, attr, getattr(cli, attr))
@@ -70,3 +77,10 @@ def test_child_keeps_an_earlier_high_water_that_a_later_read_undercuts(
     totals = json.loads(sidecar.read_text())
     assert totals["import_rss_mb"] == totals["rss_mb"] == 40.0
     assert totals["hwm_mb"]["main"] < 40.0
+
+
+def test_every_stage_is_a_name_of_this_cli():
+    """A stage whose name `cli` lacks would be skipped silently, and time nothing."""
+    from coltrans import cli
+
+    assert [name for name in load_ab_timing().STAGES if not hasattr(cli, name)] == []

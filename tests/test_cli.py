@@ -502,7 +502,7 @@ def test_out_of_range_flags_exit_two_and_write_nothing(tmp_path, capsys, flags):
 
 # (run file, the start of what the message says after "numeric failure: ")
 NUMERIC_FAILURES = {
-    "fast column": (BASE_INI.replace("v = 1.0", "v = 60.0"), "exp(s t_end) overflows"),
+    "fast column": (BASE_INI.replace("v = 1.0", "v = 60.0"), "exp(s (t_end - t0)) overflows"),
     "data near the double range": (BASE_INI.replace("value = 1.0", "value = 1e300"),
                                    "base-square integral left the double range"),
 }
@@ -554,7 +554,7 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-# mu = 345 makes s t_end = 695: the march stays in range, e^{2 s t} does not
+# mu = 345 makes s (t_end - t0) = 695: the march stays in range, e^{2 s t} does not
 TAIL_PAST_RANGE_INI = BASE_INI.replace("ell = 1.0", "mu = 345\nell = 1.0").replace(
     "t_end = 1.5", "t_end = 2")
 
@@ -642,6 +642,102 @@ level = 1.0
 kind = computed
 n_grid = 512
 """
+
+LOADED_INI = """\
+[params]
+R = 1.2
+D = 0.6
+v = 1.1
+mu = 0.4
+gamma = 0.3
+ell = 1.4
+
+[grid]
+t0 = 0.0
+t_end = 2.5
+
+[phi]
+kind = polynomial
+coeffs = 0.0, 0.0, 2.0384, -2.912, 1.04
+
+[g]
+kind = pulse
+start = 0.1
+stop = 0.9
+level = 1.0
+ramp = 0.15
+
+[exit]
+kind = gaussian
+level = 0.4
+center = 1.6
+width = 0.4
+"""
+
+
+def shifted(text, delta):
+    """The run file with t0, t_end, the pulse edges and the exit centre moved by delta."""
+    lines = []
+    for line in text.splitlines():
+        key, eq, value = line.partition(" = ")
+        if eq and key in ("t0", "t_end", "start", "stop", "center"):
+            line = f"{key} = {float(value) + delta!r}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _verdicts(path):
+    """(verdict, label, value) of each PASS/FAIL line of verify_summary.txt."""
+    out = []
+    for line in path.read_text().splitlines():
+        verdict, _, rest = line.partition("  ")
+        if verdict in ("PASS", "FAIL"):
+            label, _, value = rest.partition(": ")
+            out.append((verdict, label, float(value.split()[0])))
+    return out
+
+
+_SHIFT_CSVS = {"solve": ["profile.csv", "breakthrough.csv"], "verify": ["balance.csv"],
+               "compare-danckwerts": ["exit_comparison.csv"],
+               "chain": ["segment_1/breakthrough.csv", "segment_2/breakthrough.csv",
+                         "breakthrough.csv"]}
+
+
+@pytest.mark.parametrize("command", sorted(_SHIFT_CSVS))
+def test_shifting_t0_and_the_data_shifts_only_the_output_times(tmp_path, command):
+    """The README run moved 300 later writes the same concentrations, at
+    times 300 later, and verify gives the same verdicts."""
+    chain = "\n[chain]\nlengths = 0.5 0.5\n" if command == "chain" else ""
+    flags = ["--modes", "40", "--quiet"] + ([] if command == "verify" else ["--nt", "9"])
+    outs = []
+    for delta in (0.0, 300.0):
+        ini = write_ini(tmp_path, shifted(README_INI, delta) + chain, f"run{delta:g}.ini")
+        outs.append(tmp_path / f"o{delta:g}")
+        assert main([command, "--config", ini, "--out", str(outs[-1])] + flags) == 0
+    for name in _SHIFT_CSVS[command]:
+        (h0, rows0), (h1, rows1) = (read_rows(out / name) for out in outs)
+        rows0, rows1 = np.array(rows0), np.array(rows1)
+        assert h0 == h1 and rows0.shape == rows1.shape
+        assert np.max(np.abs(rows1[:, 0] - (rows0[:, 0] + 300.0))) <= 1e-12
+        values = slice(2, None) if name == "profile.csv" else slice(1, None)
+        assert np.max(np.abs(rows1[:, values] - rows0[:, values])) <= 1e-9
+    if command == "compare-danckwerts":
+        assert ((outs[0] / "eigenvalues.csv").read_bytes()
+                == (outs[1] / "eigenvalues.csv").read_bytes())
+    if command == "verify":
+        (v0, v1) = (_verdicts(out / "verify_summary.txt") for out in outs)
+        assert len(v0) == 4 and [v[:2] for v in v0] == [v[:2] for v in v1]
+        assert all(abs(a[2] - b[2]) <= 1e-9 for a, b in zip(v0, v1))
+
+
+def test_loaded_run_a_hundred_earlier_keeps_every_mode(tmp_path):
+    """Its tail bound does not depend on t0, so n_max decides, as at t0 = 0."""
+    ini = write_ini(tmp_path, shifted(LOADED_INI, -100.0))
+    assert main(["solve", "--config", ini, "--out", str(tmp_path / "o"), "--quiet",
+                 "--nx", "3", "--nt", "3"]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["grid"]["t0"] == -100.0 and manifest["series"]["n_used"] == 200
+
 
 _LOADED_MODULES = """\
 import json, sys

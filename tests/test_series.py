@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from coltrans import (
@@ -182,7 +184,7 @@ def reference_initial_coefficient(sol, n):
         k for k in data.phi.knots if 0.0 < k < p.ell)
     raw = inner_product(w0, lambda x: eval_phi(pair, x, p.r)[0], 0.0, p.ell,
                         points=pts)
-    return np.exp(p.s * data.t0) * raw / pair.norm
+    return raw / pair.norm
 
 
 _LOADED_PHI = SmoothFn.polynomial([0.0, 0.0, 2.0384, -2.912, 1.04])
@@ -668,11 +670,11 @@ def test_large_t_with_a_fast_negative_mode_is_finite():
     assert np.max(np.abs(eval_large_t(sol, xs, 3.0) - now)) <= 1e-9
 
 
-def reference_tail_bound_core(p, kind, t0, ff, base_sq, tail_tol, N, t):
+def reference_tail_bound_core(p, kind, ff, base_sq, tail_tol, N, dt):
     """`_tail_bound_core` with its window summed term by term; (bound, window end)."""
     r, ell, s = p.r, p.ell, p.s
     dr = p.D / p.R
-    e2st = np.exp(2.0 * s * t)
+    e2st = np.exp(2.0 * s * dt)
     norm_floor = 0.25 * ell if kind == DANCKWERTS else 0.5 * ell
     total, M = 0.0, N
     for n in range(N + 1, N + 2001):
@@ -680,7 +682,7 @@ def reference_tail_bound_core(p, kind, t0, ff, base_sq, tail_tol, N, t):
         beta = dr * lam
         norm = (r * r + lam) * ell / (2.0 * lam) if kind == ROBIN else norm_floor
         term1 = e2st * ff / (2.0 * (s + beta) * norm)
-        term2 = np.exp(2.0 * beta * (t0 - t) + 2.0 * s * t0) * base_sq / norm
+        term2 = np.exp(-2.0 * beta * dt) * base_sq / norm
         total += (term1 + term2) * (1.0 + r / np.sqrt(lam))
         M = n
         if term1 + term2 < 1e-4 * tail_tol / max(1, n):
@@ -690,7 +692,7 @@ def reference_tail_bound_core(p, kind, t0, ff, base_sq, tail_tol, N, t):
     rem1 = A * (1.0 + r * ell / (M * np.pi)) * (
         np.pi / 2.0 - np.arctan(M * np.sqrt(B / s))) / np.sqrt(s * B)
     lamM = ((M + 1) * np.pi / ell) ** 2
-    rem2 = (np.exp(2.0 * dr * lamM * (t0 - t) + 2.0 * s * t0) * base_sq
+    rem2 = (np.exp(-2.0 * dr * lamM * dt) * base_sq
             / norm_floor * (1.0 + r * ell / np.pi) * 2.0)
     return float(total + rem1 + rem2), M
 
@@ -708,8 +710,8 @@ def test_tail_window_sums_as_the_term_loop(loaded_data, kind):
     cases.append((long, 128, 1.0, 1.7, 1e-8))
     windows = set()
     for p, N, t, ff, tol in cases:
-        want, M = reference_tail_bound_core(p, kind, 0.0, ff, 0.02, tol, N, t)
-        got = _tail_bound_core(p, kind, 0.0, ff, 0.02, tol, N, t)
+        want, M = reference_tail_bound_core(p, kind, ff, 0.02, tol, N, t)
+        got = _tail_bound_core(p, kind, ff, 0.02, tol, N, t)
         assert _bits(got) == _bits(want)
         windows.add(M - N)
     assert 2000 in windows and len(windows) > 1   # full and broken-off windows
@@ -885,6 +887,61 @@ def test_tail_bound_halves_with_doubling(loaded_solution):
 def test_unreachable_tail_is_reported(loaded_solution):
     assert loaded_solution.reported_tail > 1e-8
     assert any("unreachable" in note for note in loaded_solution.notes)
+
+
+# -- shift of the time origin -------------------------------------------------
+# The coefficients are constant, so moving t0 and every time in the data by
+# delta moves the solution by delta and changes no mode, bound or value.
+
+def shifted_loaded(delta, D=0.6, v=1.1, mu=0.4, gamma=0.3):
+    """loaded_data's column with its measured exit, t0 and data moved by delta."""
+    return make_data(R=1.2, D=D, v=v, mu=mu, gamma=gamma, ell=1.4, phi=_LOADED_PHI,
+                     g=SmoothFn.smooth_pulse(0.1 + delta, 0.9 + delta, 1.0, ramp=0.15),
+                     exit=SmoothFn.exp_pulse(0.4, 1.6 + delta, 0.4), t0=delta), 2.5
+
+
+def shifted_readme_pulse(delta):
+    """The README run, its exit computed, with t0 and the pulse moved by delta."""
+    data = make_data(g=SmoothFn.smooth_pulse(0.1 + delta, 0.6 + delta, 1.0), t0=delta)
+    return resolve_exit(data, 2.0 + delta, n_grid=512), 2.0
+
+
+def assert_same_after_shift(make, delta, policy, kind, nx, nt):
+    """The build of make(delta) against that of make(0): the same modes, bounds
+    within 1e-12 relative, and C on an nx x nt grid within 1e-9."""
+    sols = []
+    for d in (0.0, delta):
+        data, length = make(d)
+        sols.append(build_solution(data, policy, d + length, kind=kind))
+    a, b = sols
+    assert a.n_used == b.n_used
+    for f in (lambda sol: sol.reported_tail,
+              lambda sol: tail_bound(sol, 20, sol.t0 + 2.0),
+              lambda sol: coefficient_bound(sol, 3, sol.t0 + 1.0)):
+        assert f(b) == pytest.approx(f(a), rel=1e-12, abs=0.0)
+    xs = np.linspace(0.0, a.data.params.ell, nx)
+    ts = np.linspace(0.0, length, nt)
+    assert np.max(np.abs(eval_C(b, xs, delta + ts) - eval_C(a, xs, ts))) <= 1e-9
+
+
+SHIFTS = [(shifted_loaded, ROBIN, -100.0), (shifted_loaded, ROBIN, 400.0),
+          (shifted_loaded, DANCKWERTS, -100.0), (shifted_loaded, DANCKWERTS, 400.0),
+          (shifted_readme_pulse, ROBIN, 300.0)]
+
+
+@pytest.mark.parametrize("make, kind, delta", SHIFTS,
+                         ids=[f"{m.__name__}-{k}-{d:+g}" for m, k, d in SHIFTS])
+def test_shifting_t0_and_the_data_shifts_the_solution(make, kind, delta):
+    assert_same_after_shift(make, delta, TruncationPolicy(), kind, 15, 11)
+
+
+@settings(max_examples=20)
+@given(delta=st.floats(-400.0, 400.0), D=st.floats(0.1, 1.0), v=st.floats(0.5, 2.0),
+       mu=st.floats(0.0, 1.0))
+def test_shift_invariance_over_columns(delta, D, v, mu):
+    assume(v * 1.4 / (2.0 * D) <= 5.0)  # r ell <= 5
+    assert_same_after_shift(lambda d: shifted_loaded(d, D=D, v=v, mu=mu, gamma=0.3 * mu),
+                            delta, TruncationPolicy(n_max=40), ROBIN, 9, 9)
 
 
 # -- residuals of the assembled solution --------------------------------------
