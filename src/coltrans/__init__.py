@@ -58,8 +58,6 @@ from .exitflux import (
 )
 from .verification import (
     BalanceReport,
-    DanckwertsGap,
-    DanckwertsReport,
     FdGrid,
     FdResult,
     danckwerts_comparison,

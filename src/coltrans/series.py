@@ -143,14 +143,15 @@ class SeriesSolution:
     root below pi/ell for Danckwerts.  `build_solution` then sets `T0`, with
     the evaluator's own form of phi_n (`_phi_combine`), and the dense march
     through the evaluator's own `_march`.
+    `data` is the problem solved, for Danckwerts with a zero exit; a
+    measured exit is audited by passing its problem to `mass_balance`.
     Instances are safe to share across threads once built: evaluation only
     replaces a one-entry memo, the latest (t, T) pair, in one assignment.
     """
 
-    def __init__(self, data, lift_data, kind, policy, t_end, lam, norms,
+    def __init__(self, data, kind, policy, t_end, lam, norms,
                  moments, ff_cum, base_sq, reported_tail, notes):
-        self.data = data            # resolved problem (true exit curve)
-        self.lift_data = lift_data  # what the lift/forcing use (zero exit for Danckwerts)
+        self.data = data            # the problem solved (zero exit for Danckwerts)
         self.kind = kind
         self.policy = policy
         self.t_end = float(t_end)
@@ -163,7 +164,7 @@ class SeriesSolution:
         self._base_sq = base_sq     # int_0^ell (e^{-r x} phi - H(., t0))^2 dx
         self.reported_tail = float(reported_tail)
         self.notes = tuple(notes)
-        self._knots = _knot_array(lift_data)  # sorted knots of g and C_E
+        self._knots = _knot_array(data)  # sorted knots of g and C_E
         self._dense_times = None
         self._dense_T = None
         self._memo = None           # (t, T) of the latest coefficients call
@@ -395,7 +396,7 @@ def _march(sol: SeriesSolution, T_from, t_from, t_to):
         idx = order[i:i + per]
         ks, o, w, u = step[idx], off[idx], sw[i:i + per], uid[i:i + per]
         tau = (t_to[ks] - o)[:, None] - w[:, None] * node
-        q = np.stack(forcing_weights(sol.lift_data, tau), axis=1)
+        q = np.stack(forcing_weights(sol.data, tau), axis=1)
         seg = np.flatnonzero(np.r_[True, u[1:] != u[:-1], True])
         for a, b in zip(seg[:-1].tolist(), seg[1:].tolist()):
             if block is None or u[a] >= first + nw:
@@ -479,7 +480,7 @@ def _projected(sol: SeriesSolution, lo, hi, half) -> np.ndarray:
     added to the phase, since it is shared by the panel's 12 nodes.  The
     Robin n = 0 mode e^{r x} is summed node by node.
     """
-    data = sol.lift_data
+    data = sol.data
     r = data.params.r
     kap = _kappas(sol.lam)
     kh, kl = _split(kap)
@@ -513,7 +514,7 @@ def _initial_coefficients(sol: SeriesSolution) -> np.ndarray:
     e^{-r x} phi is projected by `_settled` and `_projected` on panels as
     fine as the fastest mode's half-waves; a constant phi by its moments.
     """
-    data = sol.lift_data
+    data = sol.data
     phi_part = None
     if data.phi.const_value is None:
         pieces = int(np.ceil(data.params.ell * np.sqrt(sol.lam[-1]) / np.pi))
@@ -522,14 +523,14 @@ def _initial_coefficients(sol: SeriesSolution) -> np.ndarray:
     return _initial_moments(data, sol.moments, phi_part) / sol.norms
 
 
-def _forcing_sq_cum(lift_data: ProblemData, t0: float, t_end: float):
+def _forcing_sq_cum(data: ProblemData, t0: float, t_end: float):
     """Cumulative double integral of F^2 over [0, ell] x [t0, tau]."""
     taus = np.linspace(t0, t_end, 1025)
     # pull in data knots so the trapezoid sees every kink
-    ks = _knots_between(_knot_array(lift_data), t0, t_end)
+    ks = _knots_between(_knot_array(data), t0, t_end)
     if ks.size:
         taus = _sorted_unique(np.concatenate([taus, ks]))
-    fx2 = _forcing_sq(lift_data, taus)
+    fx2 = _forcing_sq(data, taus)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (fx2[1:] + fx2[:-1]) * np.diff(taus))])
     return _pchip(taus, cum)[0]
 
@@ -634,7 +635,7 @@ def _tail_bound_core(p, kind: str, ff: float, base_sq: float,
 def project_forcing(sol: SeriesSolution, n: int, tau):
     """f_n(tau): the forcing projected on mode n, normalized."""
     pos = sol._pos(n)
-    weights = forcing_weights(sol.lift_data, tau)
+    weights = forcing_weights(sol.data, tau)
     out = _basis_sum(sol.moments[:, pos], weights) / sol.norms[pos]
     return out[()] if isinstance(out, np.ndarray) else out
 
@@ -672,10 +673,10 @@ def _evaluate(sol: SeriesSolution, x, t, T: np.ndarray, slope: bool = False):
     step = max(1, _POINTS // max(1, xs.size))
     for i in range(0, ts.size, step):
         tb, Tb = ts[i:i + step, None], T[:, i:i + step]
-        H = lift_H(sol.lift_data, xs, tb)
+        H = lift_H(sol.data, xs, tb)
         C = invert(_sums(vals, Tb), H, xs, tb - sol.t0, p.r, p.s)
         if slope:
-            Hx = lift_H_x(sol.lift_data, xs, tb)
+            Hx = lift_H_x(sol.data, xs, tb)
             C = invert(_sums(ders, Tb), Hx, xs, tb - sol.t0, p.r, p.s) + p.r * C
         bad = ~np.all(np.isfinite(C), axis=1)
         if bad.any():
@@ -734,12 +735,11 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
 
     For the Robin kind `data` must be resolved (exit concentration
     present).  The Danckwerts kind is the zero-gradient outlet closure
-    C_x(ell, t) = 0: the column feeds back its own exit value, and the lift
-    and forcing see a zero exit concentration.  Its sum starts at the slow
-    root n = 0 of the complete family and matches `fd_solve(...,
-    kind=DANCKWERTS)`; a given exit curve is kept only for audits, whose
-    residuals are reported, never asserted small.  Both summations run
-    over n = 0..N.
+    C_x(ell, t) = 0: the series solves and keeps `data` with a zero exit
+    concentration, its sum starts at the slow root n = 0 of the complete
+    family, and it matches `fd_solve(..., kind=DANCKWERTS)`; a measured
+    exit is audited by passing its problem to `mass_balance`.  Both
+    summations run over n = 0..N.
     """
     if kind not in (ROBIN, DANCKWERTS):
         raise ParameterError(f"unknown series kind {kind!r}")
@@ -753,25 +753,24 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
     if st > _MAX_EXP:
         raise NumericOverflowError(f"exp(s (t_end - t0)) overflows (s (t_end - t0) = {st:.3g})")
 
-    lift_data = data if kind == ROBIN else data.with_exit(SmoothFn.constant(0.0))
+    if kind == DANCKWERTS:
+        data = data.with_exit(SmoothFn.constant(0.0))
 
     notes = []
 
     # base_sq first: data near the double range overflow its square before F^2
-    base_sq = _base_sq_integral(lift_data, policy.n_max)
-    ff_cum = _forcing_sq_cum(lift_data, data.t0, t_end)
+    base_sq = _base_sq_integral(data, policy.n_max)
+    ff_cum = _forcing_sq_cum(data, data.t0, t_end)
 
     # Tail target: the first of 8, 16, 32, ... below n_max, then n_max, whose
     # a-priori tail is under tail_tol, else n_max with the achieved tail reported.
     ff_end = float(ff_cum(t_end))
-
-    def tail_at(n):
-        return _tail_bound_core(p, kind, ff_end, base_sq, policy.tail_tol, n,
-                                t_end - data.t0)
-
     cands = [8 << k for k in range(policy.n_max.bit_length()) if 8 << k < policy.n_max]
-    N = next((n for n in cands + [policy.n_max] if tail_at(n) <= policy.tail_tol), policy.n_max)
-    reported = tail_at(N)
+    for N in cands + [policy.n_max]:
+        reported = _tail_bound_core(p, kind, ff_end, base_sq, policy.tail_tol, N,
+                                    t_end - data.t0)
+        if reported <= policy.tail_tol:
+            break
     if reported > policy.tail_tol:
         notes.append(
             f"tail target {policy.tail_tol:.3g} unreachable at n_max = "
@@ -780,7 +779,7 @@ def build_solution(data: ProblemData, policy: TruncationPolicy, t_end: float,
 
     lam, norms = spectrum(kind, np.arange(N + 1), p)
     sol = SeriesSolution(
-        data=data, lift_data=lift_data, kind=kind, policy=policy, t_end=t_end,
+        data=data, kind=kind, policy=policy, t_end=t_end,
         lam=lam, norms=norms, moments=_mode_moments(kind, lam, p),
         ff_cum=ff_cum, base_sq=base_sq, reported_tail=reported, notes=notes,
     )

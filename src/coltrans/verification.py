@@ -1,16 +1,17 @@
-"""Independent checks: finite differences, mass balance, Danckwerts error.
+"""Checks of the series: finite differences, mass balance, Danckwerts gaps.
 
 The finite-difference oracle and the balance audits reuse none of the
 series machinery's analysis, so that agreement with them is evidence rather
 than tautology: the oracle discretizes the original equation directly.  The
-Danckwerts diagnostics compare two series, flux-data and zero-gradient.
+Danckwerts diagnostics compare two series, flux-data and zero-gradient, so
+they are not independent checks; they return numbers for the caller to judge.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .model import ProblemData
@@ -26,9 +27,7 @@ __all__ = [
     "BalanceReport",
     "mass_balance",
     "mass_balance_fd",
-    "DanckwertsReport",
     "danckwerts_comparison",
-    "DanckwertsGap",
     "danckwerts_error",
 ]
 
@@ -344,26 +343,9 @@ def mass_balance_fd(fdres: FdResult) -> BalanceReport:
                   fdres.C[2:-2], w)
 
 
-@dataclass(frozen=True)
-class DanckwertsReport:
-    """Pointwise gap between the flux-data solution and the Danckwerts one."""
-
-    times: np.ndarray
-    sup_diff: np.ndarray        # sup_x |C - C_D| per audited time
-    gamma_over_mu: float | None
-
-    @property
-    def max_sup(self) -> float:
-        return float(np.max(self.sup_diff, initial=0.0))
-
-    @property
-    def final_sup(self) -> float:
-        return float(self.sup_diff[-1]) if self.sup_diff.size else 0.0
-
-
 def danckwerts_comparison(robin_sol: SeriesSolution,
-                          danck_sol: SeriesSolution) -> DanckwertsReport:
-    """Measure sup_x |C(x,t) - C_D(x,t)| at 129 even x on [0, ell].
+                          danck_sol: SeriesSolution) -> tuple:
+    """(times, sup): sup_x |C(x,t) - C_D(x,t)| at 129 even x on [0, ell].
 
     The instants are the 40 past t0 of 41 even ones up to the shorter t_end.
     """
@@ -376,49 +358,26 @@ def danckwerts_comparison(robin_sol: SeriesSolution,
     times = np.linspace(robin_sol.t0, t_end, 41)[1:]
     xs = np.linspace(0.0, p.ell, 129)
     diff = eval_C(robin_sol, xs, times) - eval_C(danck_sol, xs, times)
-    sup = np.max(np.abs(diff), axis=1)
-    gm = p.gamma / p.mu if p.mu > 0.0 else None
-    return DanckwertsReport(times=times, sup_diff=sup, gamma_over_mu=gm)
-
-
-class DanckwertsGap(NamedTuple):
-    """Outlet-face gap and the production-equilibrium reference level."""
-
-    e_d: float
-    lower_bound: Optional[float]
-
-    def meets_lower_bound(self) -> Optional[bool]:
-        """Whether e_d >= lower_bound (1 - 0.2); None when mu = 0."""
-        if self.lower_bound is None:
-            return None
-        return self.e_d >= self.lower_bound * (1.0 - 0.2)
+    return times, np.max(np.abs(diff), axis=1)
 
 
 def danckwerts_error(data: ProblemData, t: float, L_large: float, *,
                      policy: TruncationPolicy | None = None,
-                     n_grid: int = N_GRID) -> DanckwertsGap:
+                     n_grid: int = N_GRID) -> float:
     """|C(ell,t) - C_D(ell,t)| with the column stretched to length L_large.
 
     Builds both solutions on `data` re-posed at the new length: phi and g
     carry over unchanged, and the exit concentration is re-resolved from
     the half-line closure unless the length is unchanged and a curve was
-    already supplied.  The reference level gamma/mu is the concentration a
-    long column equilibrates to far from the inlet; it is None when mu = 0.
+    already supplied.
     """
     t = float(t)
     p = replace(data.params, ell=float(L_large))
-    keep_exit = data.exit is not None and p.ell == data.params.ell
-    stretched = ProblemData(params=p, phi=data.phi, g=data.g,
-                            exit=data.exit if keep_exit else None,
-                            t0=data.t0)
+    stretched = replace(data, params=p, exit=data.exit if p == data.params else None)
     if stretched.exit is None:
         stretched = resolve_exit(stretched, t, n_grid=n_grid)
     if policy is None:
         policy = TruncationPolicy()
     robin = build_solution(stretched, policy, t, kind=ROBIN)
     danck = build_solution(stretched, policy, t, kind=DANCKWERTS)
-    x_exit = np.array([p.ell])
-    e_d = abs(float(eval_C(robin, x_exit, t)[0]) -
-              float(eval_C(danck, x_exit, t)[0]))
-    lb = abs(p.gamma / p.mu) if p.mu > 0.0 else None
-    return DanckwertsGap(e_d=e_d, lower_bound=lb)
+    return abs(float(eval_C(robin, p.ell, t)) - float(eval_C(danck, p.ell, t)))

@@ -73,3 +73,32 @@ def eval_u(hp, x: float, t: float) -> float:
     if x < 0.0:
         raise ParameterError("the companion problem lives on x >= 0")
     return float(_u_scaled(hp, x, np.array([t]))[0])
+
+
+def steady_state(params, g: float, c_e, family: str, x, k: int = 0):
+    """k-th x-derivative of the steady state for constant data, mu > 0.
+
+    C = c + A e^{m- x} + B e^{m+ (x - ell)}, m+- = r +- sqrt(r^2 + mu/D),
+    c = gamma/mu.  `family` is "measured" (flux condition v C - D C_x =
+    v c_e at ell), "zero-gradient" (C_x(ell) = 0) or "computed", the
+    half-line's steady state c + (g - c) e^{m- x} 2r/(2r - m-), which takes
+    no c_e.  Every family has the inlet flux condition v C - D C_x = v g.
+    """
+    p = params
+    x = np.asarray(x, dtype=float)
+    c = p.gamma / p.mu
+    root = np.sqrt(p.r * p.r + p.mu / p.D)
+    mm, mp = p.r - root, p.r + root
+    if family == "computed":
+        A, B = (g - c) * 2.0 * p.r / (2.0 * p.r - mm), 0.0
+    else:
+        inlet = [p.v - p.D * mm, (p.v - p.D * mp) * np.exp(-mp * p.ell)]
+        if family == "measured":
+            outlet, rhs = [(p.v - p.D * mm) * np.exp(mm * p.ell), p.v - p.D * mp], p.v * (c_e - c)
+        elif family == "zero-gradient":
+            outlet, rhs = [mm * np.exp(mm * p.ell), mp], 0.0
+        else:
+            raise ValueError(f"unknown family {family!r}")
+        A, B = np.linalg.solve([inlet, outlet], [p.v * (g - c), rhs])
+    out = A * mm**k * np.exp(mm * x) + B * mp**k * np.exp(mp * (x - p.ell))
+    return (out + (c if k == 0 else 0.0))[()]

@@ -226,7 +226,7 @@ def test_criterion_7_danckwerts_error_approaches_reference():
     started = time.monotonic()
     data = make_data(R=1.0, D=1.0, v=1.0, mu=0.1, gamma=0.2, ell=2.0,
                      g=SmoothFn.constant(1.0))
-    sweep = [(L, danckwerts_error(data, 60.0, L).e_d)
+    sweep = [(L, danckwerts_error(data, 60.0, L))
              for L in (2.0, 4.0, 8.0, 16.0)]
     errors = [e for _, e in sweep]
     assert all(a <= b * (1.0 + 1e-9) for a, b in zip(errors, errors[1:])), (

@@ -14,7 +14,7 @@ PUBLIC = {
     # data and results
     "TransportParams", "SmoothFn", "ProblemData", "TruncationPolicy", "SeriesSolution",
     "EigenPair", "HalfLineProblem", "FdGrid", "FdResult", "BalanceReport",
-    "DanckwertsReport", "DanckwertsGap", "ROBIN", "DANCKWERTS",
+    "ROBIN", "DANCKWERTS",
     # the series
     "build_solution", "eval_C", "eval_C_x", "eval_large_t", "project_forcing",
     "coefficient_bound", "tail_bound", "spectrum", "robin_eigenpair", "lift_H", "invert",

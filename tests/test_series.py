@@ -29,7 +29,8 @@ from coltrans import (
 from coltrans.eigensystem import DANCKWERTS, ROBIN, _phi_matrices
 from coltrans.model import forcing_weights
 from conftest import half_wave_points, l2_grid_norm, make_data, traced_peak
-from reference import danckwerts_pair, eval_phi, eval_w, forcing_F, initial_w
+from reference import (danckwerts_pair, eval_phi, eval_w, forcing_F, initial_w,
+                       steady_state)
 
 
 def pure_decay_data():
@@ -171,7 +172,7 @@ def loaded_variant(phi, t0=0.0):
 
 def reference_initial_coefficient(sol, n):
     """T_n(t0) by one adaptive quad per half-wave of mode n and per phi knot."""
-    data, pair = sol.lift_data, sol.pairs[n]
+    data, pair = sol.data, sol.pairs[n]
     p = data.params
     # H(., t0) is A + B cos(pi x / ell), fixed by its values at the faces
     h0, hl = lift_H(data, np.array([0.0, p.ell]), data.t0)
@@ -274,7 +275,7 @@ def direct_initial_coefficients(sol, monkeypatch):
     on the factored rule's own nodes x = m + half xi_j and settle loop."""
     import coltrans.series as series
 
-    data = sol.lift_data
+    data = sol.data
     r = data.params.r
 
     def direct(sol, lo, hi, half):
@@ -545,7 +546,7 @@ def reference_increments(sol, t_from, t_to):
         mids, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])
         tau = (mids[:, None] + half[:, None] * _GL12[0]).ravel()
         wts = (half[:, None] * _GL12[1]).ravel()
-        a, b, c = forcing_weights(sol.lift_data, tau)
+        a, b, c = forcing_weights(sol.data, tau)
         f = (np.outer(sol.moments[0], a) + np.outer(sol.moments[1], b)
              + np.outer(sol.moments[2], c)) / sol.norms[:, None]
         cols.append((f * np.exp(s * tau - beta[:, None] * (hi - tau))) @ wts)
@@ -889,6 +890,22 @@ def test_unreachable_tail_is_reported(loaded_solution):
     assert any("unreachable" in note for note in loaded_solution.notes)
 
 
+def test_each_candidate_tail_is_computed_once(smoke_data, monkeypatch):
+    """The search for N computes one tail bound per candidate, and the one
+    it stops at is the reported tail: no second call at N."""
+    import coltrans.series as series
+    core, seen = series._tail_bound_core, []
+
+    def counted(*args):
+        seen.append(args[5])
+        return core(*args)
+
+    monkeypatch.setattr(series, "_tail_bound_core", counted)
+    sol = build_solution(smoke_data, TruncationPolicy(n_max=160, tail_tol=1e-8), 2.0)
+    assert seen == [8, 16, 32, 64, 128, 160] and sol.n_used == 160
+    assert sol.reported_tail == tail_bound(sol, 160, 2.0)
+
+
 # -- shift of the time origin -------------------------------------------------
 # The coefficients are constant, so moving t0 and every time in the data by
 # delta moves the solution by delta and changes no mode, bound or value.
@@ -1004,6 +1021,58 @@ def test_large_t_reaches_equilibrium(equilibrium_data):
                          TruncationPolicy(n_max=160, tail_tol=1e-8), 3.0)
     xs = np.linspace(0.0, equilibrium_data.params.ell, 21)
     assert np.max(np.abs(eval_large_t(sol, xs, 2.0) - 2.0)) <= 1e-6
+
+
+# -- closed-form steady states -----------------------------------------------
+# Constant data and mu > 0: each family tends to tests/reference.py's
+# two-exponential steady state, an exact reference at any Peclet number.
+
+STEADY_FAMILIES = ("measured", "computed", "zero-gradient")
+
+
+def steady_column(r_ell):
+    """g = C_E = 1, phi = 0, mu = 0.5, gamma = 0.2, R = v = ell = 1."""
+    return make_data(R=1.0, D=1.0 / (2.0 * r_ell), v=1.0, mu=0.5, gamma=0.2,
+                     ell=1.0, g=SmoothFn.constant(1.0))
+
+
+@pytest.mark.parametrize("r_ell", [1, 5, 20])
+@pytest.mark.parametrize("family", STEADY_FAMILIES)
+def test_steady_states_solve_their_problem(family, r_ell):
+    """D C'' - v C' - mu C + gamma = 0 with the inlet flux condition, and at
+    the outlet v C - D C' = v C_E (measured) or C' = 0 (zero-gradient); the
+    computed family is the measured one at its own flux concentration."""
+    p = steady_column(r_ell).params
+    xs = np.linspace(0.0, p.ell, 41)
+    C, C1, C2 = (steady_state(p, 1.0, 1.0, family, xs, k) for k in range(3))
+    assert np.max(np.abs(p.D * C2 - p.v * C1 - p.mu * C + p.gamma)) <= 1e-12
+    assert abs(p.v * C[0] - p.D * C1[0] - p.v) <= 1e-12
+    if family == "measured":
+        assert abs(p.v * C[-1] - p.D * C1[-1] - p.v) <= 1e-12
+    elif family == "zero-gradient":
+        assert abs(C1[-1]) <= 1e-12
+    else:
+        c_e = C[-1] - (p.D / p.v) * C1[-1]
+        assert np.max(np.abs(steady_state(p, 1.0, c_e, "measured", xs) - C)) <= 1e-12
+
+
+@pytest.mark.parametrize("r_ell", [1, 5])
+@pytest.mark.parametrize("family", STEADY_FAMILIES)
+def test_series_reaches_the_steady_state(family, r_ell):
+    """At t = 30 and N = 200 each family is within 1e-5 of its steady state
+    (worst 6.5e-6, zero-gradient at r ell = 5), outlet layer included."""
+    data = steady_column(r_ell)
+    policy = TruncationPolicy(n_max=200)
+    if family == "measured":
+        sol = build_solution(data.with_exit(SmoothFn.constant(1.0)), policy, 30.0)
+    elif family == "computed":
+        sol = build_solution(resolve_exit(data, 30.0), policy, 30.0)
+    else:
+        sol = build_solution(data, policy, 30.0, kind=DANCKWERTS)
+    assert sol.n_used == 200
+    xs = np.r_[np.linspace(0.0, 0.9, 10), np.linspace(0.91, 1.0, 10)]
+    want = steady_state(data.params, 1.0, 1.0, family, xs)
+    assert np.max(np.abs(eval_C(sol, xs, 30.0) - want)) <= 1e-5
 
 
 def test_large_t_periodic_regime():

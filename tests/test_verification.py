@@ -24,8 +24,8 @@ from coltrans import (
     mass_balance_fd,
     resolve_exit,
 )
-from coltrans.verification import DanckwertsGap
 from conftest import l2_grid_norm, make_data, traced_peak
+from reference import steady_state
 
 INITIAL_PULSE = SmoothFn.polynomial([0.0, 0.0, 2.0384, -2.912, 1.04])
 
@@ -325,7 +325,7 @@ def test_unforced_mismatch_identity():
                          kind=DANCKWERTS)
     rep = mass_balance(lambda xs, t: eval_C(sol, xs, t), data, 3.0)
     # v (C_E - C_D(ell, .)): what a balance against the true exit sees
-    p, cE = sol.data.params, sol.data.require_exit()
+    p, cE = data.params, data.require_exit()
     mm = p.v * (cE.eval(rep.times) - eval_C(sol, p.ell, rep.times))
     assert np.max(np.abs(rep.residual - mm)) <= 1e-5
     assert np.max(np.abs(mm)) > 1e-2
@@ -346,11 +346,9 @@ def test_comparison_report(smoke_data, smoke_solution):
     danck = build_solution(smoke_data,
                            TruncationPolicy(n_max=80, tail_tol=1e-8), 2.0,
                            kind=DANCKWERTS)
-    rep = danckwerts_comparison(smoke_solution, danck)
-    assert rep.times.size == 40
-    assert rep.max_sup >= rep.sup_diff[-1] > 0.0
-    assert rep.final_sup == rep.sup_diff[-1]
-    assert rep.gamma_over_mu is None
+    times, sup = danckwerts_comparison(smoke_solution, danck)
+    assert times.size == sup.size == 40
+    assert sup.max() >= sup[-1] > 0.0
 
 
 def test_comparison_validation(smoke_data, smoke_solution):
@@ -365,13 +363,10 @@ def test_comparison_validation(smoke_data, smoke_solution):
 
 
 def test_danckwerts_gap_with_decay(loaded_data):
-    gap = danckwerts_error(loaded_data, 2.0, 2.0,
-                           policy=TruncationPolicy(n_max=80, tail_tol=1e-8),
-                           n_grid=64)
-    e, lb = gap
-    assert e == gap.e_d >= 0.0
-    assert lb == pytest.approx(0.3 / 0.4)
-    assert gap.meets_lower_bound() is (e >= 0.8 * lb)
+    e = danckwerts_error(loaded_data, 2.0, 2.0,
+                         policy=TruncationPolicy(n_max=80, tail_tol=1e-8),
+                         n_grid=64)
+    assert isinstance(e, float) and e >= 0.0
     # the same gap from the two FD oracles on the stretched column
     p = replace(loaded_data.params, ell=2.0)
     stretched = resolve_exit(ProblemData(params=p, phi=loaded_data.phi,
@@ -383,6 +378,19 @@ def test_danckwerts_gap_with_decay(loaded_data):
         danck = fd_solve(stretched, 2.0, grid, kind=DANCKWERTS).C[-1, -1]
         fd_gaps.append(abs(robin - danck))
     assert abs(e - fd_gaps[1]) <= abs(fd_gaps[1] - fd_gaps[0])
+
+
+@pytest.mark.parametrize("ell", [2.0, 4.0, 8.0])
+def test_danckwerts_gap_is_the_steady_gap(ell):
+    """Criterion 7's sweep is the steady outlet gap between the computed and
+    the zero-gradient closures (tests/reference.py), 0.0645540, 0.0533345
+    and 0.0369423, which falls with ell; measured 1.5e-7, 2.1e-7, 3.5e-6 off."""
+    data = make_data(R=1.0, D=1.0, v=1.0, mu=0.1, gamma=0.2, ell=2.0,
+                     g=SmoothFn.constant(1.0))
+    p = replace(data.params, ell=ell)
+    steady = abs(steady_state(p, 1.0, None, "computed", ell)
+                 - steady_state(p, 1.0, None, "zero-gradient", ell))
+    assert abs(danckwerts_error(data, 60.0, ell) - steady) <= 4e-6
 
 
 @pytest.mark.parametrize("ell,n_max", [(2.0, 200), (16.0, 800)])
@@ -433,15 +441,7 @@ def test_danckwerts_series_obeys_maximum_principle(case):
 
 
 def test_danckwerts_gap_without_decay(smoke_data):
-    gap = danckwerts_error(smoke_data, 1.0, 1.0,
-                           policy=TruncationPolicy(n_max=40, tail_tol=1e-8),
-                           n_grid=64)
-    assert gap.lower_bound is None
-    assert gap.meets_lower_bound() is None
-    assert gap.e_d >= 0.0
-
-
-def test_danckwerts_gap_reference_level():
-    assert DanckwertsGap(0.5, 0.0).meets_lower_bound() is True
-    assert DanckwertsGap(1.5, 2.0).meets_lower_bound() is False
-    assert DanckwertsGap(1.7, 2.0).meets_lower_bound() is True
+    e = danckwerts_error(smoke_data, 1.0, 1.0,
+                         policy=TruncationPolicy(n_max=40, tail_tol=1e-8),
+                         n_grid=64)
+    assert isinstance(e, float) and e >= 0.0
